@@ -71,7 +71,7 @@ pub struct AmpId(u32);
 impl AmpId {
     /// The raw 32-bit representation (shard in the high [`SHARD_BITS`]
     /// bits).  Useful as a ready-made small integer key in signatures and
-    /// partition-refinement maps.
+    /// hash-cons tables.
     pub fn raw(self) -> u32 {
         self.0
     }

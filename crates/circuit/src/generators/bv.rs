@@ -50,10 +50,16 @@ pub fn bernstein_vazirani(hidden: &[bool]) -> Circuit {
 
 /// The expected output basis state of [`bernstein_vazirani`] on the all-zero
 /// input: `|s⟩ ⊗ |1⟩` encoded as an MSBF integer.
-pub fn bernstein_vazirani_expected_output(hidden: &[bool]) -> u64 {
-    let mut basis = 0u64;
+///
+/// # Panics
+///
+/// Panics if `hidden` has more than 127 bits (the state would not fit the
+/// 128-bit basis index).
+pub fn bernstein_vazirani_expected_output(hidden: &[bool]) -> u128 {
+    assert!(hidden.len() < 128, "BV output past 128 qubits");
+    let mut basis = 0u128;
     for &bit in hidden {
-        basis = (basis << 1) | u64::from(bit);
+        basis = (basis << 1) | u128::from(bit);
     }
     (basis << 1) | 1
 }
@@ -81,6 +87,8 @@ mod tests {
         );
         assert_eq!(bernstein_vazirani_expected_output(&[false]), 0b01);
         assert_eq!(bernstein_vazirani_expected_output(&[]), 1);
+        // Every bit survives past the 64-bit boundary.
+        assert_eq!(bernstein_vazirani_expected_output(&[true; 127]), u128::MAX);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub fn bv_spec(hidden: &[bool]) -> Spec {
     let n = hidden.len() as u32 + 1;
     Spec {
         pre: StateSet::basis_state(n, 0),
-        post: StateSet::basis_state(n, bernstein_vazirani_expected_output(hidden).into()),
+        post: StateSet::basis_state(n, bernstein_vazirani_expected_output(hidden)),
     }
 }
 
@@ -79,6 +79,26 @@ mod tests {
         assert_eq!(spec.pre.num_qubits(), 4);
         assert_eq!(spec.pre.states(4).len(), 1);
         assert_eq!(spec.post.states(4).len(), 1);
+    }
+
+    #[test]
+    fn wide_bv_specs_hold_past_the_u64_boundary() {
+        use autoq_circuit::generators::bernstein_vazirani;
+
+        use crate::{verify, Engine, SpecMode};
+        for bits in [64usize, 127] {
+            let hidden: Vec<bool> = (0..bits).map(|i| i % 3 != 1).collect();
+            let spec = bv_spec(&hidden);
+            let circuit = bernstein_vazirani(&hidden);
+            let outcome = verify(
+                &Engine::hybrid(),
+                &spec.pre,
+                &circuit,
+                &spec.post,
+                SpecMode::Equality,
+            );
+            assert!(outcome.holds(), "BV{bits}");
+        }
     }
 
     #[test]

@@ -668,7 +668,7 @@ mod tests {
         let circuit = bernstein_vazirani(&hidden);
         let n = circuit.num_qubits();
         let pre = StateSet::basis_state(n, 0);
-        let post = StateSet::basis_state(n, bernstein_vazirani_expected_output(&hidden).into());
+        let post = StateSet::basis_state(n, bernstein_vazirani_expected_output(&hidden));
         assert!(verify(&Engine::hybrid(), &pre, &circuit, &post, SpecMode::Equality).holds());
         assert!(verify(
             &Engine::composition(),

@@ -12,9 +12,10 @@
 //! The cache is an in-memory map with two persistence formats, both served
 //! through a [`VerdictStore`](crate::store::VerdictStore):
 //!
-//! * the **snapshot** (magic `AQVC`) — the whole map in one blob.  A
-//!   corrupt or truncated snapshot is *rejected as a whole*: the daemon
-//!   then starts with an empty cache rather than trusting partial data.
+//! * the **snapshot** (magic `AQVC`) — the whole map in one blob, streamed
+//!   to the store entry by entry in key order.  A corrupt or truncated
+//!   snapshot is *rejected as a whole*: the daemon then starts with an
+//!   empty cache rather than trusting partial data.
 //! * the **journal** (record tag `AQVJ` semantics) — an append-only
 //!   sequence of length-prefixed, FNV-1a-checksummed single-entry records
 //!   written after each fresh verdict, so persistence cost per verdict is
@@ -23,6 +24,7 @@
 //!   leaves behind.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -96,10 +98,21 @@ pub struct CachedVerdict {
 }
 
 /// Encodes one `(key, verdict)` entry — the unit shared by the snapshot
-/// body and the journal payload.
+/// body and the journal payload: the key's two digests, then the
+/// verdict's bytes ([`encode_verdict`]).
 fn encode_entry(enc: &mut Encoder, key: &VerdictKey, verdict: &CachedVerdict) {
+    encode_key(enc, key);
+    encode_verdict(enc, verdict);
+}
+
+fn encode_key(enc: &mut Encoder, key: &VerdictKey) {
     enc.put_bytes(&key.circuit.0);
     enc.put_bytes(&key.spec.0);
+}
+
+/// Encodes the verdict part of an entry: flags, then the optional witness
+/// and certificate.  The cache stores exactly these bytes per entry.
+fn encode_verdict(enc: &mut Encoder, verdict: &CachedVerdict) {
     let mut flags = 0u8;
     if verdict.holds {
         flags |= 1;
@@ -134,6 +147,11 @@ fn decode_entry(dec: &mut Decoder<'_>) -> Result<(VerdictKey, CachedVerdict), Wi
     };
     let circuit = digest(dec)?;
     let spec = digest(dec)?;
+    Ok((VerdictKey { circuit, spec }, decode_verdict(dec)?))
+}
+
+/// Decodes the verdict part of an entry (inverse of [`encode_verdict`]).
+fn decode_verdict(dec: &mut Decoder<'_>) -> Result<CachedVerdict, WireError> {
     let flags = dec.get_u8()?;
     if flags & !0x0f != 0 {
         return Err(WireError::malformed(
@@ -151,15 +169,12 @@ fn decode_entry(dec: &mut Decoder<'_>) -> Result<(VerdictKey, CachedVerdict), Wi
     } else {
         None
     };
-    Ok((
-        VerdictKey { circuit, spec },
-        CachedVerdict {
-            holds: flags & 1 != 0,
-            reachable_but_forbidden: flags & 2 != 0,
-            witness,
-            certificate,
-        },
-    ))
+    Ok(CachedVerdict {
+        holds: flags & 1 != 0,
+        reachable_but_forbidden: flags & 2 != 0,
+        witness,
+        certificate,
+    })
 }
 
 /// Frames one cache entry as a self-delimiting journal record:
@@ -193,9 +208,14 @@ fn shard_index(key: &VerdictKey) -> usize {
 
 /// The in-memory verdict cache with hit/miss counters, sharded 16 ways so
 /// concurrent workers rarely contend on a lock.
+///
+/// Each verdict is held as its exact-size encoded bytes (the tail of its
+/// journal payload, after the key) rather than as a [`CachedVerdict`] with
+/// two separately allocated buffers: one allocation per entry, no spare
+/// capacity, and a snapshot copies the bytes out as they are.
 #[derive(Default)]
 pub struct VerdictCache {
-    shards: [Mutex<HashMap<VerdictKey, CachedVerdict>>; NUM_SHARDS],
+    shards: [Mutex<HashMap<VerdictKey, Box<[u8]>>>; NUM_SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -215,10 +235,15 @@ impl VerdictCache {
     /// fine; the server strips the bundle from the framed reply.
     pub fn lookup(&self, key: &VerdictKey, want_certificate: bool) -> Option<CachedVerdict> {
         let entries = lock(&self.shards[shard_index(key)]);
-        match entries.get(key) {
+        // The bytes were encoded by `insert`, so decoding cannot fail.
+        let verdict = entries
+            .get(key)
+            .and_then(|bytes| decode_verdict(&mut Decoder::new(bytes)).ok());
+        drop(entries);
+        match verdict {
             Some(verdict) if !want_certificate || verdict.certificate.is_some() => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(verdict.clone())
+                Some(verdict)
             }
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -229,7 +254,10 @@ impl VerdictCache {
 
     /// Inserts (or overwrites) a verdict.
     pub fn insert(&self, key: VerdictKey, verdict: CachedVerdict) {
-        lock(&self.shards[shard_index(&key)]).insert(key, verdict);
+        let mut enc = Encoder::default();
+        encode_verdict(&mut enc, &verdict);
+        let bytes = enc.finish().into_boxed_slice();
+        lock(&self.shards[shard_index(&key)]).insert(key, bytes);
     }
 
     /// Number of cached verdicts.
@@ -252,27 +280,48 @@ impl VerdictCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Serialises the cache into its binary snapshot format.
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        // Gather all shards, then sort keys so equal caches snapshot to
-        // identical bytes regardless of how entries landed in shards.
-        let mut all: Vec<(VerdictKey, CachedVerdict)> = Vec::new();
+    /// Streams the cache's binary snapshot into `out`, one entry at a time,
+    /// so a snapshot never holds a second copy of the cache in memory.
+    ///
+    /// The keys are collected and sorted first, so equal caches snapshot
+    /// to identical bytes regardless of how entries landed in shards; each
+    /// entry is then copied out under its shard's lock and written after
+    /// it.  Entries are never removed, so every collected key is still
+    /// there when its turn comes (a concurrent overwrite just snapshots
+    /// the newer verdict).
+    pub fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
+        let mut keys: Vec<VerdictKey> = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            let entries = lock(shard);
-            all.extend(entries.iter().map(|(k, v)| (*k, v.clone())));
+            keys.extend(lock(shard).keys().copied());
         }
-        all.sort_by_key(|(k, _)| (k.circuit, k.spec));
+        keys.sort_by_key(|k| (k.circuit, k.spec));
         let mut enc = Encoder::default();
-        enc.put_u8(SNAPSHOT_MAGIC[0]);
-        enc.put_u8(SNAPSHOT_MAGIC[1]);
-        enc.put_u8(SNAPSHOT_MAGIC[2]);
-        enc.put_u8(SNAPSHOT_MAGIC[3]);
-        enc.put_u8(SNAPSHOT_VERSION);
-        enc.put_varint(all.len() as u64);
-        for (key, verdict) in &all {
-            encode_entry(&mut enc, key, verdict);
+        for &byte in SNAPSHOT_MAGIC {
+            enc.put_u8(byte);
         }
-        enc.finish()
+        enc.put_u8(SNAPSHOT_VERSION);
+        enc.put_varint(keys.len() as u64);
+        out.write_all(&enc.finish())?;
+        for key in &keys {
+            let mut enc = Encoder::default();
+            encode_key(&mut enc, key);
+            let mut entry = enc.finish();
+            match lock(&self.shards[shard_index(key)]).get(key) {
+                Some(verdict) => entry.extend_from_slice(verdict),
+                None => return Err(io::Error::other("verdict cache entry vanished")),
+            }
+            out.write_all(&entry)?;
+        }
+        Ok(())
+    }
+
+    /// Serialises the cache into its binary snapshot format in memory
+    /// (the bytes [`VerdictCache::write_snapshot`] streams).
+    pub fn to_snapshot(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        // Writing into a `Vec` cannot fail, and no entry is ever removed.
+        let _ = self.write_snapshot(&mut bytes);
+        bytes
     }
 
     /// Restores a cache from a snapshot.
@@ -465,6 +514,68 @@ mod tests {
             Some(vec![0xC0, 0xDE])
         );
         assert_eq!(restored.to_snapshot(), snap);
+    }
+
+    #[test]
+    fn streamed_snapshots_match_the_buffered_encoding() {
+        use crate::store::{FileStore, MemStore, VerdictStore};
+
+        let cache = VerdictCache::new();
+        for tag in 0..40u8 {
+            cache.insert(
+                key(tag),
+                CachedVerdict {
+                    holds: tag % 3 == 0,
+                    reachable_but_forbidden: tag % 3 == 1,
+                    witness: (tag % 2 == 0).then(|| vec![tag; usize::from(tag)]),
+                    certificate: (tag % 5 == 0).then(|| vec![!tag; 100]),
+                },
+            );
+        }
+        // The snapshot format spelled out by hand (every length below 128
+        // is a one-byte varint): header, count, then per entry in key
+        // order both digests, the flags and the optional byte strings.
+        let mut tags: Vec<u8> = (0..40).collect();
+        tags.sort_by_key(|&tag| (key(tag).circuit, key(tag).spec));
+        let mut expected = b"AQVC".to_vec();
+        expected.extend_from_slice(&[SNAPSHOT_VERSION, 40]);
+        for tag in tags {
+            let k = key(tag);
+            for digest in [k.circuit.0, k.spec.0] {
+                expected.push(32);
+                expected.extend_from_slice(&digest);
+            }
+            let witness = tag % 2 == 0;
+            let certificate = tag % 5 == 0;
+            let flags = u8::from(tag % 3 == 0)
+                | u8::from(tag % 3 == 1) << 1
+                | u8::from(witness) << 2
+                | u8::from(certificate) << 3;
+            expected.push(flags);
+            if witness {
+                expected.push(tag);
+                expected.extend(std::iter::repeat(tag).take(usize::from(tag)));
+            }
+            if certificate {
+                expected.push(100);
+                expected.extend_from_slice(&[!tag; 100]);
+            }
+        }
+        assert_eq!(cache.to_snapshot(), expected);
+
+        let mem = MemStore::new();
+        mem.save_with(&mut |sink| cache.write_snapshot(sink))
+            .unwrap();
+        assert_eq!(mem.snapshot().unwrap(), expected);
+
+        let dir = std::env::temp_dir().join(format!("autoq-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = FileStore::new(dir.join("cache.aqvc"));
+        file.save_with(&mut |sink| cache.write_snapshot(sink))
+            .unwrap();
+        assert_eq!(file.load().unwrap().unwrap(), expected);
+        assert!(!dir.join("cache.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -45,7 +45,19 @@
 //! [`DaemonConfig::snapshot_every`] journaled verdicts the whole cache is
 //! snapshotted and the journal cleared.  Startup loads the snapshot,
 //! replays the journal's intact prefix (a torn tail from a crash is
-//! dropped silently) and writes a fresh compacting snapshot.
+//! dropped silently) and writes a fresh compacting snapshot.  Snapshots
+//! stream entry by entry into the store, so one never holds a second copy
+//! of the cache.
+//!
+//! # Tree-arena reclamation
+//!
+//! With [`DaemonConfig::reclaim_arena`] on, the daemon keeps the
+//! process-wide tree arena flat: it captures the arena generation once
+//! recovery is done, pins the arena for each job's engine run and witness
+//! serialisation, and afterwards sweeps every tree node interned since
+//! that floor (the cache holds witnesses as bytes, so nothing is kept).  A
+//! sweep blocked by another worker's pin is skipped; that worker's own
+//! sweep collects the same nodes later.
 //!
 //! Shutdown — via [`DaemonHandle::shutdown`] or a client
 //! [`Request::Shutdown`] — drains nothing: queued jobs are dropped, running
@@ -65,6 +77,7 @@ use std::time::{Duration, Instant};
 use autoq_circuit::digest::circuit_digest;
 use autoq_circuit::qasm::parse_qasm;
 use autoq_core::{CancelFlag, Interrupt, Resource, StopReason};
+use autoq_treeaut::arena;
 use autoq_treeaut::format::tree_to_binary;
 
 use crate::cache::{journal_record, spec_digest, CachedVerdict, VerdictCache, VerdictKey};
@@ -101,6 +114,11 @@ pub struct DaemonConfig {
     pub watchdog_interval: Duration,
     /// Grace past a job's deadline before the watchdog hard-cancels it.
     pub watchdog_grace: Duration,
+    /// Sweep the tree nodes each job interned once it is done (see the
+    /// module docs).  Reclamation is process-wide, so it is off by
+    /// default: only a daemon that owns its process may turn it on, never
+    /// one sharing the process with other tree users (docs/CONCURRENCY.md).
+    pub reclaim_arena: bool,
 }
 
 impl Default for DaemonConfig {
@@ -115,6 +133,7 @@ impl Default for DaemonConfig {
             snapshot_every: 256,
             watchdog_interval: Duration::from_millis(20),
             watchdog_grace: Duration::from_millis(100),
+            reclaim_arena: false,
         }
     }
 }
@@ -195,6 +214,9 @@ struct Shared {
     engine: Arc<dyn VerifyEngine>,
     store: Option<Arc<dyn VerdictStore>>,
     cache: VerdictCache,
+    /// Arena generation captured after recovery: the floor of every
+    /// post-job sweep when [`DaemonConfig::reclaim_arena`] is on.
+    arena_floor: u64,
     persist_state: Mutex<PersistState>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_signal: Condvar,
@@ -244,7 +266,7 @@ impl Shared {
     /// Snapshots the whole cache and clears the journal.  Caller holds the
     /// persist lock.
     fn snapshot_locked(&self, store: &Arc<dyn VerdictStore>, state: &mut PersistState) {
-        match store.save(&self.cache.to_snapshot()) {
+        match store.save_with(&mut |sink| self.cache.write_snapshot(sink)) {
             Ok(()) => {
                 // A failed clear only means the next recovery replays
                 // records the snapshot already contains — replay is
@@ -260,13 +282,13 @@ impl Shared {
     /// journal, with a periodic full snapshot every
     /// [`DaemonConfig::snapshot_every`] verdicts.  A journal-append failure
     /// falls back to an immediate snapshot so the verdict still persists.
-    fn record_verdict(&self, key: VerdictKey, verdict: CachedVerdict) {
+    fn record_verdict(&self, key: VerdictKey, verdict: &CachedVerdict) {
         self.cache.insert(key, verdict.clone());
         let Some(store) = &self.store else {
             return;
         };
         let mut state = lock(&self.persist_state);
-        match store.append_journal(&journal_record(&key, &verdict)) {
+        match store.append_journal(&journal_record(&key, verdict)) {
             Ok(()) => {
                 state.journaled_since_snapshot += 1;
                 if state.journaled_since_snapshot >= self.config.snapshot_every.max(1) {
@@ -396,7 +418,10 @@ pub fn serve(
         match store.load_journal() {
             Ok(journal) if !journal.is_empty() => {
                 cache.replay_journal(&journal);
-                if store.save(&cache.to_snapshot()).is_ok() {
+                if store
+                    .save_with(&mut |sink| cache.write_snapshot(sink))
+                    .is_ok()
+                {
                     let _ = store.clear_journal();
                 }
             }
@@ -413,6 +438,7 @@ pub fn serve(
         engine,
         store,
         cache,
+        arena_floor: arena::generation(),
         persist_state: Mutex::new(PersistState {
             journaled_since_snapshot: 0,
         }),
@@ -871,9 +897,27 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     // daemon one answer, not one worker.  `AssertUnwindSafe` is sound here
     // because everything the closure can leave half-updated is either
     // job-local (discarded below) or behind poison-recovering locks.
+    let pin = shared.config.reclaim_arena.then(arena::pin);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         shared.engine.verify(&inputs, &interrupt, &mut progress)
     }));
+    // Serialise the witness while the pin still protects its nodes; after
+    // the sweep below no tree from this run may be touched again.
+    let result = result.map(|outcome| {
+        outcome.map(|verdict| CachedVerdict {
+            holds: verdict.holds,
+            reachable_but_forbidden: verdict.reachable_but_forbidden,
+            witness: verdict
+                .witness
+                .filter(|_| inputs.want_witness)
+                .map(|tree| tree_to_binary(&tree)),
+            certificate: verdict.certificate,
+        })
+    });
+    if let Some(pin) = pin {
+        drop(pin);
+        let _ = arena::try_reclaim(shared.arena_floor, &[]);
+    }
 
     if let Some(token) = watch_token {
         lock(&shared.watchdog).remove(&token);
@@ -944,31 +988,20 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 }
             }
         }
-        Ok(Ok(verdict)) => {
-            let witness = match &verdict.witness {
-                Some(tree) if inputs.want_witness => Some(tree_to_binary(tree)),
-                _ => None,
-            };
-            let certificate = verdict.certificate;
-            if verdict.holds && certificate.is_some() {
+        Ok(Ok(cached)) => {
+            if cached.holds && cached.certificate.is_some() {
                 shared.verdicts_certified.fetch_add(1, Ordering::Relaxed);
             }
-            let cached = CachedVerdict {
-                holds: verdict.holds,
-                reachable_but_forbidden: verdict.reachable_but_forbidden,
-                witness: witness.clone(),
-                certificate: certificate.clone(),
-            };
-            shared.record_verdict(key, cached);
+            shared.record_verdict(key, &cached);
             shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
             finish(&Response::Verdict {
                 client_job,
                 cached: false,
                 verdict: Verdict {
-                    holds: verdict.holds,
-                    reachable_but_forbidden: verdict.reachable_but_forbidden,
-                    witness,
-                    certificate,
+                    holds: cached.holds,
+                    reachable_but_forbidden: cached.reachable_but_forbidden,
+                    witness: cached.witness,
+                    certificate: cached.certificate,
                 },
             });
         }

@@ -5,26 +5,38 @@
 //! append-only sequence of checksummed per-verdict records written between
 //! snapshots).  Recovery loads the snapshot, then replays the journal's
 //! intact prefix — a torn tail from a crash mid-append is dropped, not
-//! fatal.  [`FileStore`] is the production backend with atomic
+//! fatal.  Snapshots are *streamed* into the store
+//! ([`VerdictStore::save_with`]), so saving never holds a second copy of
+//! the cache.  [`FileStore`] is the production backend with atomic
 //! write-then-rename snapshots and an `O_APPEND` journal file; [`MemStore`]
 //! backs restart tests without a filesystem; [`FailStore`] wraps another
 //! store and corrupts traffic through it with a [`FaultPlan`], which is how
 //! the tests prove a daemon facing a bad disk starts empty instead of
 //! serving half a cache.
 
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 use crate::fault::FaultPlan;
 use crate::lock;
 
+/// Emits a snapshot's bytes into the sink a store hands it (see
+/// [`VerdictStore::save_with`]).
+pub type SnapshotWriter<'a> = dyn FnMut(&mut dyn Write) -> io::Result<()> + 'a;
+
 /// Snapshot + journal persistence for the verdict cache.
 pub trait VerdictStore: Send + Sync {
     /// Loads the last saved snapshot, `None` if nothing was ever saved.
     fn load(&self) -> io::Result<Option<Vec<u8>>>;
-    /// Replaces the saved snapshot.
-    fn save(&self, bytes: &[u8]) -> io::Result<()>;
+    /// Replaces the saved snapshot with the bytes `write` emits into the
+    /// store's sink.  A backend streams them to its medium; one that has
+    /// to see the whole snapshot at once may buffer it.
+    fn save_with(&self, write: &mut SnapshotWriter<'_>) -> io::Result<()>;
+    /// Replaces the saved snapshot with `bytes`.
+    fn save(&self, bytes: &[u8]) -> io::Result<()> {
+        self.save_with(&mut |sink| sink.write_all(bytes))
+    }
     /// Appends one record to the journal.
     fn append_journal(&self, record: &[u8]) -> io::Result<()>;
     /// Loads the whole journal; empty if nothing was ever appended.
@@ -33,7 +45,8 @@ pub trait VerdictStore: Send + Sync {
     fn clear_journal(&self) -> io::Result<()>;
 }
 
-/// File-backed store with atomic replace (write to `<path>.tmp`, rename).
+/// File-backed store with atomic replace (stream to `<path>.tmp` through a
+/// buffer, then rename).
 pub struct FileStore {
     path: PathBuf,
 }
@@ -59,14 +72,15 @@ impl VerdictStore for FileStore {
         }
     }
 
-    fn save(&self, bytes: &[u8]) -> io::Result<()> {
+    fn save_with(&self, write: &mut SnapshotWriter<'_>) -> io::Result<()> {
         let tmp = self.path.with_extension("tmp");
-        std::fs::write(&tmp, bytes)?;
+        let mut file = BufWriter::new(std::fs::File::create(&tmp)?);
+        write(&mut file)?;
+        file.into_inner().map_err(|e| e.into_error())?;
         std::fs::rename(&tmp, &self.path)
     }
 
     fn append_journal(&self, record: &[u8]) -> io::Result<()> {
-        use std::io::Write;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -127,8 +141,10 @@ impl VerdictStore for MemStore {
         Ok(lock(&self.bytes).clone())
     }
 
-    fn save(&self, bytes: &[u8]) -> io::Result<()> {
-        *lock(&self.bytes) = Some(bytes.to_vec());
+    fn save_with(&self, write: &mut SnapshotWriter<'_>) -> io::Result<()> {
+        let mut bytes = Vec::new();
+        write(&mut bytes)?;
+        *lock(&self.bytes) = Some(bytes);
         Ok(())
     }
 
@@ -187,11 +203,15 @@ impl<S: VerdictStore> VerdictStore for FailStore<S> {
         }
     }
 
-    fn save(&self, bytes: &[u8]) -> io::Result<()> {
+    fn save_with(&self, write: &mut SnapshotWriter<'_>) -> io::Result<()> {
         match self.mode {
             FailMode::Unavailable => Err(io::Error::other("fault injection: store unavailable")),
-            FailMode::CorruptOnSave(plan) => self.inner.save(&plan.apply(bytes)),
-            FailMode::CorruptOnLoad(_) => self.inner.save(bytes),
+            FailMode::CorruptOnSave(plan) => {
+                let mut bytes = Vec::new();
+                write(&mut bytes)?;
+                self.inner.save(&plan.apply(&bytes))
+            }
+            FailMode::CorruptOnLoad(_) => self.inner.save_with(write),
         }
     }
 

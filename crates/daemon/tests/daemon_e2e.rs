@@ -112,8 +112,7 @@ fn bernstein_vazirani_preset_matches_direct_verification() {
     let circuit = bernstein_vazirani(&hidden);
     let spec = bv_spec(&hidden);
     let n = circuit.num_qubits();
-    let expected: u128 =
-        autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden).into();
+    let expected = autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden);
 
     // Holds, with Basis wire specs.
     let verdict = check_against_direct(
@@ -393,12 +392,30 @@ fn job_errors_are_scoped_and_descriptive() {
         num_qubits: 2,
         bytes: vec![0xde, 0xad],
     };
-    let JobOutcome::Failed { message } = client.verify(job).unwrap() else {
+    let JobOutcome::Failed { message } = client.verify(job.clone()).unwrap() else {
         panic!("expected a job error");
     };
     assert!(message.contains("automaton"), "{message}");
 
-    // The connection survived all three failures.
+    // A well-formed encoding of a cyclic automaton is malformed too: it
+    // denotes no finite trees and would push reduction onto its slow
+    // reference path.
+    let mut cyclic = autoq_treeaut::TreeAutomaton::new(2);
+    let leaf = cyclic.leaf_state(&autoq_amplitude::Algebraic::one());
+    let q = cyclic.add_state();
+    cyclic.add_internal(q, autoq_treeaut::InternalSymbol::new(1), leaf, leaf);
+    cyclic.add_internal(q, autoq_treeaut::InternalSymbol::new(0), q, q);
+    cyclic.add_root(q);
+    job.pre = Spec::Automaton {
+        num_qubits: 2,
+        bytes: to_binary(&cyclic),
+    };
+    let JobOutcome::Failed { message } = client.verify(job).unwrap() else {
+        panic!("expected a job error");
+    };
+    assert!(message.contains("cycle"), "{message}");
+
+    // The connection survived all four failures.
     client.ping().unwrap();
     daemon.shutdown();
     daemon.join();

@@ -37,8 +37,7 @@ fn spawn_daemon(cache: &std::path::Path, extra: &[&str]) -> Child {
 fn bv_job(limits: JobLimits) -> JobRequest {
     let hidden = [true, false, true, true, false, true];
     let circuit = bernstein_vazirani(&hidden);
-    let expected: u128 =
-        autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden).into();
+    let expected = autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden);
     JobRequest {
         qasm: write_qasm(&circuit),
         pre: Spec::Basis {
@@ -76,8 +75,7 @@ fn real_binary_survives_kill_dash_nine() {
     // typed exhausted outcome — no hang, no OOM.
     let hidden: Vec<bool> = (0..40).map(|i| i % 3 != 0).collect();
     let wide = bernstein_vazirani(&hidden);
-    let expected: u128 =
-        autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden).into();
+    let expected = autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden);
     let outcome = client
         .verify(JobRequest {
             qasm: write_qasm(&wide),

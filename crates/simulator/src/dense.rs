@@ -379,7 +379,7 @@ mod tests {
         let hidden = [true, false, true, true];
         let circuit = bernstein_vazirani(&hidden);
         let state = DenseState::run(&circuit, 0);
-        let expected = u128::from(bernstein_vazirani_expected_output(&hidden));
+        let expected = bernstein_vazirani_expected_output(&hidden);
         assert_eq!(state.amplitude(expected), Algebraic::one());
         assert_eq!(state.to_amplitude_map().len(), 1);
     }

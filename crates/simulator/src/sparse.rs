@@ -402,8 +402,7 @@ mod tests {
         let circuit = autoq_circuit::generators::bernstein_vazirani(&hidden);
         let state = SparseState::run(&circuit, 0);
         assert_eq!(state.support_size(), 1);
-        let expected =
-            autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden) as u128;
+        let expected = autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden);
         assert_eq!(state.amplitude(expected), Algebraic::one());
     }
 

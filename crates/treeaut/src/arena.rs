@@ -348,6 +348,14 @@ pub fn try_reclaim(floor: u64, keep: &[NodeId]) -> Result<ReclaimStats, ReclaimB
     // other arena paths hold at most one shard lock, so this cannot
     // deadlock.
     let mut shards: Vec<MutexGuard<'static, Shard>> = (0..NUM_SHARDS).map(lock_shard).collect();
+    // Check again under the locks: a thread that pinned after the check
+    // above may already have interned fresh nodes (a pin is taken before
+    // any shard lock, so it is visible here), and those must not be swept.
+    // Every pin taken from now on interns only after the sweep.
+    let active_pins = state.active_pins.load(Ordering::SeqCst);
+    if active_pins > 0 {
+        return Err(ReclaimBlocked { active_pins });
+    }
 
     // Mark phase: everything reachable from `keep`.  Descent stops at nodes
     // at or below the floor — the pre-epoch region is transitively closed

@@ -542,8 +542,10 @@ impl TreeAutomaton {
         self.internal.iter().filter(move |t| t.symbol.var == var)
     }
 
-    /// Checks basic structural sanity: transitions refer to allocated states
-    /// and every leaf parent carries a single value.
+    /// Checks basic structural sanity: transitions refer to allocated
+    /// states, every leaf parent carries a single value, and no state lies
+    /// on a cycle (every automaton denotes a set of finite trees bottom-up,
+    /// which the reduction relies on).
     pub fn validate(&self) -> Result<(), String> {
         for t in &self.internal {
             for s in [t.parent, t.left, t.right] {
@@ -578,6 +580,10 @@ impl TreeAutomaton {
             if root.raw() >= self.num_states {
                 return Err(format!("root {root} out of range"));
             }
+        }
+        let all = vec![true; self.num_states as usize];
+        if self.bottom_up_order(&self.index(), &all).is_none() {
+            return Err("transitions form a cycle".into());
         }
         Ok(())
     }

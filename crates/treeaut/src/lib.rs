@@ -20,8 +20,8 @@
 //! The per-gate hot path — `trim`, `reduce`, `inclusion`, `enumerate` —
 //! reads adjacency through a lazily cached CSR [`TransitionIndex`]
 //! ([`TreeAutomaton::index`]) instead of rescanning the transition vectors,
-//! and the reduction merges states via integer-signature partition
-//! refinement (see `docs/ARCHITECTURE.md` §3.1).
+//! and the reduction merges states in one bottom-up hash-consing pass (see
+//! `docs/ARCHITECTURE.md` §3.1).
 //!
 //! *Pipeline position*: bigint → amplitude → **treeaut** → simulator →
 //! {equivcheck, core} → bench — the automata substrate `autoq-core` builds

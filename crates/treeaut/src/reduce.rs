@@ -10,48 +10,113 @@
 //!   merge is iterated to a fixpoint.
 //!
 //! Both run after every gate of the engine's hot loop, so they are built for
-//! speed: trimming is a worklist pass over the adjacency index
-//! (O(states + transitions), no fixpoint-over-all-transitions), and merging
-//! is a partition-refinement loop over *integer* signatures — interned
-//! symbol/leaf-value ids hashed into a `u64` per state — that re-signatures
-//! only the states whose successors changed.  A deliberately naive
-//! implementation is retained as [`TreeAutomaton::reduce_reference`] and
-//! cross-validated against the fast path by property tests.
+//! speed.  Trimming is two worklist passes over the adjacency index
+//! (O(states + transitions)).  Merging exploits that every automaton here is
+//! acyclic: one pass over the live states in bottom-up (Kahn) order gives
+//! each state a class from a hash-cons table keyed on its sorted
+//! `(symbol, left-class, right-class)` tuples and leaf amplitude ids.  The
+//! children's classes are final by the time a parent is keyed, so this one
+//! pass reaches the merge fixpoint directly, in O(states + transitions)
+//! hash-table operations.  Both reductions end in the same rewrite, which
+//! numbers the surviving states (each class's smallest member) in ascending
+//! order and keeps the first of any duplicate transitions.
+//!
+//! A cyclic automaton (never produced by this crate or `autoq-core`, and
+//! rejected by [`TreeAutomaton::validate`]) falls back to the deliberately
+//! naive [`TreeAutomaton::reduce_reference`], which is also the property
+//! tests' oracle for the fast path.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use autoq_amplitude::{resolve, Algebraic};
 
-use crate::{InternalSymbol, InternalTransition, LeafTransition, StateId, TreeAutomaton};
+use crate::{
+    InternalSymbol, InternalTransition, LeafTransition, StateId, TransitionIndex, TreeAutomaton,
+};
 
-/// Finds the current representative of `q`, compressing paths as it goes.
-fn find(repr: &mut [u32], q: u32) -> u32 {
-    let mut q = q;
-    while repr[q as usize] != q {
-        let parent = repr[q as usize];
-        repr[q as usize] = repr[parent as usize];
-        q = repr[q as usize];
-    }
-    q
-}
+/// State-map entry of a state the rewrite drops.
+const DROPPED: u32 = u32::MAX;
 
-/// Hashes a state's canonical outgoing-transition signature (sorted interned
-/// integer tuples) into a `u64` group key.  Grouping verifies the exact
-/// tuples before merging, so hash collisions cost time, never soundness.
-fn signature_hash(tuples: &[(u32, u32, u32)], leaf_ids: &[u32]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    tuples.hash(&mut hasher);
-    leaf_ids.hash(&mut hasher);
-    hasher.finish()
-}
+/// A state's merge key: its sorted, deduplicated `(symbol, left-class,
+/// right-class)` tuples and its sorted leaf amplitude ids.
+type MergeKey = (Vec<(InternalSymbol, u32, u32)>, Vec<u32>);
 
 impl TreeAutomaton {
     /// Removes useless states and transitions (non-productive or
     /// inaccessible) and renumbers the remaining states densely.
     pub fn trim(&self) -> TreeAutomaton {
+        let live = self.live_states(&self.index());
+        let mut count = 0;
+        let map: Vec<u32> = live
+            .iter()
+            .map(|&live| {
+                if !live {
+                    return DROPPED;
+                }
+                count += 1;
+                count - 1
+            })
+            .collect();
+        self.rewrite(&map, count)
+    }
+
+    /// The paper's lightweight reduction: trim, then merge states that have
+    /// exactly the same outgoing transitions ("the same successors") up to
+    /// the fixpoint, which is a sound under-approximation of bottom-up
+    /// bisimulation.
+    pub fn reduce(&self) -> TreeAutomaton {
         let index = self.index();
+        let live = self.live_states(&index);
+        let Some(order) = self.bottom_up_order(&index, &live) else {
+            return self.reduce_reference();
+        };
+        let mut class = vec![DROPPED; live.len()];
+        let mut classes: HashMap<MergeKey, u32> = HashMap::with_capacity(order.len());
+        for q in order {
+            let mut tuples: Vec<(InternalSymbol, u32, u32)> = index
+                .internal_of(q)
+                .iter()
+                .map(|&position| &self.internal[position as usize])
+                .filter(|t| live[t.left.index()] && live[t.right.index()])
+                .map(|t| (t.symbol, class[t.left.index()], class[t.right.index()]))
+                .collect();
+            tuples.sort_unstable();
+            tuples.dedup();
+            let mut amps: Vec<u32> = index
+                .leaves_of(q)
+                .iter()
+                .map(|&position| self.leaves[position as usize].amp.raw())
+                .collect();
+            amps.sort_unstable();
+            amps.dedup();
+            let next = classes.len() as u32;
+            class[q.index()] = *classes.entry((tuples, amps)).or_insert(next);
+        }
+        // Each class is represented by its smallest member: scanning the
+        // states in ascending order meets every class first at that member.
+        let mut number = vec![DROPPED; classes.len()];
+        let mut count = 0;
+        let map: Vec<u32> = class
+            .iter()
+            .map(|&c| {
+                if c == DROPPED {
+                    return DROPPED;
+                }
+                let id = &mut number[c as usize];
+                if *id == DROPPED {
+                    *id = count;
+                    count += 1;
+                }
+                *id
+            })
+            .collect();
+        self.rewrite(&map, count)
+    }
+
+    /// Marks the live states: productive (some tree derives from them) and
+    /// accessible (reachable from a root through transitions whose
+    /// children are all productive).
+    fn live_states(&self, index: &TransitionIndex) -> Vec<bool> {
         let n = self.num_states as usize;
         // 1. Productive states: worklist from the leaves upwards.  `need`
         //    counts the not-yet-productive child slots of each transition;
@@ -78,9 +143,9 @@ impl TreeAutomaton {
             }
         }
         // 2. Accessible states: from the roots downwards, only through
-        //    transitions whose children are productive.
+        //    transitions whose children are productive.  Every accessible
+        //    state is productive, so this marks exactly the live ones.
         let mut accessible = vec![false; n];
-        let mut worklist: Vec<StateId> = Vec::new();
         for &root in &self.roots {
             if productive[root.index()] && !accessible[root.index()] {
                 accessible[root.index()] = true;
@@ -100,221 +165,78 @@ impl TreeAutomaton {
                 }
             }
         }
-        // 3. Renumber (ascending ids, as before).
-        let mut mapping: Vec<Option<StateId>> = vec![None; n];
-        let mut result = TreeAutomaton::new(self.num_vars);
-        for (q, slot) in mapping.iter_mut().enumerate() {
-            if productive[q] && accessible[q] {
-                *slot = Some(result.add_state());
-            }
-        }
-        for &root in &self.roots {
-            if let Some(mapped) = mapping[root.index()] {
-                result.add_root(mapped);
-            }
-        }
-        for t in &self.internal {
-            if let (Some(parent), Some(left), Some(right)) = (
-                mapping[t.parent.index()],
-                mapping[t.left.index()],
-                mapping[t.right.index()],
-            ) {
-                result.internal.push(InternalTransition {
-                    parent,
-                    symbol: t.symbol,
-                    left,
-                    right,
-                });
-            }
-        }
-        for t in &self.leaves {
-            if let Some(parent) = mapping[t.parent.index()] {
-                result.leaves.push(LeafTransition { parent, amp: t.amp });
-            }
-        }
-        result.dedup_transitions();
-        result
+        accessible
     }
 
-    /// The paper's lightweight reduction: trim, then repeatedly merge states
-    /// that have exactly the same outgoing transitions ("the same
-    /// successors"), which is a sound under-approximation of bottom-up
-    /// bisimulation.
-    pub fn reduce(&self) -> TreeAutomaton {
-        let mut current = self.trim();
-        loop {
-            let (merged, changed) = current.merge_identical_states();
-            current = merged;
-            if !changed {
-                return current;
-            }
+    /// Orders the `live` states bottom-up with Kahn's algorithm: every state
+    /// comes after the children of all its transitions between live states.
+    /// Returns `None` if some live state lies on a cycle.
+    pub(crate) fn bottom_up_order(
+        &self,
+        index: &TransitionIndex,
+        live: &[bool],
+    ) -> Option<Vec<StateId>> {
+        let survives = |t: &InternalTransition| {
+            live[t.parent.index()] && live[t.left.index()] && live[t.right.index()]
+        };
+        // `pending[q]` counts the child slots of q's surviving transitions
+        // whose child is not yet ordered.
+        let mut pending = vec![0u32; live.len()];
+        for t in self.internal.iter().filter(|t| survives(t)) {
+            pending[t.parent.index()] += 2;
         }
-    }
-
-    /// Merges states with identical outgoing-transition signatures, iterated
-    /// to the internal fixpoint in one call.  Returns the merged automaton
-    /// and whether anything changed.
-    ///
-    /// Partition refinement over integer signatures: symbols and leaf values
-    /// are interned to dense `u32` ids, each state's outgoing transitions
-    /// become a sorted list of `(symbol, left-class, right-class)` integer
-    /// tuples hashed into a `u64` group key, and after each merge round only
-    /// the parents of the merged *classes* (every state whose representative
-    /// changed, tracked via per-class member lists) recompute their tuple
-    /// lists; each round then re-hashes the surviving representatives — an
-    /// O(states) integer pass — to group them.  No strings, no per-state
-    /// rescans of the transition vector.
-    fn merge_identical_states(&self) -> (TreeAutomaton, bool) {
-        let n = self.num_states as usize;
-        if n == 0 {
-            return (self.clone(), false);
-        }
-        let index = self.index();
-
-        // Intern symbols and leaf values into dense integer ids.
-        let mut symbol_ids: HashMap<InternalSymbol, u32> = HashMap::new();
-        let transition_symbols: Vec<u32> = self
-            .internal
-            .iter()
-            .map(|t| {
-                let next = symbol_ids.len() as u32;
-                *symbol_ids.entry(t.symbol).or_insert(next)
-            })
+        let mut order: Vec<StateId> = (0..live.len() as u32)
+            .map(StateId::new)
+            .filter(|q| live[q.index()] && pending[q.index()] == 0)
             .collect();
-        // Leaf values arrive already interned process-wide: the `AmpId` raw
-        // integer *is* the dense signature id, so no per-call interning map.
-        let mut leaf_sig: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for t in &self.leaves {
-            leaf_sig[t.parent.index()].push(t.amp.raw());
-        }
-        for sig in &mut leaf_sig {
-            sig.sort_unstable();
-            sig.dedup();
-        }
-
-        let mut repr: Vec<u32> = (0..n as u32).collect();
-        let mut tuples: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); n];
-        // members[r] = states whose representative chain currently ends in
-        // r.  When r itself is merged away, the parents of *every* member
-        // see their canonical tuples change, so all of them must be
-        // re-signatured — tracking only the literally merged state would
-        // miss chained merges (A→B in one round, B→C in a later one).
-        let mut members: Vec<Vec<u32>> = (0..n as u32).map(|q| vec![q]).collect();
-        let mut changed_any = false;
-        // States whose canonical tuples must be (re)computed this round.
-        let mut dirty: Vec<u32> = (0..n as u32).collect();
-        loop {
-            dirty.sort_unstable();
-            dirty.dedup();
-            for &q in &dirty {
-                if repr[q as usize] != q {
-                    continue;
-                }
-                let mut canonical: Vec<(u32, u32, u32)> = index
-                    .internal_of(StateId::new(q))
-                    .iter()
-                    .map(|&position| {
-                        let t = &self.internal[position as usize];
-                        (
-                            transition_symbols[position as usize],
-                            find(&mut repr, t.left.raw()),
-                            find(&mut repr, t.right.raw()),
-                        )
-                    })
-                    .collect();
-                canonical.sort_unstable();
-                canonical.dedup();
-                tuples[q as usize] = canonical;
-            }
-            // Group the representatives by signature hash.
-            let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
-            for q in 0..n as u32 {
-                if repr[q as usize] != q {
-                    continue;
-                }
-                groups
-                    .entry(signature_hash(&tuples[q as usize], &leaf_sig[q as usize]))
-                    .or_default()
-                    .push(q);
-            }
-            let mut merged_this_round = false;
-            let mut newly_dirty: Vec<u32> = Vec::new();
-            for group in groups.values_mut() {
-                if group.len() < 2 {
-                    continue;
-                }
-                // Verify exact signatures within the hash group (collision
-                // safety), merging each run of equal signatures into its
-                // smallest member.
-                group.sort_unstable_by(|&a, &b| {
-                    tuples[a as usize]
-                        .cmp(&tuples[b as usize])
-                        .then_with(|| leaf_sig[a as usize].cmp(&leaf_sig[b as usize]))
-                        .then(a.cmp(&b))
-                });
-                let mut run_start = 0;
-                for i in 1..=group.len() {
-                    let same = i < group.len() && {
-                        let (a, b) = (group[run_start] as usize, group[i] as usize);
-                        tuples[a] == tuples[b] && leaf_sig[a] == leaf_sig[b]
-                    };
-                    if !same {
-                        let winner = group[run_start];
-                        for &other in &group[run_start + 1..i] {
-                            repr[other as usize] = winner;
-                            merged_this_round = true;
-                            // The tuples of every parent of every state in
-                            // `other`'s class change; collect them before
-                            // folding the class into the winner's.
-                            let moved = std::mem::take(&mut members[other as usize]);
-                            for &member in &moved {
-                                for &position in index.occurrences_as_child(StateId::new(member)) {
-                                    newly_dirty.push(self.internal[position as usize].parent.raw());
-                                }
-                            }
-                            members[winner as usize].extend(moved);
-                        }
-                        run_start = i;
+        let mut next = 0;
+        while let Some(&state) = order.get(next) {
+            next += 1;
+            for &position in index.occurrences_as_child(state) {
+                let t = &self.internal[position as usize];
+                if survives(t) {
+                    pending[t.parent.index()] -= 1;
+                    if pending[t.parent.index()] == 0 {
+                        order.push(t.parent);
                     }
                 }
             }
-            if !merged_this_round {
-                break;
-            }
-            changed_any = true;
-            dirty.clear();
-            for q in newly_dirty {
-                dirty.push(find(&mut repr, q));
-            }
         }
+        (order.len() == live.iter().filter(|&&l| l).count()).then_some(order)
+    }
 
-        if !changed_any {
-            return (self.clone(), false);
-        }
-        // Single rewrite pass under the final partition, then one trim to
-        // drop the absorbed states and renumber densely.
+    /// Rewrites the automaton under a state map (`DROPPED` drops a state
+    /// and every transition touching it) onto `num_states` states, keeping
+    /// the transition order and the first of any duplicates.
+    fn rewrite(&self, map: &[u32], num_states: u32) -> TreeAutomaton {
+        let get = |s: StateId| (map[s.index()] != DROPPED).then(|| StateId::new(map[s.index()]));
         let mut result = TreeAutomaton::new(self.num_vars);
-        result.num_states = self.num_states;
-        let mut remap = |s: StateId| StateId::new(find(&mut repr, s.raw()));
-        for &root in &self.roots.clone() {
-            result.roots.insert(remap(root));
-        }
-        for t in &self.internal {
-            result.internal.push(InternalTransition {
-                parent: remap(t.parent),
-                symbol: t.symbol,
-                left: remap(t.left),
-                right: remap(t.right),
-            });
-        }
-        for t in &self.leaves {
-            result.leaves.push(LeafTransition {
-                parent: remap(t.parent),
-                amp: t.amp,
-            });
-        }
+        result.num_states = num_states;
+        result.roots = self.roots.iter().filter_map(|&root| get(root)).collect();
+        result.internal = self
+            .internal
+            .iter()
+            .filter_map(|t| {
+                Some(InternalTransition {
+                    parent: get(t.parent)?,
+                    symbol: t.symbol,
+                    left: get(t.left)?,
+                    right: get(t.right)?,
+                })
+            })
+            .collect();
+        result.leaves = self
+            .leaves
+            .iter()
+            .filter_map(|t| {
+                Some(LeafTransition {
+                    parent: get(t.parent)?,
+                    amp: t.amp,
+                })
+            })
+            .collect();
         result.dedup_transitions();
-        (result.trim(), true)
+        result
     }
 
     /// A deliberately naive reduction kept as a cross-validation oracle for
@@ -465,9 +387,7 @@ mod tests {
     #[test]
     fn reduce_is_idempotent() {
         let automaton = all_basis(3).reduce();
-        let twice = automaton.reduce();
-        assert_eq!(automaton.state_count(), twice.state_count());
-        assert_eq!(automaton.transition_count(), twice.transition_count());
+        assert_eq!(automaton.reduce(), automaton);
     }
 
     #[test]
@@ -484,20 +404,17 @@ mod tests {
             ),
         ] {
             let fast = automaton.reduce();
-            let reference = automaton.reduce_reference();
-            assert_eq!(fast.state_count(), reference.state_count());
-            assert_eq!(fast.transition_count(), reference.transition_count());
-            assert!(crate::equivalence(&fast, &reference).holds());
+            assert_eq!(fast, automaton.reduce_reference());
+            assert!(crate::equivalence(&fast, &automaton).holds());
         }
     }
 
     #[test]
     fn chained_merges_converge() {
         // A three-deep merge chain: the duplicate leaf merges first, which
-        // makes B/A equal to C one round later, which makes P equal to Q a
-        // round after that.  The dirty-set propagation must follow the
-        // *classes* (B's class contains A by then), not just the literally
-        // merged state, or P never re-signatures.
+        // makes B/A equal to C, which makes P equal to Q.  A round-based
+        // merge needs one round per link; the bottom-up pass keys each
+        // parent on its children's final classes.
         let mut automaton = TreeAutomaton::new(2);
         let d1 = automaton.add_state();
         let d2 = automaton.add_state();
@@ -516,9 +433,8 @@ mod tests {
         automaton.add_root(p);
         automaton.add_root(q);
         let fast = automaton.reduce();
-        let reference = automaton.reduce_reference();
         assert_eq!(fast.state_count(), 3, "leaf, middle and root must merge");
-        assert_eq!(fast.state_count(), reference.state_count());
+        assert_eq!(fast, automaton.reduce_reference());
         assert!(crate::equivalence(&fast, &automaton).holds());
     }
 

@@ -276,6 +276,22 @@ fn garbage_and_wrong_magic_are_rejected() {
     assert!(tree_from_binary(&[0xff; 64]).is_err());
 }
 
+/// Automata denote finite trees bottom-up, so a cycle is malformed input
+/// for both decoders (it would also force the reduction onto its slow
+/// reference path).
+#[test]
+fn cyclic_automata_are_rejected() {
+    let mut automaton = TreeAutomaton::new(1);
+    let leaf = automaton.leaf_state(&Algebraic::one());
+    let q = automaton.add_state();
+    automaton.add_internal(q, InternalSymbol::new(0), leaf, leaf);
+    automaton.add_internal(q, InternalSymbol::new(0), q, leaf);
+    automaton.add_root(q);
+    let error = from_binary(&to_binary(&automaton)).unwrap_err();
+    assert!(error.to_string().contains("cycle"), "{error}");
+    assert!(from_text(&to_text(&automaton)).is_err());
+}
+
 #[test]
 fn hostile_counts_do_not_allocate() {
     // A header announcing u64::MAX states/nodes with no bytes behind it
