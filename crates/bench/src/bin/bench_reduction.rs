@@ -19,7 +19,8 @@
 //! * **paper** (with `--paper`) — the superposing `random35`/`random70`
 //!   hunts (paper ratio: `3n` gates including `H`/`Rx`/`Ry`) and the
 //!   permutation-pool `random70p` row, all through the fused composition
-//!   ladder.
+//!   ladder; each row's simulator confirmation of the witness is recorded
+//!   next to its hunt (`paper.<row>_confirm_s`).
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -370,6 +371,11 @@ fn main() {
                 &mut entries,
                 &format!("paper.{name}_autoq_hunt"),
                 row.autoq_time,
+            );
+            record_secs(
+                &mut entries,
+                &format!("paper.{name}_confirm_s"),
+                row.confirm_time,
             );
             entries.push((
                 format!("paper.{name}_peak_states"),

@@ -40,8 +40,11 @@ pub struct Table3Row {
     pub qubits: u32,
     /// Number of gates (of the original circuit).
     pub gates: usize,
-    /// AutoQ bug-hunting time.
+    /// AutoQ bug-hunting time (witness confirmation excluded).
     pub autoq_time: Duration,
+    /// Time of the simulator confirmation of AutoQ's witness
+    /// ([`autoq_core::HuntReport::confirm_with_simulator`]).
+    pub confirm_time: Duration,
     /// AutoQ iterations (the `iter` column).
     pub autoq_iterations: u32,
     /// Did AutoQ find the bug?
@@ -150,6 +153,8 @@ fn run_row_inner(
     let hunter = BugHunter::new(engine).with_max_iterations(circuit.num_qubits().min(10) + 1);
     let mut hunt_rng = StdRng::seed_from_u64(seed ^ 0xabcd);
     let (report, autoq_time) = timed(|| hunter.hunt(circuit, &buggy, &mut hunt_rng));
+    let (autoq_confirmed_on, confirm_time) =
+        timed(|| report.confirm_with_simulator(circuit, &buggy));
 
     let (pathsum_verdict, pathsum_time) = if run_baselines {
         timed(|| pathsum::check_equivalence(circuit, &buggy))
@@ -172,9 +177,10 @@ fn run_row_inner(
         qubits: circuit.num_qubits(),
         gates: circuit.gate_count(),
         autoq_time,
+        confirm_time,
         autoq_iterations: report.iterations,
         autoq_found: report.bug_found,
-        autoq_confirmed_on: report.confirm_with_simulator(circuit, &buggy),
+        autoq_confirmed_on,
         witness_nodes: report.witness.as_ref().map(autoq_treeaut::Tree::node_count),
         peak_states: report.stats.peak_states,
         pathsum_time,

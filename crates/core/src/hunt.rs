@@ -106,9 +106,9 @@ impl HuntReport {
             if preimage.support_size() != 1 {
                 continue;
             }
-            let (&basis, _) = preimage
-                .to_amplitude_map()
-                .iter()
+            let basis = preimage
+                .into_amplitude_map()
+                .into_keys()
                 .next()
                 .expect("support checked to be 1");
             if let (Some(out1), Some(out2)) =

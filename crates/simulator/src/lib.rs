@@ -8,11 +8,19 @@
 //!
 //! * [`DenseState`] — a `2ⁿ`-element state vector; the work-horse oracle for
 //!   tests and small-to-medium circuits.
-//! * [`SparseState`] — a hash-map over non-zero amplitudes; adequate for
-//!   circuits that keep states sparse (reversible circuits, BV, …) even at
-//!   hundreds of qubits.  [`SparseState::from_tree`] converts a DAG-shared
-//!   witness tree straight into a sparse state, so the framework's bug
-//!   witnesses can be confirmed at 35+ qubits.
+//! * [`SparseState`] — a hash map from the basis indices of non-zero
+//!   amplitudes into a table holding each distinct amplitude once, so a
+//!   gate computes its exact arithmetic once per distinct amplitude (or
+//!   amplitude pair), not once per entry; adequate for circuits that keep
+//!   states sparse (reversible circuits, BV, …) even at 128 qubits.
+//!   [`SparseState::from_tree`] converts a DAG-shared witness tree straight
+//!   into a sparse state, so the framework's bug witnesses can be confirmed
+//!   at 35+ qubits.
+//!
+//! The simulators do their arithmetic with
+//! [`Algebraic`](autoq_amplitude::Algebraic) operations only and share no
+//! code with the automata engine's interned leaf amplitudes, so they stay
+//! an independent oracle for it.
 //!
 //! *Pipeline position*: bigint → amplitude → {treeaut, circuit} →
 //! **simulator** → {equivcheck, core} → bench — the exact oracle for tests,

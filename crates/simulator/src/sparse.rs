@@ -1,12 +1,23 @@
-//! Sparse (hash-map) state-vector simulation for wide but sparse states.
+//! Sparse state-vector simulation for wide but sparse states.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use autoq_amplitude::Algebraic;
 use autoq_circuit::schedule::interference_schedule;
 use autoq_circuit::{Circuit, Gate};
 use autoq_treeaut::basis;
 use autoq_treeaut::Tree;
+
+/// The value index of an absent (zero) amplitude.
+const ZERO: u32 = u32::MAX;
+
+/// A memo slot not computed yet.
+const UNSET: u32 = u32::MAX - 1;
+
+/// A `HashMap` hashed by [`FixedHasher`].
+type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<FixedHasher>>;
 
 /// A sparse quantum state: a map from basis indices to non-zero amplitudes.
 ///
@@ -16,6 +27,36 @@ use autoq_treeaut::Tree;
 /// reversible-circuit benchmarks of the paper (they permute basis states)
 /// and, thanks to the interference-friendly gate scheduling of
 /// [`SparseState::apply_circuit`], for Bernstein–Vazirani.
+///
+/// # Representation
+///
+/// Circuit states hold few distinct amplitudes even when their support is
+/// large (a 35-qubit witness with 262,144 non-zero entries holds 96), so
+/// the state stores each distinct amplitude once: a hash map sends every
+/// basis index to a `u32` index into a table of distinct non-zero
+/// [`Algebraic`] values.  A gate computes its exact arithmetic once per
+/// distinct input and memoises the result for the rest of that gate:
+///
+/// * permutation gates (`X`, `CNOT`, `SWAP`, Toffoli, Fredkin) rewrite keys
+///   and leave the table alone;
+/// * phase gates (`Z`, `S`, `S†`, `T`, `T†`, `CZ`, and `Y` before its bit
+///   flip) compute each `(phase, amplitude)` product once;
+/// * superposing gates (`H`, `Rx(π/2)`, `Ry(π/2)`) visit every `b`/`b|mask`
+///   pair once and compute each `(amplitude₀, amplitude₁)` pair once.
+///
+/// **Memory bound.**  The memo lives for one gate, and the table is rebuilt
+/// from the values the gate's output actually uses, so every table value
+/// is used by some entry and the table is never larger than the support.
+/// A T-heavy circuit whose amplitudes all differ therefore costs at most
+/// one table value per entry, not an ever-growing table.
+///
+/// **Hasher.**  Basis indices are hashed by a small fixed std-only hasher
+/// (one folded 64×64→128-bit multiply per word) instead of `SipHash`: the
+/// keys are basis indices of circuits under test, not adversarial input,
+/// and hashing dominates once the arithmetic is memoised.  Confirming the
+/// `random35` bug-hunt witness (262,144 entries pulled back through 207
+/// gates, then two forward runs) took 0.6 s with it and 4.0 s with
+/// `SipHash` on a 2-core VM.
 ///
 /// # Examples
 ///
@@ -33,10 +74,13 @@ use autoq_treeaut::Tree;
 /// state.apply_circuit(&circuit);
 /// assert_eq!(state.support_size(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone)]
 pub struct SparseState {
     num_qubits: u32,
-    amplitudes: BTreeMap<u128, Algebraic>,
+    /// Basis index → index into `values` of its (non-zero) amplitude.
+    entries: FixedMap<u128, u32>,
+    /// The distinct non-zero amplitudes, each used by at least one entry.
+    values: Vec<Algebraic>,
 }
 
 impl SparseState {
@@ -51,26 +95,16 @@ impl SparseState {
     ///
     /// Panics if `num_qubits > 128`.
     pub fn basis_state(num_qubits: u32, basis: u128) -> Self {
-        assert!(
-            num_qubits <= basis::MAX_QUBITS,
-            "sparse simulation limited to {} qubits",
-            basis::MAX_QUBITS
-        );
-        basis::assert_in_range(num_qubits, basis);
-        let mut amplitudes = BTreeMap::new();
-        amplitudes.insert(basis, Algebraic::one());
-        SparseState {
-            num_qubits,
-            amplitudes,
-        }
+        Self::from_amplitudes(num_qubits, [(basis, Algebraic::one())])
     }
 
-    /// Builds a state from explicit non-zero amplitudes.
+    /// Builds a state from explicit amplitudes; zero amplitudes are dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `num_qubits > 128` or any basis index has bits outside the
-    /// `num_qubits`-qubit space.
+    /// Panics if `num_qubits > 128`, if any basis index has bits outside the
+    /// `num_qubits`-qubit space, or if a basis index is repeated (zero
+    /// amplitudes included).
     pub fn from_amplitudes(
         num_qubits: u32,
         entries: impl IntoIterator<Item = (u128, Algebraic)>,
@@ -80,15 +114,21 @@ impl SparseState {
             "sparse simulation limited to {} qubits",
             basis::MAX_QUBITS
         );
-        let amplitudes: BTreeMap<u128, Algebraic> =
-            entries.into_iter().filter(|(_, a)| !a.is_zero()).collect();
-        for &basis in amplitudes.keys() {
+        let mut table = Table::default();
+        let mut map = FixedMap::default();
+        for (basis, amp) in entries {
             basis::assert_in_range(num_qubits, basis);
+            let previous = map.insert(basis, table.intern(amp));
+            assert!(previous.is_none(), "basis index {basis} repeated");
         }
-        SparseState {
+        map.retain(|_, value| *value != ZERO);
+        let state = SparseState {
             num_qubits,
-            amplitudes,
-        }
+            entries: map,
+            values: table.into_values(),
+        };
+        debug_assert!(state.table_is_tight());
+        state
     }
 
     /// Builds a sparse state from a (DAG-shared) witness tree produced by
@@ -123,8 +163,6 @@ impl SparseState {
             support <= Self::MAX_TREE_SUPPORT,
             "witness support {support} too large to materialise as a sparse state"
         );
-        // Witness trees and sparse states now share the `u128` basis-index
-        // type end to end, so the map moves across without conversion.
         Self::from_amplitudes(tree.num_qubits(), tree.to_amplitude_map())
     }
 
@@ -135,31 +173,38 @@ impl SparseState {
 
     /// Number of non-zero amplitudes.
     pub fn support_size(&self) -> usize {
-        self.amplitudes.len()
+        self.entries.len()
     }
 
     /// The amplitude of `|basis⟩` (zero if absent).
     pub fn amplitude(&self, basis: u128) -> Algebraic {
-        self.amplitudes
+        self.entries
             .get(&basis)
-            .cloned()
-            .unwrap_or_else(Algebraic::zero)
+            .map_or_else(Algebraic::zero, |&value| {
+                self.values[value as usize].clone()
+            })
     }
 
-    /// The non-zero amplitudes.
-    pub fn to_amplitude_map(&self) -> &BTreeMap<u128, Algebraic> {
-        &self.amplitudes
+    /// The non-zero amplitudes, ordered by basis index.
+    pub fn to_amplitude_map(&self) -> BTreeMap<u128, Algebraic> {
+        self.entries
+            .iter()
+            .map(|(&basis, &value)| (basis, self.values[value as usize].clone()))
+            .collect()
     }
 
-    /// Consumes the state and returns its non-zero amplitudes without
-    /// copying (for callers that only need the final map).
+    /// Consumes the state and returns its non-zero amplitudes, ordered by
+    /// basis index.
     pub fn into_amplitude_map(self) -> BTreeMap<u128, Algebraic> {
-        self.amplitudes
+        self.to_amplitude_map()
     }
 
     /// Total squared norm (should be 1).
     pub fn total_probability(&self) -> f64 {
-        self.amplitudes.values().map(|a| a.norm_sqr()).sum()
+        self.entries
+            .values()
+            .map(|&value| self.values[value as usize].norm_sqr())
+            .sum()
     }
 
     fn mask(&self, qubit: u32) -> u128 {
@@ -175,121 +220,152 @@ impl SparseState {
         for q in gate.qubits() {
             assert!(q < self.num_qubits, "gate qubit {q} out of range");
         }
-        let mut next: BTreeMap<u128, Algebraic> = BTreeMap::new();
-        let mut add = |basis: u128, amp: Algebraic| {
-            if amp.is_zero() {
-                return;
+        match *gate {
+            Gate::X(q) => {
+                let mask = self.mask(q);
+                self.permute(|b| b ^ mask);
             }
-            let entry = next.entry(basis).or_insert_with(Algebraic::zero);
-            *entry = &*entry + &amp;
-        };
-        for (&basis, amp) in &self.amplitudes {
-            match *gate {
-                Gate::X(q) => add(basis ^ self.mask(q), amp.clone()),
-                Gate::Y(q) => {
-                    let mask = self.mask(q);
-                    let flipped = basis ^ mask;
-                    // |0⟩→i|1⟩ (sign +i when source bit is 0), |1⟩→−i|0⟩.
-                    let factor = if basis & mask == 0 {
-                        Algebraic::i()
-                    } else {
-                        -&Algebraic::i()
-                    };
-                    add(flipped, amp * &factor);
-                }
-                Gate::Z(q) => {
-                    let sign = if basis & self.mask(q) != 0 {
-                        -amp
-                    } else {
-                        amp.clone()
-                    };
-                    add(basis, sign);
-                }
-                Gate::H(q) => {
-                    let mask = self.mask(q);
-                    let scaled = amp.div_sqrt2();
-                    if basis & mask == 0 {
-                        add(basis, scaled.clone());
-                        add(basis | mask, scaled);
-                    } else {
-                        add(basis & !mask, scaled.clone());
-                        add(basis, -&scaled);
-                    }
-                }
-                Gate::S(q) => add(basis, phase_if_set(basis, self.mask(q), amp, 2)),
-                Gate::Sdg(q) => add(basis, phase_if_set(basis, self.mask(q), amp, 6)),
-                Gate::T(q) => add(basis, phase_if_set(basis, self.mask(q), amp, 1)),
-                Gate::Tdg(q) => add(basis, phase_if_set(basis, self.mask(q), amp, 7)),
-                Gate::RxPi2(q) => {
-                    let mask = self.mask(q);
-                    let scaled = amp.div_sqrt2();
-                    let minus_i_scaled = -&(&scaled * &Algebraic::i());
-                    add(basis, scaled);
-                    add(basis ^ mask, minus_i_scaled);
-                }
-                Gate::RyPi2(q) => {
-                    let mask = self.mask(q);
-                    let scaled = amp.div_sqrt2();
-                    if basis & mask == 0 {
-                        add(basis, scaled.clone());
-                        add(basis | mask, scaled);
-                    } else {
-                        add(basis & !mask, -&scaled);
-                        add(basis, scaled);
-                    }
-                }
-                Gate::Cnot { control, target } => {
-                    let flipped = if basis & self.mask(control) != 0 {
-                        basis ^ self.mask(target)
-                    } else {
-                        basis
-                    };
-                    add(flipped, amp.clone());
-                }
-                Gate::Cz { control, target } => {
-                    let both = basis & self.mask(control) != 0 && basis & self.mask(target) != 0;
-                    add(basis, if both { -amp } else { amp.clone() });
-                }
-                Gate::Swap(a, b) => {
-                    let (ma, mb) = (self.mask(a), self.mask(b));
-                    let bit_a = basis & ma != 0;
-                    let bit_b = basis & mb != 0;
-                    let mut new_basis = basis & !(ma | mb);
-                    if bit_a {
-                        new_basis |= mb;
-                    }
-                    if bit_b {
-                        new_basis |= ma;
-                    }
-                    add(new_basis, amp.clone());
-                }
-                Gate::Toffoli { controls, target } => {
-                    let on =
-                        basis & self.mask(controls[0]) != 0 && basis & self.mask(controls[1]) != 0;
-                    let flipped = if on { basis ^ self.mask(target) } else { basis };
-                    add(flipped, amp.clone());
-                }
-                Gate::Fredkin { control, targets } => {
-                    if basis & self.mask(control) != 0 {
-                        let (ma, mb) = (self.mask(targets[0]), self.mask(targets[1]));
-                        let bit_a = basis & ma != 0;
-                        let bit_b = basis & mb != 0;
-                        let mut new_basis = basis & !(ma | mb);
-                        if bit_a {
-                            new_basis |= mb;
-                        }
-                        if bit_b {
-                            new_basis |= ma;
-                        }
-                        add(new_basis, amp.clone());
-                    } else {
-                        add(basis, amp.clone());
-                    }
-                }
+            Gate::Y(q) => {
+                // |0⟩ → i|1⟩ and |1⟩ → −i|0⟩: the phase by the source bit,
+                // then the flip.
+                let mask = self.mask(q);
+                self.phase([2, 6], |b| usize::from(b & mask != 0));
+                self.permute(|b| b ^ mask);
+            }
+            Gate::Z(q) => self.phase_if_set(self.mask(q), 4),
+            Gate::S(q) => self.phase_if_set(self.mask(q), 2),
+            Gate::Sdg(q) => self.phase_if_set(self.mask(q), 6),
+            Gate::T(q) => self.phase_if_set(self.mask(q), 1),
+            Gate::Tdg(q) => self.phase_if_set(self.mask(q), 7),
+            Gate::H(q) => self.superpose(self.mask(q), |v0, v1| {
+                ((v0 + v1).div_sqrt2(), (v0 - v1).div_sqrt2())
+            }),
+            Gate::RxPi2(q) => self.superpose(self.mask(q), |v0, v1| {
+                let minus_i = -&Algebraic::i();
+                (
+                    (v0 + &(v1 * &minus_i)).div_sqrt2(),
+                    (&(v0 * &minus_i) + v1).div_sqrt2(),
+                )
+            }),
+            Gate::RyPi2(q) => self.superpose(self.mask(q), |v0, v1| {
+                ((v0 - v1).div_sqrt2(), (v0 + v1).div_sqrt2())
+            }),
+            Gate::Cnot { control, target } => {
+                let (c, t) = (self.mask(control), self.mask(target));
+                self.permute(|b| if b & c != 0 { b ^ t } else { b });
+            }
+            Gate::Cz { control, target } => {
+                self.phase_if_set(self.mask(control) | self.mask(target), 4)
+            }
+            Gate::Swap(a, b) => {
+                let (ma, mb) = (self.mask(a), self.mask(b));
+                self.permute(|x| swap_bits(x, ma, mb));
+            }
+            Gate::Toffoli { controls, target } => {
+                let c = self.mask(controls[0]) | self.mask(controls[1]);
+                let t = self.mask(target);
+                self.permute(|b| if b & c == c { b ^ t } else { b });
+            }
+            Gate::Fredkin { control, targets } => {
+                let c = self.mask(control);
+                let (ma, mb) = (self.mask(targets[0]), self.mask(targets[1]));
+                self.permute(|x| if x & c != 0 { swap_bits(x, ma, mb) } else { x });
             }
         }
-        next.retain(|_, amp| !amp.is_zero());
-        self.amplitudes = next;
+        debug_assert!(self.table_is_tight());
+    }
+
+    /// Sends each `|b⟩` to `|to(b)⟩` (`to` must be a bijection): keys are
+    /// rewritten, amplitudes and the table stay.
+    fn permute(&mut self, to: impl Fn(u128) -> u128) {
+        let mut next = FixedMap::with_capacity_and_hasher(self.entries.len(), Default::default());
+        next.extend(self.entries.drain().map(|(b, value)| (to(b), value)));
+        self.entries = next;
+    }
+
+    /// Multiplies the amplitude of every `|b⟩` with all `mask` bits set by
+    /// `ω^power`.
+    fn phase_if_set(&mut self, mask: u128, power: u8) {
+        self.phase([0, power], |b| usize::from(b & mask == mask));
+    }
+
+    /// Multiplies the amplitude of each `|b⟩` by `ω^powers[slot(b)]`,
+    /// computing each `(slot, amplitude)` product once.
+    fn phase(&mut self, powers: [u8; 2], slot: impl Fn(u128) -> usize) {
+        let old = std::mem::take(&mut self.values);
+        let mut table = Table::default();
+        let mut memo = vec![UNSET; 2 * old.len()];
+        for (&b, value) in self.entries.iter_mut() {
+            let s = slot(b);
+            let result = &mut memo[s * old.len() + *value as usize];
+            if *result == UNSET {
+                *result = table.intern(times_omega_pow(&old[*value as usize], powers[s]));
+            }
+            *value = *result;
+        }
+        self.values = table.into_values();
+    }
+
+    /// Applies a single-qubit gate that mixes `|b⟩` (bit clear) with
+    /// `|b|mask⟩`: `f(v₀, v₁)` gives the pair's new amplitudes.  Each pair
+    /// is visited once and each distinct `(v₀, v₁)` is computed once.
+    fn superpose(
+        &mut self,
+        mask: u128,
+        f: impl Fn(&Algebraic, &Algebraic) -> (Algebraic, Algebraic),
+    ) {
+        let zero = Algebraic::zero();
+        let old = std::mem::take(&mut self.values);
+        let amp = |value: u32| {
+            if value == ZERO {
+                &zero
+            } else {
+                &old[value as usize]
+            }
+        };
+        let mut table = Table::default();
+        let mut memo: FixedMap<u64, (u32, u32)> = FixedMap::default();
+        let mut next = FixedMap::with_capacity_and_hasher(self.entries.len(), Default::default());
+        for (&b, &value) in &self.entries {
+            let (low, v0, v1) = if b & mask == 0 {
+                let partner = self.entries.get(&(b | mask)).copied();
+                (b, value, partner.unwrap_or(ZERO))
+            } else if self.entries.contains_key(&(b & !mask)) {
+                // Visited from its partner.
+                continue;
+            } else {
+                (b & !mask, ZERO, value)
+            };
+            let key = (u64::from(v0) << 32) | u64::from(v1);
+            let (n0, n1) = *memo.entry(key).or_insert_with(|| {
+                let (a0, a1) = f(amp(v0), amp(v1));
+                (table.intern(a0), table.intern(a1))
+            });
+            if n0 != ZERO {
+                next.insert(low, n0);
+            }
+            if n1 != ZERO {
+                next.insert(low | mask, n1);
+            }
+        }
+        self.entries = next;
+        self.values = table.into_values();
+    }
+
+    /// Whether the table holds distinct non-zero values, each used by some
+    /// entry — the invariant that bounds the table by the support.
+    fn table_is_tight(&self) -> bool {
+        let mut used = vec![false; self.values.len()];
+        for &value in self.entries.values() {
+            used[value as usize] = true;
+        }
+        let mut table = Table::default();
+        used.into_iter().all(|u| u)
+            && self
+                .values
+                .iter()
+                .enumerate()
+                .all(|(index, value)| table.intern(value.clone()) as usize == index)
     }
 
     /// Applies every gate of a circuit.
@@ -344,12 +420,122 @@ impl SparseState {
     }
 }
 
-/// Multiplies by `ω^power` if the masked bit is set.
-fn phase_if_set(basis: u128, mask: u128, amp: &Algebraic, power: i64) -> Algebraic {
-    if basis & mask != 0 {
-        amp.mul_omega_pow(power)
+/// States are equal when they have the same width and the same amplitude at
+/// every basis index, however their tables are ordered.
+impl PartialEq for SparseState {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_qubits == other.num_qubits
+            && self.entries.len() == other.entries.len()
+            && self.entries.iter().all(|(b, &value)| {
+                other.entries.get(b).is_some_and(|&theirs| {
+                    self.values[value as usize] == other.values[theirs as usize]
+                })
+            })
+    }
+}
+
+impl Eq for SparseState {}
+
+impl fmt::Debug for SparseState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SparseState")
+            .field("num_qubits", &self.num_qubits)
+            .field("amplitudes", &self.to_amplitude_map())
+            .finish()
+    }
+}
+
+/// A table of distinct non-zero amplitudes under construction.
+#[derive(Default)]
+struct Table {
+    index: FixedMap<Algebraic, u32>,
+}
+
+impl Table {
+    /// The index of `amp` in the table ([`ZERO`] for zero), adding it if new.
+    fn intern(&mut self, amp: Algebraic) -> u32 {
+        if amp.is_zero() {
+            return ZERO;
+        }
+        let next = u32::try_from(self.index.len()).expect("amplitude table overflow");
+        assert!(next < UNSET, "amplitude table overflow");
+        *self.index.entry(amp).or_insert(next)
+    }
+
+    /// The values, ordered by index.
+    fn into_values(self) -> Vec<Algebraic> {
+        let mut values = vec![Algebraic::zero(); self.index.len()];
+        for (amp, index) in self.index {
+            values[index as usize] = amp;
+        }
+        values
+    }
+}
+
+/// `amp · ω^power` (negation for `power = 4`).
+fn times_omega_pow(amp: &Algebraic, power: u8) -> Algebraic {
+    match power {
+        0 => amp.clone(),
+        4 => -amp,
+        _ => amp.mul_omega_pow(i64::from(power)),
+    }
+}
+
+/// Exchanges the bits `a` and `b` (single-bit masks) of `x`.
+fn swap_bits(x: u128, a: u128, b: u128) -> u128 {
+    if (x & a != 0) == (x & b != 0) {
+        x
     } else {
-        amp.clone()
+        x ^ (a | b)
+    }
+}
+
+/// A small fixed std-only hasher: each word is folded in with one
+/// 64×64→128-bit multiply whose halves are XORed, so every input bit
+/// reaches the low bits `HashMap` indexes its buckets by.
+///
+/// It is keyed by a constant, not per process: the simulator hashes basis
+/// indices and amplitudes of circuits under test, never untrusted input.
+#[derive(Clone, Copy)]
+struct FixedHasher(u64);
+
+impl FixedHasher {
+    /// 2^64 divided by the golden ratio, made odd.
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(Self::MULTIPLIER);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Default for FixedHasher {
+    fn default() -> Self {
+        // The fractional bits of π, so that zero words do not fold to zero.
+        FixedHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl Hasher for FixedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.mix(n as u64);
+        self.mix((n >> 64) as u64);
     }
 }
 
@@ -445,5 +631,43 @@ mod tests {
         state.apply_gate(&Gate::H(0));
         assert_eq!(state.support_size(), 1);
         assert_eq!(state.amplitude(1), Algebraic::one());
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated")]
+    fn from_amplitudes_rejects_a_repeated_basis_index() {
+        SparseState::from_amplitudes(2, [(1, Algebraic::one()), (1, Algebraic::i())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated")]
+    fn from_amplitudes_rejects_a_repeated_basis_index_with_a_zero() {
+        SparseState::from_amplitudes(2, [(1, Algebraic::one()), (1, Algebraic::zero())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 2-qubit space")]
+    fn from_amplitudes_range_checks_zero_amplitudes() {
+        SparseState::from_amplitudes(2, [(0, Algebraic::one()), (4, Algebraic::zero())]);
+    }
+
+    #[test]
+    fn table_holds_each_distinct_amplitude_once() {
+        // H⊗H⊗H|000⟩ has 8 entries but one amplitude, 2^(-3/2).
+        let mut state = SparseState::basis_state(3, 0);
+        for q in 0..3 {
+            state.apply_gate(&Gate::H(q));
+        }
+        assert_eq!(state.support_size(), 8);
+        assert_eq!(state.values.len(), 1);
+        // Z on qubit 0 negates half of them: two distinct values.
+        state.apply_gate(&Gate::Z(0));
+        assert_eq!(state.values.len(), 2);
+        // Dropping back to one entry drops the unused values too.
+        for q in 0..3 {
+            state.apply_gate(&Gate::H(q));
+        }
+        assert_eq!(state.support_size(), 1);
+        assert_eq!(state.values, vec![Algebraic::one()]);
     }
 }

@@ -1,0 +1,272 @@
+//! Differential tests of the sparse simulator against the dense one.
+//!
+//! `DenseState` is the oracle: every gate kind, random circuits and their
+//! inverses (which contain `S†`, `T†` and the `Rx`/`Ry` powers that
+//! `random_circuit` never draws) are run on superposed inputs whose
+//! amplitudes cancel exactly, and the sparse result must equal the dense one
+//! amplitude for amplitude, zeros dropped.
+
+use autoq_amplitude::Algebraic;
+use autoq_circuit::generators::{random_circuit, RandomCircuitConfig};
+use autoq_circuit::{Circuit, Gate};
+use autoq_simulator::{DenseState, SparseState};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// `k` distinct qubits out of `0..n`.
+fn distinct_qubits(n: u32, k: usize, rng: &mut StdRng) -> Vec<u32> {
+    let mut qubits = Vec::with_capacity(k);
+    while qubits.len() < k {
+        let q = rng.gen_range(0..n);
+        if !qubits.contains(&q) {
+            qubits.push(q);
+        }
+    }
+    qubits
+}
+
+/// Every gate kind on the given distinct qubits (the first one, two or three
+/// of them, as the kind needs).
+fn every_kind(q: &[u32]) -> Vec<Gate> {
+    let mut gates = vec![
+        Gate::X(q[0]),
+        Gate::Y(q[0]),
+        Gate::Z(q[0]),
+        Gate::H(q[0]),
+        Gate::S(q[0]),
+        Gate::Sdg(q[0]),
+        Gate::T(q[0]),
+        Gate::Tdg(q[0]),
+        Gate::RxPi2(q[0]),
+        Gate::RyPi2(q[0]),
+    ];
+    if q.len() >= 2 {
+        gates.extend([
+            Gate::Cnot {
+                control: q[0],
+                target: q[1],
+            },
+            Gate::Cz {
+                control: q[0],
+                target: q[1],
+            },
+            Gate::Swap(q[0], q[1]),
+        ]);
+    }
+    if q.len() >= 3 {
+        gates.extend([
+            Gate::Toffoli {
+                controls: [q[0], q[1]],
+                target: q[2],
+            },
+            Gate::Fredkin {
+                control: q[0],
+                targets: [q[1], q[2]],
+            },
+        ]);
+    }
+    gates
+}
+
+/// A gate of any kind that fits `n` qubits, on random distinct qubits.
+fn random_any_gate(n: u32, rng: &mut StdRng) -> Gate {
+    let width = n.min(3) as usize;
+    let qubits = distinct_qubits(n, width, rng);
+    let kinds = every_kind(&qubits);
+    kinds[rng.gen_range(0..kinds.len())]
+}
+
+/// A random circuit of up to `3n` gates drawing every gate kind.
+fn random_any_circuit(n: u32, rng: &mut StdRng) -> Circuit {
+    let length = rng.gen_range(1..=3 * n as usize);
+    Circuit::from_gates(n, (0..length).map(|_| random_any_gate(n, rng))).unwrap()
+}
+
+/// Amplitudes whose sums and differences cancel exactly: `a` and `−a`,
+/// `a` and `±i·a`, and values on different `1/√2` exponents.
+fn amplitude_pool() -> Vec<Algebraic> {
+    let half = Algebraic::one().div_sqrt2().div_sqrt2();
+    vec![
+        Algebraic::one(),
+        -&Algebraic::one(),
+        Algebraic::i(),
+        -&Algebraic::i(),
+        Algebraic::omega(),
+        Algebraic::omega_pow(3),
+        Algebraic::one_over_sqrt2(),
+        -&Algebraic::one_over_sqrt2(),
+        half.clone(),
+        -&half,
+    ]
+}
+
+fn random_basis(n: u32, rng: &mut StdRng) -> u128 {
+    u128::from(rng.gen_range(0..1u64 << n))
+}
+
+/// A random superposed input over `n` qubits (not normalised: both
+/// simulators are linear), as sparse entries in random order.
+fn superposed_input(n: u32, rng: &mut StdRng) -> Vec<(u128, Algebraic)> {
+    let pool = amplitude_pool();
+    let mut entries = Vec::new();
+    for b in 0..1u128 << n {
+        if rng.gen_bool(0.6) {
+            entries.push((b, pool[rng.gen_range(0..pool.len())].clone()));
+        }
+    }
+    if entries.is_empty() {
+        entries.push((random_basis(n, rng), Algebraic::one()));
+    }
+    for i in (1..entries.len()).rev() {
+        entries.swap(i, rng.gen_range(0..=i));
+    }
+    entries
+}
+
+fn dense_of(n: u32, entries: &[(u128, Algebraic)]) -> DenseState {
+    let mut vector = vec![Algebraic::zero(); 1 << n];
+    for (b, amp) in entries {
+        vector[*b as usize] = amp.clone();
+    }
+    DenseState::from_amplitudes(n, vector)
+}
+
+fn assert_same(sparse: &SparseState, dense: &DenseState, context: &str) {
+    assert_eq!(
+        sparse.to_amplitude_map(),
+        dense.to_amplitude_map(),
+        "{context}"
+    );
+    assert_eq!(sparse.support_size(), dense.to_amplitude_map().len());
+}
+
+/// Runs `circuit` on `entries` in both simulators and compares.
+fn check_circuit(n: u32, circuit: &Circuit, entries: &[(u128, Algebraic)], context: &str) {
+    let mut sparse = SparseState::from_amplitudes(n, entries.iter().cloned());
+    let mut dense = dense_of(n, entries);
+    sparse.apply_circuit(circuit);
+    dense.apply_circuit(circuit);
+    assert_same(&sparse, &dense, context);
+}
+
+#[test]
+fn every_gate_kind_matches_dense_on_superposed_states() {
+    let mut rng = StdRng::seed_from_u64(151);
+    for n in 1..=4u32 {
+        for _ in 0..6 {
+            let qubits = distinct_qubits(n, n.min(3) as usize, &mut rng);
+            let entries = superposed_input(n, &mut rng);
+            for gate in every_kind(&qubits) {
+                let mut sparse = SparseState::from_amplitudes(n, entries.iter().cloned());
+                let mut dense = dense_of(n, &entries);
+                sparse.apply_gate(&gate);
+                dense.apply_gate(&gate);
+                assert_same(&sparse, &dense, &format!("{gate:?} on {n} qubits"));
+            }
+        }
+    }
+}
+
+#[test]
+fn inverse_circuits_match_dense_and_undo_the_circuit() {
+    let mut rng = StdRng::seed_from_u64(152);
+    for n in 3..=6u32 {
+        let config = RandomCircuitConfig::with_paper_ratio(n);
+        for round in 0..4 {
+            let circuit = if round % 2 == 0 {
+                random_circuit(&config, &mut rng)
+            } else {
+                random_any_circuit(n, &mut rng)
+            };
+            let inverse = circuit.dagger();
+            let entries = superposed_input(n, &mut rng);
+            check_circuit(n, &circuit, &entries, "circuit");
+            check_circuit(n, &inverse, &entries, "inverse circuit");
+
+            let input = SparseState::from_amplitudes(n, entries.iter().cloned());
+            let mut there_and_back = input.clone();
+            there_and_back.apply_circuit(&circuit);
+            there_and_back.apply_circuit(&inverse);
+            assert_eq!(there_and_back, input, "C;C† is not the identity");
+        }
+    }
+}
+
+#[test]
+fn exact_cancellation_removes_entries() {
+    let a = Algebraic::omega();
+    let minus_i_a = &a * &(-&Algebraic::i());
+    // H(a|0⟩ ± a|1⟩) = √2·a|0⟩ or √2·a|1⟩, Ry(a|0⟩ + a|1⟩) = √2·a|1⟩ and
+    // Rx(a|0⟩ − i·a|1⟩) = −√2·i·a|1⟩.
+    let cases = [
+        (Gate::H(0), vec![(0, a.clone()), (1, a.clone())]),
+        (Gate::H(0), vec![(0, a.clone()), (1, -&a)]),
+        (Gate::RyPi2(0), vec![(0, a.clone()), (1, a.clone())]),
+        (Gate::RxPi2(0), vec![(0, a.clone()), (1, minus_i_a)]),
+    ];
+    for (gate, entries) in cases {
+        let mut sparse = SparseState::from_amplitudes(1, entries.iter().cloned());
+        let mut dense = dense_of(1, &entries);
+        sparse.apply_gate(&gate);
+        dense.apply_gate(&gate);
+        assert_same(&sparse, &dense, &format!("{gate:?}"));
+        assert_eq!(sparse.support_size(), 1, "{gate:?} must cancel one branch");
+    }
+    // A whole superposition folding back onto one basis state.
+    let mut state = SparseState::basis_state(3, 0b101);
+    let spread = Circuit::from_gates(3, [Gate::H(0), Gate::T(1), Gate::H(1), Gate::H(2)]).unwrap();
+    state.apply_circuit(&spread);
+    assert_eq!(state.support_size(), 8);
+    state.apply_circuit(&spread.dagger());
+    assert_eq!(state, SparseState::basis_state(3, 0b101));
+}
+
+#[test]
+fn equality_ignores_the_order_tables_were_filled_in() {
+    let mut rng = StdRng::seed_from_u64(153);
+    for n in 1..=5u32 {
+        let entries = superposed_input(n, &mut rng);
+        let forward = SparseState::from_amplitudes(n, entries.iter().cloned());
+        let backward = SparseState::from_amplitudes(n, entries.iter().rev().cloned());
+        assert_eq!(forward, backward);
+
+        // The same state reached by a circuit and given directly.
+        let circuit = random_any_circuit(n, &mut rng);
+        let mut simulated = forward.clone();
+        simulated.apply_circuit(&circuit);
+        let mut listed: Vec<_> = simulated.to_amplitude_map().into_iter().collect();
+        listed.reverse();
+        assert_eq!(simulated, SparseState::from_amplitudes(n, listed.clone()));
+
+        // One amplitude changed (or one entry dropped) breaks equality.
+        let (b, amp) = listed[0].clone();
+        listed[0] = (b, &amp + &Algebraic::one());
+        assert_ne!(simulated, SparseState::from_amplitudes(n, listed.clone()));
+        assert_ne!(
+            simulated,
+            SparseState::from_amplitudes(n, listed.into_iter().skip(1))
+        );
+    }
+}
+
+#[test]
+#[ignore = "~2000 random circuits: run in release (--include-ignored)"]
+fn long_differential_run_over_every_gate_kind() {
+    let mut rng = StdRng::seed_from_u64(154);
+    for round in 0..2000 {
+        let n = rng.gen_range(1..=10u32);
+        let circuit = random_any_circuit(n, &mut rng);
+        let entries = if rng.gen_bool(0.5) {
+            superposed_input(n, &mut rng)
+        } else {
+            vec![(random_basis(n, &mut rng), Algebraic::one())]
+        };
+        check_circuit(n, &circuit, &entries, &format!("round {round}"));
+        check_circuit(
+            n,
+            &circuit.dagger(),
+            &entries,
+            &format!("round {round} (inverse)"),
+        );
+    }
+}
