@@ -34,6 +34,7 @@
 //! ```
 
 mod algebraic;
+pub mod hash;
 pub mod intern;
 mod ops;
 

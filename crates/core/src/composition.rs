@@ -44,15 +44,33 @@
 //! ([`CompositionOptions::eval_threads`]); the unfused single-threaded
 //! ladder is retained as [`project_reference`] and cross-validated by the
 //! `composition_equivalence` property tests.
+//!
+//! # The trimmed product
+//!
+//! Algorithm 9 pairs every tag-matching state pair reachable from the root
+//! pairs.  On the automata restriction and projection produce for a set of
+//! trees, most such pairs are *dead*: their tags match at the top and stop
+//! matching further down, so they accept no tree.  [`binary_op`] therefore
+//! builds only the productive pairs — a bottom-up merge join of the
+//! operands' transitions on their tagged symbols, deepest variable first,
+//! finds them,
+//! and the top-down worklist allocates nothing else — and emits exactly the
+//! trim of the paper's product, kept as [`binary_op_reference`] (the
+//! oracle of the `composition_equivalence` property tests).  Singleton
+//! operands (one root, at most one transition per state) skip the join:
+//! their products have no dead pair in practice, and one that does is
+//! rebuilt through the join.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use autoq_amplitude::hash::{FixedMap, FixedSet};
 use autoq_amplitude::intern;
 use autoq_treeaut::{
-    InternalSymbol, InternalTransition, LeafTransition, StateId, Tag, TreeAutomaton,
+    InternalSymbol, InternalTransition, LeafTransition, StateId, Tag, TransitionIndex,
+    TreeAutomaton,
 };
 
 use crate::formula::{CombineSign, ScaleFactor, UpdateExpr};
@@ -1273,7 +1291,262 @@ fn single_tag(tag: Tag) -> u64 {
 /// The binary operation (Algorithm 9): a product construction that combines
 /// only trees with the same tag (guaranteed by matching the uniquely tagged
 /// symbols) and adds/subtracts their leaf amplitudes.
+///
+/// The product is built *trimmed*: its output holds exactly the pair states
+/// that are reachable from a root pair **and** accept some tree, so its
+/// tagged language is that of [`binary_op_reference`] with none of the dead
+/// pairs.  Those dead pairs are reachable pairs whose tags stop matching
+/// further down, and on the automata restriction and projection produce
+/// they are nearly all of the reference product: CNOT(13→0) of the
+/// increment8 hunt pairs 947,137 states, of which 7,061 accept a tree.
+///
+/// Two passes build it:
+///
+/// 1. bottom-up, both operands' internal transitions are sorted by their
+///    (tagged) symbol, deepest variable first, and merge-joined, collecting
+///    the productive pairs: a pair is productive if both states carry a
+///    leaf, or if some symbol-matching transition pair has two productive
+///    child pairs.  This
+///    relies on the operands being *layered* (every child of an `x_v`
+///    transition has transitions on `x_{v+1}` only, or none), which every
+///    automaton of the composition pipeline is and debug builds assert;
+/// 2. top-down, the worklist of the reference allocates only productive
+///    pairs and skips every transition pair with an unproductive child.
+///
+/// When both operands are *singletons* (one root, at most one transition
+/// per state) the first pass is skipped: such a product has at most one
+/// transition pair per pair state and is dead-free in practice (all 2,336
+/// singleton products of `table2` and `table3 --paper` were), so the plain
+/// top-down product is built, and only if one of its pairs turns out dead
+/// is it rebuilt through both passes.  Running the join on them anyway
+/// would cost the singleton-heavy verification rows for nothing.
 pub fn binary_op(a1: &TreeAutomaton, a2: &TreeAutomaton, sign: CombineSign) -> TreeAutomaton {
+    let index1 = a1.index();
+    let index2 = a2.index();
+    if is_singleton(a1, &index1) && is_singleton(a2, &index2) {
+        if let Some(product) = pair_product(a1, a2, &index1, &index2, sign, None) {
+            return product;
+        }
+    }
+    let filter = productive_pairs(a1, a2, &index1, &index2);
+    pair_product(a1, a2, &index1, &index2, sign, Some(&filter))
+        .expect("a product over productive pairs has no dead pair")
+}
+
+/// `true` if `automaton` has one root and at most one transition (internal
+/// or leaf) per state, i.e. it is a hash-consed DAG of the one tree it
+/// accepts, if any.  States with no transition are allowed: the swap
+/// ladder leaves the ids of the states it rewires away behind.  O(states)
+/// on the adjacency index.
+fn is_singleton(automaton: &TreeAutomaton, index: &TransitionIndex) -> bool {
+    automaton.roots.len() == 1
+        && (0..automaton.num_states).all(|q| {
+            let q = StateId::new(q);
+            index.internal_of(q).len() + index.leaves_of(q).len() <= 1
+        })
+}
+
+/// `true` if every child of an `x_v` transition has internal transitions on
+/// `x_{v+1}` only (or none: a leaf state) — the order the bottom-up pass of
+/// [`binary_op`] settles pairs in.
+fn is_layered(automaton: &TreeAutomaton) -> bool {
+    const MIXED: u32 = u32::MAX;
+    let mut state_var: Vec<Option<u32>> = vec![None; automaton.num_states as usize];
+    for t in &automaton.internal {
+        let slot = &mut state_var[t.parent.index()];
+        *slot = match *slot {
+            Some(var) if var != t.symbol.var => Some(MIXED),
+            _ => Some(t.symbol.var),
+        };
+    }
+    automaton.internal.iter().all(|t| {
+        [t.left, t.right]
+            .iter()
+            .all(|c| state_var[c.index()].map_or(true, |var| var == t.symbol.var + 1))
+    })
+}
+
+/// A pair of operand states packed into one integer key.
+fn pair_key(q1: StateId, q2: StateId) -> u64 {
+    (u64::from(q1.raw()) << 32) | u64::from(q2.raw())
+}
+
+/// The sort key of the bottom-up join: deepest variable first, then tag.
+fn join_key(automaton: &TreeAutomaton, transition: u32) -> (std::cmp::Reverse<u32>, Tag) {
+    let symbol = automaton.internal[transition as usize].symbol;
+    (std::cmp::Reverse(symbol.var), symbol.tag)
+}
+
+/// The automaton's internal transitions (as positions), ordered by
+/// [`join_key`].
+fn deepest_first_by_symbol(automaton: &TreeAutomaton) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..automaton.internal.len() as u32).collect();
+    order.sort_unstable_by_key(|&i| join_key(automaton, i));
+    order
+}
+
+/// Productivity of operand-state pairs: both states carry a leaf, or the
+/// pair is in the set the bottom-up pass collected.
+struct PairFilter<'a> {
+    index1: &'a TransitionIndex,
+    index2: &'a TransitionIndex,
+    productive: FixedSet<u64>,
+}
+
+impl PairFilter<'_> {
+    fn accepts(&self, q1: StateId, q2: StateId) -> bool {
+        (!self.index1.leaves_of(q1).is_empty() && !self.index2.leaves_of(q2).is_empty())
+            || self.productive.contains(&pair_key(q1, q2))
+    }
+}
+
+/// The bottom-up pass of [`binary_op`]: collects the productive pairs that
+/// are the parent pair of some symbol-matching transition pair.  Pairs of
+/// two leaf states are productive too, but [`PairFilter`] checks those
+/// directly instead of storing them.
+fn productive_pairs<'a>(
+    a1: &TreeAutomaton,
+    a2: &TreeAutomaton,
+    index1: &'a TransitionIndex,
+    index2: &'a TransitionIndex,
+) -> PairFilter<'a> {
+    debug_assert!(
+        is_layered(a1) && is_layered(a2),
+        "the trimmed product needs layered operands"
+    );
+    let order1 = deepest_first_by_symbol(a1);
+    let order2 = deepest_first_by_symbol(a2);
+    let mut filter = PairFilter {
+        index1,
+        index2,
+        productive: FixedSet::default(),
+    };
+    // Merge join: each run of equal symbols in one order meets the run of
+    // the same symbol in the other.
+    let (mut i, mut j) = (0, 0);
+    while i < order1.len() && j < order2.len() {
+        let key = join_key(a1, order1[i]);
+        let other = join_key(a2, order2[j]);
+        if key != other {
+            if key < other {
+                i += 1;
+            } else {
+                j += 1;
+            }
+            continue;
+        }
+        let run1 = order1[i..]
+            .iter()
+            .take_while(|&&x| join_key(a1, x) == key)
+            .count();
+        let run2 = order2[j..]
+            .iter()
+            .take_while(|&&x| join_key(a2, x) == key)
+            .count();
+        for &i1 in &order1[i..i + run1] {
+            let t1 = &a1.internal[i1 as usize];
+            for &i2 in &order2[j..j + run2] {
+                let t2 = &a2.internal[i2 as usize];
+                let parent = pair_key(t1.parent, t2.parent);
+                if !filter.productive.contains(&parent)
+                    && filter.accepts(t1.left, t2.left)
+                    && filter.accepts(t1.right, t2.right)
+                {
+                    filter.productive.insert(parent);
+                }
+            }
+        }
+        i += run1;
+        j += run2;
+    }
+    filter
+}
+
+/// The top-down pass of [`binary_op`]: the product over the pairs reachable
+/// from the root pairs, restricted to the pairs `filter` accepts when one is
+/// given.  Returns `None` if some allocated pair got no transition — a dead
+/// pair, which only an unfiltered product can contain.
+fn pair_product(
+    a1: &TreeAutomaton,
+    a2: &TreeAutomaton,
+    index1: &TransitionIndex,
+    index2: &TransitionIndex,
+    sign: CombineSign,
+    filter: Option<&PairFilter<'_>>,
+) -> Option<TreeAutomaton> {
+    let live = |q1: StateId, q2: StateId| match filter {
+        Some(filter) => filter.accepts(q1, q2),
+        None => true,
+    };
+    let leaf_op = match sign {
+        CombineSign::Plus => intern::LeafOp::Add,
+        CombineSign::Minus => intern::LeafOp::Sub,
+    };
+    let mut result = TreeAutomaton::new(a1.num_vars);
+    let mut pair_state: FixedMap<(StateId, StateId), StateId> = FixedMap::default();
+    let mut worklist: Vec<(StateId, StateId, StateId)> = Vec::new();
+    let mut get_state = |result: &mut TreeAutomaton,
+                         worklist: &mut Vec<(StateId, StateId, StateId)>,
+                         q1: StateId,
+                         q2: StateId| {
+        *pair_state.entry((q1, q2)).or_insert_with(|| {
+            let state = result.add_state();
+            worklist.push((q1, q2, state));
+            state
+        })
+    };
+
+    for &r1 in &a1.roots {
+        for &r2 in &a2.roots {
+            if live(r1, r2) {
+                let state = get_state(&mut result, &mut worklist, r1, r2);
+                result.add_root(state);
+            }
+        }
+    }
+
+    while let Some((q1, q2, parent)) = worklist.pop() {
+        let mut emitted = false;
+        for &i1 in index1.internal_of(q1) {
+            let t1 = &a1.internal[i1 as usize];
+            for &i2 in index2.internal_of(q2) {
+                let t2 = &a2.internal[i2 as usize];
+                if t1.symbol != t2.symbol || !live(t1.left, t2.left) || !live(t1.right, t2.right) {
+                    continue;
+                }
+                let left = get_state(&mut result, &mut worklist, t1.left, t2.left);
+                let right = get_state(&mut result, &mut worklist, t1.right, t2.right);
+                result.add_internal(parent, t1.symbol, left, right);
+                emitted = true;
+            }
+        }
+        // Leaf combination — pure id arithmetic: the sum/difference of two
+        // interned amplitudes is memoised process-wide.
+        let leaf1 = index1.leaves_of(q1).first();
+        let leaf2 = index2.leaves_of(q2).first();
+        if let (Some(&leaf1), Some(&leaf2)) = (leaf1, leaf2) {
+            let v1 = a1.leaves[leaf1 as usize].amp;
+            let v2 = a2.leaves[leaf2 as usize].amp;
+            result.add_leaf_id(parent, intern::combine(leaf_op, v1, v2));
+            emitted = true;
+        }
+        if !emitted {
+            return None;
+        }
+    }
+    Some(result)
+}
+
+/// The binary operation (Algorithm 9) as the paper states it: every
+/// tag-matching pair reachable from the root pairs, dead pairs included.
+/// The oracle [`binary_op`]'s trimmed product is tested against; not used
+/// on the hot path.
+#[doc(hidden)]
+pub fn binary_op_reference(
+    a1: &TreeAutomaton,
+    a2: &TreeAutomaton,
+    sign: CombineSign,
+) -> TreeAutomaton {
     let mut result = TreeAutomaton::new(a1.num_vars);
     let mut pair_state: HashMap<(StateId, StateId), StateId> = HashMap::new();
     let mut worklist: Vec<(StateId, StateId)> = Vec::new();
@@ -1551,6 +1824,57 @@ mod tests {
             );
             assert_eq!(map.values().next().unwrap(), &Algebraic::from_int(2));
         }
+    }
+
+    /// `root → x0#1(s1, s2)`, `s1 → x1#2(|1⟩, |0⟩)`, `s2 → x1#right_tag(|0⟩, |1⟩)`:
+    /// one tree, one transition per state.
+    fn two_level_singleton(right_tag: u64) -> TreeAutomaton {
+        let tagged = |var, tag| InternalSymbol::new(var).with_tag(Tag::Single(tag));
+        let mut automaton = TreeAutomaton::new(2);
+        let zero = automaton.leaf_state(&Algebraic::zero());
+        let one = automaton.leaf_state(&Algebraic::one());
+        let [root, s1, s2] = [(); 3].map(|_| automaton.add_state());
+        automaton.add_internal(s1, tagged(1, 2), one, zero);
+        automaton.add_internal(s2, tagged(1, right_tag), zero, one);
+        automaton.add_internal(root, tagged(0, 1), s1, s2);
+        automaton.add_root(root);
+        automaton
+    }
+
+    #[test]
+    fn singleton_products_are_built_trimmed() {
+        let a = two_level_singleton(3);
+        assert!(is_singleton(&a, &a.index()));
+        let product = binary_op(&a, &a, CombineSign::Plus);
+        assert_eq!(product, binary_op_reference(&a, &a, CombineSign::Plus));
+        assert_eq!(product.state_count(), 5);
+
+        // The right children's tags differ, so the root pair is dead: the
+        // singleton shortcut must fall back to the trimmed product.
+        let b = two_level_singleton(4);
+        let reference = binary_op_reference(&a, &b, CombineSign::Plus);
+        assert!(reference.state_count() > 0);
+        let product = binary_op(&a, &b, CombineSign::Plus);
+        assert_eq!(product.state_count(), 0);
+        assert!(product.roots.is_empty());
+        assert_eq!(reference.trim().state_count(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "layered operands")]
+    fn the_trimmed_product_asserts_layered_operands() {
+        // Two roots (not a singleton), and `x0` under `x0`.
+        let mut automaton = TreeAutomaton::new(2);
+        let leaf = automaton.leaf_state(&Algebraic::one());
+        let [root, other_root, child] = [(); 3].map(|_| automaton.add_state());
+        automaton.add_internal(child, InternalSymbol::new(0), leaf, leaf);
+        automaton.add_internal(root, InternalSymbol::new(0), child, child);
+        automaton.add_internal(other_root, InternalSymbol::new(1), leaf, leaf);
+        automaton.add_root(root);
+        automaton.add_root(other_root);
+        assert!(!is_layered(&automaton));
+        binary_op(&automaton, &automaton, CombineSign::Plus);
     }
 
     #[test]

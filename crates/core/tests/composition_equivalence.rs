@@ -6,7 +6,12 @@
 //!   in-ladder reduction — accepts exactly the same (tagged) language as
 //!   the unfused [`project_reference`] ladder;
 //! * a reference recursive formula evaluator built from the same unfused
-//!   pieces agrees with the fused/parallel [`evaluate_with`];
+//!   pieces and the untrimmed [`binary_op_reference`] product agrees with
+//!   the fused/parallel [`evaluate_with`];
+//! * on the operands of every `Combine` of X, H, CNOT and Toffoli formulae
+//!   (controls above and below the target) over random tagged sets, the
+//!   trimmed [`binary_op`] accepts the reference product's tagged language
+//!   and is exactly its trim: every state reachable and productive;
 //! * tag structure survives in-ladder reduction: reducing a tagged
 //!   automaton never merges states whose signatures disagree on tags, and
 //!   never invents or drops tags.
@@ -16,12 +21,13 @@ use std::collections::HashSet;
 use autoq_amplitude::Algebraic;
 use autoq_circuit::Gate;
 use autoq_core::composition::{
-    self, binary_op, evaluate_with, multiply, project_reference, project_with, restrict, tag,
-    CompositionOptions,
+    self, binary_op, binary_op_reference, evaluate_with, multiply, project_reference, project_with,
+    restrict, tag, CompositionOptions,
 };
 use autoq_core::formula::{update_formula, UpdateExpr};
 use autoq_core::CompositionOptions as ReexportedOptions;
-use autoq_treeaut::{equivalence, Tag, Tree, TreeAutomaton};
+use autoq_core::{Engine, StateSet};
+use autoq_treeaut::{basis, equivalence, Tag, Tree, TreeAutomaton};
 use proptest::prelude::*;
 
 /// Builds a random small automaton: the basis states selected by `mask`
@@ -42,6 +48,28 @@ fn random_automaton(n: u32, mask: u64, seed: u32, tagged: bool) -> TreeAutomaton
     } else {
         automaton
     }
+}
+
+/// A random tagged *set* for the product property, in one of three shapes:
+/// basis states plus a superposed tree ([`random_automaton`], shape 0); a
+/// hunt input pattern, whose free qubits give one state two transitions
+/// over a shared all-zero subtree (shape 1); or such a pattern after a
+/// Hadamard, a nondeterministic superposing set.
+fn random_tagged_set(n: u32, mask: u64, seed: u32, shape: u8) -> TreeAutomaton {
+    let space = basis::basis_count(n) as u64;
+    if shape == 0 {
+        // At least one basis state next to the superposed tree.
+        return random_automaton(n, 1 + mask % ((1 << space) - 1), seed, true);
+    }
+    let free: Vec<u32> = (0..n).filter(|q| mask & (1 << q) != 0).collect();
+    let free_bits: u128 = free.iter().map(|&q| basis::qubit_bit(n, q)).sum();
+    let fixed = (u128::from(seed) % u128::from(space)) & !free_bits;
+    let set = StateSet::basis_pattern(n, fixed, &free);
+    if shape == 1 {
+        return tag(set.automaton());
+    }
+    let superposed = Engine::composition().apply_gate(&set, &Gate::H((seed >> 8) % n));
+    tag(superposed.automaton())
 }
 
 /// The fused options under test: growth factor 1 forces an in-ladder
@@ -66,11 +94,98 @@ fn evaluate_reference(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeA
         UpdateExpr::Scale { factor, inner } => {
             multiply(&evaluate_reference(inner, tagged_source), *factor)
         }
-        UpdateExpr::Combine { sign, lhs, rhs } => binary_op(
+        UpdateExpr::Combine { sign, lhs, rhs } => binary_op_reference(
             &evaluate_reference(lhs, tagged_source),
             &evaluate_reference(rhs, tagged_source),
             *sign,
         ),
+    }
+}
+
+/// X and H on `target`, and CNOT and Toffoli with their controls both above
+/// and below it (`n >= 2`; Toffolis need a third qubit).
+fn product_gates(n: u32, seed: u32) -> Vec<Gate> {
+    let target = seed % n;
+    let other = (target + 1 + (seed / n) % (n - 1)) % n;
+    let mut gates = vec![
+        Gate::X(target),
+        Gate::H(target),
+        Gate::Cnot {
+            control: other,
+            target,
+        },
+        Gate::Cnot {
+            control: target,
+            target: other,
+        },
+    ];
+    if let Some(third) = (0..n).find(|&q| q != target && q != other) {
+        let mut qubits = [target, other, third];
+        qubits.sort_unstable();
+        let [low, mid, high] = qubits;
+        gates.push(Gate::Toffoli {
+            controls: [high, mid],
+            target: low,
+        });
+        gates.push(Gate::Toffoli {
+            controls: [low, mid],
+            target: high,
+        });
+        gates.push(Gate::Toffoli {
+            controls: [low, high],
+            target: mid,
+        });
+    }
+    gates
+}
+
+/// Checks [`binary_op`] against the trim of [`binary_op_reference`] on the
+/// operands of every `Combine` node of `expr`; returns how many it checked.
+fn check_products(expr: &UpdateExpr, tagged: &TreeAutomaton, opts: &CompositionOptions) -> usize {
+    match expr {
+        UpdateExpr::Source | UpdateExpr::Proj { .. } => 0,
+        UpdateExpr::Restrict { inner, .. } | UpdateExpr::Scale { inner, .. } => {
+            check_products(inner, tagged, opts)
+        }
+        UpdateExpr::Combine { sign, lhs, rhs } => {
+            let a = evaluate_with(lhs, tagged, opts);
+            let b = evaluate_with(rhs, tagged, opts);
+            let trimmed = binary_op(&a, &b, *sign);
+            let reference = binary_op_reference(&a, &b, *sign);
+            assert!(
+                equivalence(&trimmed, &reference).holds(),
+                "trimmed product changed the tagged language"
+            );
+            let expected = reference.trim();
+            assert_eq!(trimmed.state_count(), expected.state_count());
+            assert_eq!(trimmed.transition_count(), expected.transition_count());
+            assert_eq!(
+                trimmed.trim().state_count(),
+                trimmed.state_count(),
+                "every state of the trimmed product is reachable and productive"
+            );
+            1 + check_products(lhs, tagged, opts) + check_products(rhs, tagged, opts)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn trimmed_product_is_the_trim_of_the_reference_product(
+        n in 2u32..=4,
+        mask in 0u64..255,
+        seed in any::<u32>(),
+        gate_seed in any::<u32>(),
+        shape in 0u8..3,
+    ) {
+        let tagged = random_tagged_set(n, mask, seed, shape);
+        let mut checked = 0;
+        for gate in product_gates(n, gate_seed) {
+            let formula = update_formula(&gate).expect("X, H, CNOT and Toffoli have formulae");
+            checked += check_products(&formula, &tagged, &aggressive_options());
+        }
+        prop_assert!(checked > 0);
     }
 }
 

@@ -340,14 +340,27 @@ pub fn run_case<F: FnOnce() + std::panic::UnwindSafe>(test_name: &str, case: u32
 
 /// Defines property tests (shim of `proptest::proptest!`).
 ///
-/// Supports the forms used in this workspace:
+/// Supports the forms used in this workspace: an optional leading
+/// `#![proptest_config(...)]`, then any number of property functions, each
+/// with its attributes (`#[test]` in a test module) and one or more
+/// `name in strategy` arguments.
 ///
-/// ```ignore
+/// ```
+/// use proptest::prelude::*;
+///
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(12))]  // optional
-///     #[test]
-///     fn name(x in strategy1, y in strategy2) { ... }
+///     // `#[test]` goes here in a test module.
+///     fn sums_stay_in_range(x in 0u32..10, y in 0u32..=5) {
+///         prop_assert!(x + y < 15);
+///     }
+///
+///     fn squares_are_non_negative(z in any::<i16>()) {
+///         prop_assert!(i32::from(z) * i32::from(z) >= 0);
+///     }
 /// }
+/// sums_stay_in_range();
+/// squares_are_non_negative();
 /// ```
 #[macro_export]
 macro_rules! proptest {

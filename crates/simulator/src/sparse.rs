@@ -1,9 +1,9 @@
 //! Sparse state-vector simulation for wide but sparse states.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
+use autoq_amplitude::hash::FixedMap;
 use autoq_amplitude::Algebraic;
 use autoq_circuit::schedule::interference_schedule;
 use autoq_circuit::{Circuit, Gate};
@@ -15,9 +15,6 @@ const ZERO: u32 = u32::MAX;
 
 /// A memo slot not computed yet.
 const UNSET: u32 = u32::MAX - 1;
-
-/// A `HashMap` hashed by [`FixedHasher`].
-type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<FixedHasher>>;
 
 /// A sparse quantum state: a map from basis indices to non-zero amplitudes.
 ///
@@ -50,10 +47,11 @@ type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<FixedHasher>>;
 /// A T-heavy circuit whose amplitudes all differ therefore costs at most
 /// one table value per entry, not an ever-growing table.
 ///
-/// **Hasher.**  Basis indices are hashed by a small fixed std-only hasher
-/// (one folded 64×64→128-bit multiply per word) instead of `SipHash`: the
-/// keys are basis indices of circuits under test, not adversarial input,
-/// and hashing dominates once the arithmetic is memoised.  Confirming the
+/// **Hasher.**  Basis indices are hashed by the workspace's fixed std-only
+/// [`FixedHasher`](autoq_amplitude::hash::FixedHasher) instead of
+/// `SipHash`: the keys are basis indices of circuits under test, not
+/// adversarial input, and hashing dominates once the arithmetic is
+/// memoised.  Confirming the
 /// `random35` bug-hunt witness (262,144 entries pulled back through 207
 /// gates, then two forward runs) took 0.6 s with it and 4.0 s with
 /// `SipHash` on a 2-core VM.
@@ -487,55 +485,6 @@ fn swap_bits(x: u128, a: u128, b: u128) -> u128 {
         x
     } else {
         x ^ (a | b)
-    }
-}
-
-/// A small fixed std-only hasher: each word is folded in with one
-/// 64×64→128-bit multiply whose halves are XORed, so every input bit
-/// reaches the low bits `HashMap` indexes its buckets by.
-///
-/// It is keyed by a constant, not per process: the simulator hashes basis
-/// indices and amplitudes of circuits under test, never untrusted input.
-#[derive(Clone, Copy)]
-struct FixedHasher(u64);
-
-impl FixedHasher {
-    /// 2^64 divided by the golden ratio, made odd.
-    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
-
-    fn mix(&mut self, word: u64) {
-        let product = u128::from(self.0 ^ word) * u128::from(Self::MULTIPLIER);
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
-}
-
-impl Default for FixedHasher {
-    fn default() -> Self {
-        // The fractional bits of π, so that zero words do not fold to zero.
-        FixedHasher(0x243f_6a88_85a3_08d3)
-    }
-}
-
-impl Hasher for FixedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    fn write_u128(&mut self, n: u128) {
-        self.mix(n as u64);
-        self.mix((n >> 64) as u64);
     }
 }
 
