@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the composition-encoded gate pipeline: the fused
 //! projection ladder at increasing qubit depth (1/8/32/64 swap passes each
-//! way) against the retained reference ladder, and one full H-gate formula
-//! application at 1 vs 4 evaluation threads.  The ladder depth is the
+//! way) against the retained reference ladder, and one short superposing
+//! circuit through the composition engine.  The ladder depth is the
 //! paper-scale cost driver — a Hadamard on qubit 0 of a 70-qubit automaton
 //! runs a depth-69 ladder twice — so regressions here surface long before
 //! the `random70` row.
@@ -53,12 +53,10 @@ fn bench_hadamard_formula(c: &mut Criterion) {
     let input = StateSet::basis_state(20, 0);
     let circuit =
         Circuit::from_gates(20, [Gate::H(0), Gate::RyPi2(1), Gate::RxPi2(2), Gate::H(3)]).unwrap();
-    for threads in [1usize, 4] {
-        let engine = Engine::composition().with_eval_threads(threads);
-        group.bench_function(format!("superposing-20q-{threads}thread"), |b| {
-            b.iter(|| black_box(engine.apply_circuit(&input, &circuit)))
-        });
-    }
+    let engine = Engine::composition();
+    group.bench_function("superposing-20q", |b| {
+        b.iter(|| black_box(engine.apply_circuit(&input, &circuit)))
+    });
     group.finish();
 }
 

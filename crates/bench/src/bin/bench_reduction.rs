@@ -12,10 +12,8 @@
 //!   `Engine::apply_gate` for one permutation (CNOT) and one composition
 //!   (H) gate on a 12-qubit all-basis set;
 //! * **rows** — the two previously slow Table 3 rows: the `increment8`
-//!   AutoQ hunt and the `cycle10` path-sum check — plus the 1-vs-N
-//!   thread sweep of the composition term evaluator (`sweep.threads.*`)
-//!   and the `Interrupt` governance overhead / budget-trip stop latencies
-//!   (`exhaustion.*`);
+//!   AutoQ hunt and the `cycle10` path-sum check — plus the `Interrupt`
+//!   governance overhead / budget-trip stop latencies (`exhaustion.*`);
 //! * **paper** (with `--paper`) — the superposing `random35`/`random70`
 //!   hunts (paper ratio: `3n` gates including `H`/`Rx`/`Ry`) and the
 //!   permutation-pool `random70p` row, all through the fused composition
@@ -31,7 +29,9 @@ use autoq_bench::timed;
 use autoq_circuit::generators::{carry_lookahead_like, increment_circuit};
 use autoq_circuit::mutation::inject_random_gate;
 use autoq_circuit::Gate;
-use autoq_core::{Engine, HuntJob, HuntPool, Interrupt, Resource, StateSet, StopReason};
+use autoq_core::{
+    Engine, HuntJob, HuntPool, Interrupt, Resource, RunOptions, StateSet, StopReason,
+};
 use autoq_equivcheck::pathsum;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,35 +175,27 @@ fn main() {
         format!("{verdict:?}"),
     ));
 
-    // Thread-count sensitivity of the composition term evaluator (1 vs N
-    // scoped threads for independent formula terms): a short superposing
-    // circuit at 20 qubits, all composition-encoded — four deep fused
-    // ladders per run on a basis-state input (wide input sets like the
-    // all-basis automaton are the tagged encoding's exponential worst case
-    // and would benchmark the encoding, not the threads).  The default
-    // budget is `autoq_core::default_eval_threads()` (available parallelism
-    // capped at 8), recorded alongside so the entries stay interpretable on
-    // machines with different core counts.
+    // A short superposing circuit at 20 qubits, all composition-encoded —
+    // four deep fused ladders per run on a basis-state input (wide input
+    // sets like the all-basis automaton are the tagged encoding's
+    // exponential worst case and would benchmark the encoding, not the
+    // governance).
     let superposing_input = StateSet::basis_state(20, 0);
     let superposing_circuit = autoq_circuit::Circuit::from_gates(
         20,
         [Gate::H(0), Gate::RyPi2(1), Gate::RxPi2(2), Gate::H(3)],
     )
     .expect("well-formed circuit");
-    for threads in [1usize, 4] {
-        let threaded = Engine::composition().with_eval_threads(threads);
-        record_secs(
-            &mut entries,
-            &format!("sweep.threads.{threads}"),
-            median_time(5, || {
-                let _ = threaded.apply_circuit(&superposing_input, &superposing_circuit);
-            }),
-        );
-    }
-    entries.push((
-        "sweep.threads.default".to_string(),
-        autoq_core::default_eval_threads().to_string(),
-    ));
+    let governed = |interrupt| {
+        engine.run(
+            &superposing_input,
+            &superposing_circuit,
+            RunOptions {
+                interrupt: Some(interrupt),
+                observer: None,
+            },
+        )
+    };
 
     // Resource governance: what an `Interrupt` costs when it never trips
     // (checkpoint overhead on the same superposing run, governed under
@@ -225,11 +217,7 @@ fn main() {
         &mut entries,
         "exhaustion.governed_overhead",
         median_time(5, || {
-            let applied = engine.apply_circuit_interruptible(
-                &superposing_input,
-                &superposing_circuit,
-                &generous,
-            );
+            let applied = governed(&generous);
             assert!(applied.is_ok(), "generous budgets must never trip");
         }),
     );
@@ -238,8 +226,7 @@ fn main() {
         &mut entries,
         "exhaustion.states_stop_latency",
         median_time(5, || {
-            let stopped = engine
-                .apply_circuit_interruptible(&superposing_input, &superposing_circuit, &tiny_states)
+            let stopped = governed(&tiny_states)
                 .expect_err("a 1-state budget must trip on a superposing run");
             assert!(matches!(
                 stopped.reason,
@@ -255,13 +242,8 @@ fn main() {
         &mut entries,
         "exhaustion.deadline_stop_latency",
         median_time(5, || {
-            let stopped = engine
-                .apply_circuit_interruptible(
-                    &superposing_input,
-                    &superposing_circuit,
-                    &elapsed_deadline,
-                )
-                .expect_err("an already-elapsed deadline must trip");
+            let stopped =
+                governed(&elapsed_deadline).expect_err("an already-elapsed deadline must trip");
             assert!(matches!(
                 stopped.reason,
                 StopReason::Exhausted {
@@ -288,10 +270,9 @@ fn main() {
             seed: 0x7AB1E3 + i as u64,
         })
         .collect();
-    let bounded =
-        autoq_core::BugHunter::new(Engine::hybrid().with_eval_threads(1)).with_max_iterations(4);
+    let bounded = autoq_core::BugHunter::new(Engine::hybrid()).with_max_iterations(4);
     for threads in [1usize, 2, 4, 8] {
-        let pool = HuntPool::new(Engine::hybrid().with_eval_threads(1))
+        let pool = HuntPool::new(Engine::hybrid())
             .with_hunter(bounded)
             .with_threads(threads);
         record_secs(

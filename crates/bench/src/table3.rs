@@ -121,7 +121,7 @@ impl Table3Row {
 /// Runs one bug-finding row: injects a random gate into `circuit` and asks
 /// all three checkers.
 pub fn run_row(name: &str, circuit: &Circuit, superposing: bool, seed: u64) -> Table3Row {
-    run_row_inner(name, circuit, superposing, seed, true, Engine::hybrid())
+    run_row_inner(name, circuit, superposing, seed, true)
 }
 
 /// Runs one *paper-scale* AutoQ-only bug-finding row: the path-sum and
@@ -136,7 +136,7 @@ pub fn run_paper_scale_row(
     superposing: bool,
     seed: u64,
 ) -> Table3Row {
-    run_row_inner(name, circuit, superposing, seed, false, Engine::hybrid())
+    run_row_inner(name, circuit, superposing, seed, false)
 }
 
 fn run_row_inner(
@@ -145,12 +145,12 @@ fn run_row_inner(
     superposing: bool,
     seed: u64,
     run_baselines: bool,
-    engine: Engine,
 ) -> Table3Row {
     let mut rng = StdRng::seed_from_u64(seed);
     let (buggy, _bug) = inject_random_gate(circuit, superposing, &mut rng);
 
-    let hunter = BugHunter::new(engine).with_max_iterations(circuit.num_qubits().min(10) + 1);
+    let hunter =
+        BugHunter::new(Engine::hybrid()).with_max_iterations(circuit.num_qubits().min(10) + 1);
     let mut hunt_rng = StdRng::seed_from_u64(seed ^ 0xabcd);
     let (report, autoq_time) = timed(|| hunter.hunt(circuit, &buggy, &mut hunt_rng));
     let (autoq_confirmed_on, confirm_time) =
@@ -201,11 +201,9 @@ pub fn run_paper_scale_rows() -> Vec<Table3Row> {
 /// `threads` worker threads — the `table3 --paper --threads N` path.
 ///
 /// Rows are independent hunts, so row-level parallelism is the natural
-/// portfolio axis at this scale; it *replaces* the per-term evaluation
-/// threads inside the composition engine (workers run with
-/// `with_eval_threads(1)`) instead of multiplying with them.  The per-row
-/// seeds are pinned, so the resulting table is identical — rows included —
-/// for every thread count; only the wall-clock changes.
+/// portfolio axis at this scale (the engine itself is sequential).  The
+/// per-row seeds are pinned, so the resulting table is identical — rows
+/// included — for every thread count; only the wall-clock changes.
 pub fn run_paper_scale_rows_threaded(threads: usize) -> Vec<Table3Row> {
     let workload = paper_scale_workload();
     let threads = threads.max(1).min(workload.len());
@@ -217,7 +215,6 @@ pub fn run_paper_scale_rows_threaded(threads: usize) -> Vec<Table3Row> {
             })
             .collect();
     }
-    let engine = Engine::hybrid().with_eval_threads(1);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Table3Row>>> = workload.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -227,7 +224,7 @@ pub fn run_paper_scale_rows_threaded(threads: usize) -> Vec<Table3Row> {
                 let Some((name, circuit, superposing, seed)) = workload.get(index) else {
                     break;
                 };
-                let row = run_row_inner(name, circuit, *superposing, *seed, false, engine);
+                let row = run_paper_scale_row(name, circuit, *superposing, *seed);
                 *slots[index].lock().expect("row slot poisoned") = Some(row);
             });
         }

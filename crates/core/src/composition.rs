@@ -40,9 +40,13 @@
 //!   `ladder_growth_factor ×` the size at the last reduction — the safety
 //!   valve bounding intermediate blowup.
 //!
-//! Independent terms of a `Combine` formula are evaluated on scoped threads
-//! ([`CompositionOptions::eval_threads`]); the unfused single-threaded
-//! ladder is retained as [`project_reference`] and cross-validated by the
+//! The evaluator is plain sequential code: a `Combine` evaluates its left
+//! term, then its right one, on one `&mut` evaluation context holding the
+//! peak watermarks, the shared forward ladders and the interrupt's stop
+//! reason.  (Evaluating the two terms on scoped threads measured slower on
+//! every workload: the second projection of a qubit waits for the first's
+//! forward ladder anyway.)  The unfused ladder is retained as
+//! [`project_reference`] and cross-validated by the
 //! `composition_equivalence` property tests.
 //!
 //! # The trimmed product
@@ -63,8 +67,6 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use autoq_amplitude::hash::{FixedMap, FixedSet};
 use autoq_amplitude::intern;
@@ -76,9 +78,9 @@ use autoq_treeaut::{
 use crate::formula::{CombineSign, ScaleFactor, UpdateExpr};
 use crate::interrupt::{Interrupt, StopReason};
 
-/// Tuning knobs of the composition-encoded gate pipeline (the fused swap
-/// ladder and the term evaluator).  The engine derives the effective options
-/// from its reduction policy via `Engine::composition_options`.
+/// Tuning of the composition-encoded gate pipeline (the fused swap
+/// ladder).  The engine derives the effective options from its reduction
+/// policy via `Engine::composition_options`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompositionOptions {
     /// In-ladder reduction: between swap passes, reduce the intermediate
@@ -87,29 +89,22 @@ pub struct CompositionOptions {
     /// `None` disables in-ladder reduction (the `ReductionPolicy::Never`
     /// ablation setting).
     pub ladder_growth_factor: Option<u32>,
-    /// Maximum number of OS threads used to evaluate independent
-    /// update-formula terms (`1` = fully sequential).  The default is
-    /// [`default_eval_threads`]; the `sweep.threads.*` entries of
-    /// `BENCH_reduction.json` record the measured 1-vs-N sensitivity.
-    pub eval_threads: usize,
 }
 
 impl Default for CompositionOptions {
     fn default() -> Self {
         CompositionOptions {
             ladder_growth_factor: Some(2),
-            eval_threads: default_eval_threads(),
         }
     }
 }
 
-/// The default term-evaluation thread budget: the machine's available
-/// parallelism, capped at 8 — an update formula has at most a handful of
-/// independent projection-carrying terms, so more threads cannot be used.
+/// The number of OS threads the composition evaluator uses: always `1`.
+///
+/// The evaluator is sequential (see the module docs); this constant exists
+/// so the benchmark can keep recording `meta.eval_threads`.
 pub fn default_eval_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
+    1
 }
 
 /// Peak automaton sizes observed inside one composition-encoded gate
@@ -125,168 +120,72 @@ pub struct FormulaPeak {
     pub transitions: usize,
 }
 
-/// Shared state of one formula evaluation: the options, the spare-thread
-/// budget, the peak-size watermarks (all threads update them, so the
-/// engine's `ApplyStats` stays honest about in-ladder peaks), and the
-/// per-qubit forward-ladder cache shared by a gate's two projections.
+/// The state of one formula evaluation: the options, the peak-size
+/// watermarks (so the engine's `ApplyStats` stays honest about in-ladder
+/// peaks), the per-qubit forward-ladder cache shared by a gate's two
+/// projections, and the interrupt with the reason it stopped the
+/// evaluation, if it did.
 struct EvalCtx<'a> {
     opts: &'a CompositionOptions,
-    spare_threads: &'a AtomicUsize,
-    peak_states: &'a AtomicUsize,
-    peak_transitions: &'a AtomicUsize,
+    peak: FormulaPeak,
     /// `T_{x_t}` and `T_{x̄_t}` of the same formula run the same forward
     /// ladder and differ only in the subtree copy and the way back, so the
     /// forward-laddered automaton is computed once per qubit and shared.
-    forward_cache: &'a Mutex<HashMap<u32, Arc<LadderState>>>,
+    forward_cache: HashMap<u32, LadderState>,
     /// The caller's interrupt, checked between swap-ladder passes so even a
-    /// single blowing-up gate stops near its budget (`None` for the
-    /// non-interruptible entry points).
+    /// single blowing-up gate stops near its budget (`None` never stops).
     interrupt: Option<&'a Interrupt>,
-    /// Set once any thread's checkpoint trips; every loop polls this cheap
-    /// flag and unwinds with a partial (discarded) result.
-    stopped: &'a AtomicBool,
-    /// The first recorded stop reason (the one reported to the caller).
-    stop_reason: &'a Mutex<Option<StopReason>>,
+    /// The reason of the first tripped checkpoint; once set, every loop
+    /// unwinds with a partial (discarded) result.
+    stopped: Option<StopReason>,
 }
 
-impl EvalCtx<'_> {
-    fn observe_states(&self, states: usize) {
-        self.peak_states.fetch_max(states, Ordering::Relaxed);
+impl<'a> EvalCtx<'a> {
+    fn new(opts: &'a CompositionOptions, interrupt: Option<&'a Interrupt>) -> Self {
+        EvalCtx {
+            opts,
+            peak: FormulaPeak::default(),
+            forward_cache: HashMap::new(),
+            interrupt,
+            stopped: None,
+        }
     }
 
-    fn observe_transitions(&self, transitions: usize) {
-        self.peak_transitions
-            .fetch_max(transitions, Ordering::Relaxed);
+    fn observe_states(&mut self, states: usize) {
+        self.peak.states = self.peak.states.max(states);
     }
 
-    /// Whether some checkpoint already tripped (cheap, lock-free).
-    fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::Relaxed)
+    fn observe_transitions(&mut self, transitions: usize) {
+        self.peak.transitions = self.peak.transitions.max(transitions);
     }
 
     /// Checks the interrupt against the current in-ladder sizes; returns
-    /// `true` when the evaluation should unwind.  The first tripping thread
-    /// records the reason; later checkpoints only observe the flag.
-    fn checkpoint(&self, states: usize, transitions: usize) -> bool {
-        if self.is_stopped() {
-            return true;
-        }
-        let Some(interrupt) = self.interrupt else {
-            return false;
-        };
-        match interrupt.check_sizes(states, transitions) {
-            Ok(()) => false,
-            Err(reason) => {
-                let mut slot = self
-                    .stop_reason
-                    .lock()
-                    .unwrap_or_else(|poison| poison.into_inner());
-                slot.get_or_insert(reason);
-                self.stopped.store(true, Ordering::Relaxed);
-                true
+    /// `true` when the evaluation should unwind.  The first tripped check
+    /// records the reason; later checkpoints only observe it.
+    fn checkpoint(&mut self, states: usize, transitions: usize) -> bool {
+        if self.stopped.is_none() {
+            if let Some(interrupt) = self.interrupt {
+                self.stopped = interrupt.check_sizes(states, transitions).err();
             }
         }
+        self.stopped.is_some()
     }
 }
 
-/// Owning storage behind an [`EvalCtx`]: one per top-level evaluation
-/// entry point, borrowed by every term (and every scoped thread) below it.
-struct EvalScope<'i> {
-    spare_threads: AtomicUsize,
-    peak_states: AtomicUsize,
-    peak_transitions: AtomicUsize,
-    forward_cache: Mutex<HashMap<u32, Arc<LadderState>>>,
-    interrupt: Option<&'i Interrupt>,
-    stopped: AtomicBool,
-    stop_reason: Mutex<Option<StopReason>>,
-}
-
-impl<'i> EvalScope<'i> {
-    fn new(opts: &CompositionOptions) -> Self {
-        EvalScope::with_interrupt(opts, None)
-    }
-
-    fn with_interrupt(opts: &CompositionOptions, interrupt: Option<&'i Interrupt>) -> Self {
-        EvalScope {
-            spare_threads: AtomicUsize::new(opts.eval_threads.saturating_sub(1)),
-            peak_states: AtomicUsize::new(0),
-            peak_transitions: AtomicUsize::new(0),
-            forward_cache: Mutex::new(HashMap::new()),
-            interrupt,
-            stopped: AtomicBool::new(false),
-            stop_reason: Mutex::new(None),
-        }
-    }
-
-    fn ctx<'a>(&'a self, opts: &'a CompositionOptions) -> EvalCtx<'a> {
-        EvalCtx {
-            opts,
-            spare_threads: &self.spare_threads,
-            peak_states: &self.peak_states,
-            peak_transitions: &self.peak_transitions,
-            forward_cache: &self.forward_cache,
-            interrupt: self.interrupt,
-            stopped: &self.stopped,
-            stop_reason: &self.stop_reason,
-        }
-    }
-
-    fn peak(&self) -> FormulaPeak {
-        FormulaPeak {
-            states: self.peak_states.load(Ordering::Relaxed),
-            transitions: self.peak_transitions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The first stop reason recorded by any checkpoint, if the evaluation
-    /// was interrupted.
-    fn stop_reason(&self) -> Option<StopReason> {
-        *self
-            .stop_reason
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
-}
-
-/// Applies a gate's update formula to an (untagged) automaton and returns the
-/// untagged result (not yet reduced).
+/// Applies a gate's update formula to an (untagged) automaton in place —
+/// the complete pipeline of Section 6.2: tag → per-term construction →
+/// binary combination → untag (not yet reduced).  Returns the peak
+/// automaton sizes observed anywhere inside the gate (swap ladders and
+/// binary combinations included), which the engine merges into its
+/// `ApplyStats`.
 ///
-/// This is the complete pipeline of Section 6.2: tag → per-term construction
-/// → binary combination → untag.
-pub fn apply_formula(automaton: &TreeAutomaton, formula: &UpdateExpr) -> TreeAutomaton {
-    let mut working = automaton.clone();
-    apply_formula_in_place(&mut working, formula);
-    working
-}
-
-/// In-place variant of [`apply_formula`], used by the engine's working
-/// automaton so composition gates tag and untag without an extra
-/// whole-automaton copy per gate.
-pub fn apply_formula_in_place(automaton: &mut TreeAutomaton, formula: &UpdateExpr) {
-    apply_formula_in_place_with(automaton, formula, &CompositionOptions::default());
-}
-
-/// Like [`apply_formula_in_place`] but with explicit [`CompositionOptions`];
-/// returns the peak automaton sizes observed anywhere inside the gate
-/// (swap ladders and binary combinations included), which the engine merges
-/// into its `ApplyStats`.
-pub fn apply_formula_in_place_with(
-    automaton: &mut TreeAutomaton,
-    formula: &UpdateExpr,
-    opts: &CompositionOptions,
-) -> FormulaPeak {
-    apply_formula_in_place_interruptible(automaton, formula, opts, None)
-        .expect("formula application without an interrupt cannot stop early")
-}
-
-/// Like [`apply_formula_in_place_with`], but checks `interrupt` between the
-/// swap-ladder passes of every projection (and before every binary
-/// combination), so even a single blowing-up composition gate stops near
-/// its budget instead of finishing an arbitrarily large construction.
-///
-/// On `Err` the automaton is left in an unspecified partial (tagged) state
-/// and must be discarded — the engine throws away its whole working
-/// automaton when a gate is interrupted, so nothing downstream observes it.
+/// `interrupt` is checked between the swap-ladder passes of every
+/// projection (and before every binary combination), so even a single
+/// blowing-up composition gate stops near its budget instead of finishing
+/// an arbitrarily large construction.  On `Err` the automaton is left in an
+/// unspecified partial (tagged) state and must be discarded — the engine
+/// throws away its whole working automaton when a gate is interrupted, so
+/// nothing downstream observes it.  With `None` it never fails.
 pub fn apply_formula_in_place_interruptible(
     automaton: &mut TreeAutomaton,
     formula: &UpdateExpr,
@@ -294,24 +193,15 @@ pub fn apply_formula_in_place_interruptible(
     interrupt: Option<&Interrupt>,
 ) -> Result<FormulaPeak, StopReason> {
     tag_in_place(automaton);
-    // Warm the adjacency index once before helper threads could race to
-    // build their own copies of it.
-    let _ = automaton.index();
-    let scope = EvalScope::with_interrupt(opts, interrupt);
-    let result = evaluate_term(formula, automaton, &scope.ctx(opts));
-    if let Some(reason) = scope.stop_reason() {
+    let mut ctx = EvalCtx::new(opts, interrupt);
+    let result = evaluate_term(formula, automaton, &mut ctx);
+    if let Some(reason) = ctx.stopped {
         return Err(reason);
     }
     let mut result = result.into_owned();
     result.untag_in_place();
     *automaton = result;
-    Ok(scope.peak())
-}
-
-/// Evaluates an update-formula term over a tagged source automaton with the
-/// default [`CompositionOptions`].
-pub fn evaluate(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeAutomaton {
-    evaluate_with(expr, tagged_source, &CompositionOptions::default())
+    Ok(ctx.peak)
 }
 
 /// Evaluates an update-formula term over a tagged source automaton.
@@ -320,8 +210,7 @@ pub fn evaluate_with(
     tagged_source: &TreeAutomaton,
     opts: &CompositionOptions,
 ) -> TreeAutomaton {
-    let scope = EvalScope::new(opts);
-    evaluate_term(expr, tagged_source, &scope.ctx(opts)).into_owned()
+    evaluate_term(expr, tagged_source, &mut EvalCtx::new(opts, None)).into_owned()
 }
 
 /// Evaluates one term, borrowing the source automaton for `Source` leaves so
@@ -331,7 +220,7 @@ pub fn evaluate_with(
 fn evaluate_term<'a>(
     expr: &UpdateExpr,
     tagged_source: &'a TreeAutomaton,
-    ctx: &EvalCtx<'_>,
+    ctx: &mut EvalCtx<'_>,
 ) -> Cow<'a, TreeAutomaton> {
     match expr {
         UpdateExpr::Source => Cow::Borrowed(tagged_source),
@@ -349,11 +238,12 @@ fn evaluate_term<'a>(
             Cow::Owned(automaton)
         }
         UpdateExpr::Combine { sign, lhs, rhs } => {
-            let (a, b) = evaluate_pair(lhs, rhs, tagged_source, ctx);
+            let a = evaluate_term(lhs, tagged_source, ctx);
+            let b = evaluate_term(rhs, tagged_source, ctx);
             // An interrupted evaluation skips the (product-sized) binary
             // combination: the result is discarded anyway, so hand back the
             // source unchanged instead of paying for a doomed product.
-            if ctx.is_stopped() {
+            if ctx.stopped.is_some() {
                 return Cow::Borrowed(tagged_source);
             }
             let combined = binary_op(&a, &b, *sign);
@@ -361,54 +251,6 @@ fn evaluate_term<'a>(
             ctx.observe_transitions(combined.transition_count());
             Cow::Owned(combined)
         }
-    }
-}
-
-/// Evaluates the two operands of a `Combine`, on two scoped threads when
-/// both carry real ladder work and the thread budget has a spare slot.
-fn evaluate_pair<'a>(
-    lhs: &UpdateExpr,
-    rhs: &UpdateExpr,
-    tagged_source: &'a TreeAutomaton,
-    ctx: &EvalCtx<'_>,
-) -> (Cow<'a, TreeAutomaton>, Cow<'a, TreeAutomaton>) {
-    let parallel = has_ladder_work(lhs)
-        && has_ladder_work(rhs)
-        && ctx
-            .spare_threads
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |spare| {
-                spare.checked_sub(1)
-            })
-            .is_ok();
-    if !parallel {
-        return (
-            evaluate_term(lhs, tagged_source, ctx),
-            evaluate_term(rhs, tagged_source, ctx),
-        );
-    }
-    let pair = std::thread::scope(|scope| {
-        let handle = scope.spawn(|| evaluate_term(lhs, tagged_source, ctx));
-        let b = evaluate_term(rhs, tagged_source, ctx);
-        let a = match handle.join() {
-            Ok(a) => a,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        (a, b)
-    });
-    ctx.spare_threads.fetch_add(1, Ordering::Relaxed);
-    pair
-}
-
-/// `true` if the term contains a projection (the only operation expensive
-/// enough to be worth a thread: restriction/scaling are single passes).
-fn has_ladder_work(expr: &UpdateExpr) -> bool {
-    match expr {
-        UpdateExpr::Source => false,
-        UpdateExpr::Proj { .. } => true,
-        UpdateExpr::Restrict { inner, .. } | UpdateExpr::Scale { inner, .. } => {
-            has_ladder_work(inner)
-        }
-        UpdateExpr::Combine { lhs, rhs, .. } => has_ladder_work(lhs) || has_ladder_work(rhs),
     }
 }
 
@@ -577,18 +419,13 @@ pub fn multiply_in_place(automaton: &mut TreeAutomaton, factor: ScaleFactor) {
     });
 }
 
-/// The projection operation (Eq. (13)) with the default
-/// [`CompositionOptions`]: `T_{x_t}` (`bit = true`) replaces both subtrees
-/// of every `x_t` node by its `1`-subtree; `T_{x̄_t}` is symmetric.  For
-/// qubits above the leaf layer the variable is first moved to the bottom
-/// with forward swaps, copied there, and moved back.
-pub fn project(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomaton {
-    project_with(automaton, qubit, bit, &CompositionOptions::default())
-}
-
-/// [`project`] through the fused swap ladder: indexed swap passes with
-/// ladder-wide state interning and in-ladder reduction (see the module
-/// docs).  Cross-validated against [`project_reference`] by the
+/// The projection operation (Eq. (13)) through the fused swap ladder:
+/// `T_{x_t}` (`bit = true`) replaces both subtrees of every `x_t` node by
+/// its `1`-subtree; `T_{x̄_t}` is symmetric.  For qubits above the leaf
+/// layer the variable is first moved to the bottom with forward swaps,
+/// copied there, and moved back — indexed swap passes with per-pass state
+/// interning and in-ladder reduction (see the module docs).
+/// Cross-validated against [`project_reference`] by the
 /// `composition_equivalence` property tests.
 pub fn project_with(
     automaton: &TreeAutomaton,
@@ -596,15 +433,14 @@ pub fn project_with(
     bit: bool,
     opts: &CompositionOptions,
 ) -> TreeAutomaton {
-    let scope = EvalScope::new(opts);
-    project_in_ctx(automaton, qubit, bit, &scope.ctx(opts))
+    project_in_ctx(automaton, qubit, bit, &mut EvalCtx::new(opts, None))
 }
 
 fn project_in_ctx(
     automaton: &TreeAutomaton,
     qubit: u32,
     bit: bool,
-    ctx: &EvalCtx<'_>,
+    ctx: &mut EvalCtx<'_>,
 ) -> TreeAutomaton {
     let bottom = automaton.num_vars - 1;
     if qubit == bottom {
@@ -615,21 +451,11 @@ fn project_in_ctx(
     let swaps = bottom - qubit;
     // Both projections of the same formula (`T_{x_t}` and `T_{x̄_t}`) run
     // an identical forward ladder — compute it once per qubit and share.
-    // The lock is held across the computation on purpose: a second thread
-    // asking for the same qubit should wait for the shared result, not
-    // redo the ladder.
-    let forward = {
-        let mut cache = ctx.forward_cache.lock().unwrap_or_else(|e| e.into_inner());
-        match cache.get(&qubit) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let computed = Arc::new(forward_ladder(automaton, qubit, swaps, ctx));
-                cache.insert(qubit, Arc::clone(&computed));
-                computed
-            }
-        }
-    };
-    let mut state = LadderState::clone(&forward);
+    if !ctx.forward_cache.contains_key(&qubit) {
+        let forward = forward_ladder(automaton, qubit, swaps, ctx);
+        ctx.forward_cache.insert(qubit, forward);
+    }
+    let mut state = ctx.forward_cache[&qubit].clone();
     state.subtree_copy(qubit, bit);
     let mut ladder = Ladder::new(ctx.opts, state.transition_count());
     // Backward pass `k` restores the displaced layer sitting directly
@@ -666,7 +492,7 @@ fn forward_ladder(
     automaton: &TreeAutomaton,
     qubit: u32,
     swaps: u32,
-    ctx: &EvalCtx<'_>,
+    ctx: &mut EvalCtx<'_>,
 ) -> LadderState {
     let mut state = LadderState::from_automaton(automaton);
     let mut ladder = Ladder::new(ctx.opts, state.transition_count());
@@ -1636,6 +1462,19 @@ mod tests {
         TreeAutomaton::from_tree(tree)
     }
 
+    /// Applies `formula` with the default options and no interrupt.
+    fn apply(automaton: &TreeAutomaton, formula: &UpdateExpr) -> (TreeAutomaton, FormulaPeak) {
+        let mut result = automaton.clone();
+        let peak = apply_formula_in_place_interruptible(
+            &mut result,
+            formula,
+            &CompositionOptions::default(),
+            None,
+        )
+        .expect("no interrupt, so the formula cannot stop early");
+        (result, peak)
+    }
+
     fn state_of(automaton: &TreeAutomaton) -> Vec<std::collections::BTreeMap<u128, Algebraic>> {
         automaton
             .enumerate(64)
@@ -1716,7 +1555,7 @@ mod tests {
             }
         });
         let tagged = tag(&singleton(&tree));
-        let projected = project(&tagged, 0, true).untagged();
+        let projected = project_with(&tagged, 0, true, &CompositionOptions::default()).untagged();
         let states = state_of(&projected);
         assert_eq!(states.len(), 1);
         assert_eq!(states[0][&0], Algebraic::i());
@@ -1729,7 +1568,9 @@ mod tests {
         let tree = Tree::from_fn(2, |b| Algebraic::from_int(b as i64 + 1));
         let tagged = tag(&singleton(&tree));
         // T_{x̄_0}: fix qubit 0 to 0 → amplitudes (1, 2, 1, 2).
-        let projected = project(&tagged, 0, false).untagged().reduce();
+        let projected = project_with(&tagged, 0, false, &CompositionOptions::default())
+            .untagged()
+            .reduce();
         let states = state_of(&projected);
         assert_eq!(states.len(), 1);
         assert_eq!(states[0][&0b00], Algebraic::from_int(1));
@@ -1737,7 +1578,9 @@ mod tests {
         assert_eq!(states[0][&0b10], Algebraic::from_int(1));
         assert_eq!(states[0][&0b11], Algebraic::from_int(2));
         // T_{x_0}: fix qubit 0 to 1 → amplitudes (3, 4, 3, 4).
-        let projected = project(&tagged, 0, true).untagged().reduce();
+        let projected = project_with(&tagged, 0, true, &CompositionOptions::default())
+            .untagged()
+            .reduce();
         let states = state_of(&projected);
         assert_eq!(states[0][&0b00], Algebraic::from_int(3));
         assert_eq!(states[0][&0b01], Algebraic::from_int(4));
@@ -1755,7 +1598,6 @@ mod tests {
         let tagged = tag(&TreeAutomaton::from_trees(3, &trees));
         let opts = CompositionOptions {
             ladder_growth_factor: Some(1),
-            eval_threads: 1,
         };
         for qubit in 0..3 {
             for bit in [false, true] {
@@ -1881,39 +1723,13 @@ mod tests {
     fn hadamard_formula_produces_the_plus_state() {
         let formula = update_formula(&Gate::H(0)).unwrap();
         let automaton = singleton(&Tree::basis_state(1, 0));
-        let result = apply_formula(&automaton, &formula).reduce();
-        let states = state_of(&result);
+        let (result, peak) = apply(&automaton, &formula);
+        let states = state_of(&result.reduce());
         assert_eq!(states.len(), 1);
         assert_eq!(states[0][&0], Algebraic::one_over_sqrt2());
         assert_eq!(states[0][&1], Algebraic::one_over_sqrt2());
-    }
-
-    #[test]
-    fn parallel_and_sequential_evaluation_agree() {
-        // The same H application with a 1-thread and a 4-thread budget must
-        // produce identical automata (term evaluation is deterministic; the
-        // threads only change *where* terms are computed).
-        let formula = update_formula(&Gate::H(0)).unwrap();
-        let automaton = TreeAutomaton::from_trees(
-            3,
-            &[Tree::basis_state(3, 0b000), Tree::basis_state(3, 0b101)],
-        );
-        let mut sequential = automaton.clone();
-        let mut parallel = automaton.clone();
-        let seq_opts = CompositionOptions {
-            eval_threads: 1,
-            ..CompositionOptions::default()
-        };
-        let par_opts = CompositionOptions {
-            eval_threads: 4,
-            ..CompositionOptions::default()
-        };
-        let seq_peak = apply_formula_in_place_with(&mut sequential, &formula, &seq_opts);
-        let par_peak = apply_formula_in_place_with(&mut parallel, &formula, &par_opts);
-        assert_eq!(sequential, parallel);
-        assert_eq!(seq_peak, par_peak);
         assert!(
-            seq_peak.states > 0 && seq_peak.transitions > 0,
+            peak.states > 0 && peak.transitions > 0,
             "formula evaluation must observe a peak"
         );
     }
@@ -1933,7 +1749,7 @@ mod tests {
                 Tree::basis_state(2, 0b11),
             ],
         );
-        let result = apply_formula(&automaton, &formula).reduce();
+        let result = apply(&automaton, &formula).0.reduce();
         assert!(result.accepts(&Tree::basis_state(2, 0b00)));
         assert!(result.accepts(&Tree::basis_state(2, 0b11)));
         assert!(result.accepts(&Tree::basis_state(2, 0b10)));

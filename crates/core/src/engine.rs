@@ -1,8 +1,5 @@
 //! The gate-application engine: Hybrid vs Composition settings.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use autoq_circuit::schedule::interference_schedule;
 use autoq_circuit::{Circuit, Gate};
 use autoq_treeaut::TreeAutomaton;
@@ -11,46 +8,6 @@ use crate::composition::CompositionOptions;
 use crate::formula::update_formula;
 use crate::interrupt::{Interrupt, Interrupted, StopReason};
 use crate::{composition, permutation, StateSet};
-
-/// A shared, clonable cancellation flag checked by the engine **between
-/// gates** (and by [`BugHunter`](crate::BugHunter) between hunt iterations).
-///
-/// The portfolio hunter ([`crate::pool::HuntPool`]) raises the flag as soon
-/// as one worker's witness is simulator-confirmed, so the other workers
-/// abandon their runs at the next gate boundary instead of finishing a
-/// now-pointless analysis.  Cancellation is cooperative and monotone: once
-/// raised, the flag stays raised.
-///
-/// # Examples
-///
-/// ```
-/// use autoq_core::CancelFlag;
-///
-/// let flag = CancelFlag::new();
-/// let observer = flag.clone(); // shares the same flag
-/// assert!(!observer.is_cancelled());
-/// flag.cancel();
-/// assert!(observer.is_cancelled());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// A fresh, unraised flag.
-    pub fn new() -> Self {
-        CancelFlag::default()
-    }
-
-    /// Raises the flag.  All clones observe the cancellation.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` once any clone has raised the flag.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
 
 /// Which gate encoding the engine prefers (the two settings evaluated in the
 /// paper's Section 7).
@@ -151,6 +108,21 @@ impl ApplyStats {
     }
 }
 
+/// Per-call governance of [`Engine::run`] and
+/// [`verify_with`](crate::verify_with): an optional [`Interrupt`] (checked
+/// between gates and between composition swap-ladder passes) and an
+/// optional progress observer, called as `observer(applied, total)` after
+/// each applied gate — the hook the verification daemon streams progress
+/// frames from.  The observer must be cheap; it runs on the hot path.
+/// [`RunOptions::default`] sets neither, which is the plain run.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// The interrupt governing the run; `None` never stops early.
+    pub interrupt: Option<&'a Interrupt>,
+    /// The progress observer; `None` reports nothing.
+    pub observer: Option<&'a mut dyn FnMut(usize, usize)>,
+}
+
 /// A configured gate-application engine.
 ///
 /// # Examples
@@ -172,17 +144,13 @@ pub struct Engine {
     pub kind: EngineKind,
     /// When to reduce intermediate automata.
     pub reduction: ReductionPolicy,
-    /// Tuning of the composition-encoded pipeline (the fused swap ladder's
-    /// in-ladder reduction factor and the term-evaluation thread budget).
-    pub composition: CompositionOptions,
 }
 
 impl Engine {
     /// The `Hybrid` engine with the default reduction policy.
     ///
-    /// The default is [`ReductionPolicy::Adaptive`]`{ growth_factor: 2 }`
-    /// (making this identical to [`Engine::adaptive`]): the Table 2
-    /// reduction-policy sweep (the `sweep.*` entries of
+    /// The default is [`ReductionPolicy::Adaptive`]`{ growth_factor: 2 }`:
+    /// the Table 2 reduction-policy sweep (the `sweep.*` entries of
     /// `BENCH_reduction.json`, regenerated by `bench_reduction` as the
     /// median of interleaved runs) shows `Adaptive { growth_factor: 2 }`
     /// at-or-faster than [`ReductionPolicy::AfterEachGate`] on **every**
@@ -197,7 +165,6 @@ impl Engine {
         Engine {
             kind: EngineKind::Hybrid,
             reduction: ReductionPolicy::Adaptive { growth_factor: 2 },
-            composition: CompositionOptions::default(),
         }
     }
 
@@ -206,17 +173,6 @@ impl Engine {
         Engine {
             kind: EngineKind::Composition,
             reduction: ReductionPolicy::AfterEachGate,
-            composition: CompositionOptions::default(),
-        }
-    }
-
-    /// The `Hybrid` engine with the adaptive reduction policy (reduce after
-    /// composition gates, and after permutation gates only past 2× growth).
-    pub fn adaptive() -> Self {
-        Engine {
-            kind: EngineKind::Hybrid,
-            reduction: ReductionPolicy::Adaptive { growth_factor: 2 },
-            composition: CompositionOptions::default(),
         }
     }
 
@@ -225,37 +181,16 @@ impl Engine {
         Engine { reduction, ..self }
     }
 
-    /// Returns a copy with the given composition-pipeline options.
-    pub fn with_composition(self, composition: CompositionOptions) -> Self {
-        Engine {
-            composition,
-            ..self
-        }
-    }
-
-    /// Returns a copy whose composition term evaluator uses at most
-    /// `eval_threads` OS threads (`1` = fully sequential).
-    pub fn with_eval_threads(self, eval_threads: usize) -> Self {
-        Engine {
-            composition: CompositionOptions {
-                eval_threads: eval_threads.max(1),
-                ..self.composition
-            },
-            ..self
-        }
-    }
-
-    /// The effective composition-pipeline options under this engine's
-    /// reduction policy: [`ReductionPolicy::Never`] also disables the
-    /// in-ladder reduction (the ablation benchmarks measure the unreduced
-    /// pipeline), every other policy keeps the configured options.
+    /// The composition-pipeline options under this engine's reduction
+    /// policy: [`ReductionPolicy::Never`] also disables the in-ladder
+    /// reduction (the ablation benchmarks measure the unreduced pipeline),
+    /// every other policy keeps the default in-ladder reduction.
     pub fn composition_options(&self) -> CompositionOptions {
         match self.reduction {
             ReductionPolicy::Never => CompositionOptions {
                 ladder_growth_factor: None,
-                ..self.composition
             },
-            _ => self.composition,
+            _ => CompositionOptions::default(),
         }
     }
 
@@ -391,80 +326,36 @@ impl Engine {
         set: &StateSet,
         circuit: &Circuit,
     ) -> (StateSet, ApplyStats) {
-        self.apply_circuit_inner(set, circuit, None, None)
-            .expect("apply_circuit without an interrupt cannot stop early")
+        self.run(set, circuit, RunOptions::default())
+            .expect("a run without an interrupt cannot stop early")
     }
 
-    /// Like [`Engine::apply_circuit_with_stats`], but checks `cancel`
-    /// between gates and returns `None` as soon as it observes the flag
-    /// raised — the cooperative cancellation point used by the portfolio
-    /// hunter's losing workers.  The partially applied automaton is
-    /// discarded; no output set is produced for a cancelled run.
-    pub fn apply_circuit_cancellable(
+    /// [`Engine::apply_circuit_with_stats`] governed by [`RunOptions`]: with
+    /// an interrupt, cancellation, the wall-clock deadline and the
+    /// peak-size budgets are checked between gates (and inside composition
+    /// swap ladders), so a run that would blow up stops within one gate
+    /// boundary of its limit and reports a typed [`Interrupted`] with the
+    /// statistics gathered so far; the partially applied automaton is
+    /// discarded.  With an observer, `observer(applied, total)` is called
+    /// after each applied gate, `(1, n)` through `(n, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit is wider than the state set.
+    pub fn run(
         &self,
         set: &StateSet,
         circuit: &Circuit,
-        cancel: &CancelFlag,
-    ) -> Option<(StateSet, ApplyStats)> {
-        let interrupt = Interrupt::from_flag(cancel.clone());
-        self.apply_circuit_inner(set, circuit, Some(&interrupt), None)
-            .ok()
-    }
-
-    /// Like [`Engine::apply_circuit_cancellable`], but additionally calls
-    /// `observer(applied, total)` after each applied gate — the progress
-    /// hook the verification daemon uses to stream progress frames while a
-    /// job runs.  The observer must be cheap; it runs on the hot path.
-    pub fn apply_circuit_observed(
-        &self,
-        set: &StateSet,
-        circuit: &Circuit,
-        cancel: &CancelFlag,
-        observer: &mut dyn FnMut(usize, usize),
-    ) -> Option<(StateSet, ApplyStats)> {
-        let interrupt = Interrupt::from_flag(cancel.clone());
-        self.apply_circuit_inner(set, circuit, Some(&interrupt), Some(observer))
-            .ok()
-    }
-
-    /// Like [`Engine::apply_circuit_with_stats`], but governed by an
-    /// [`Interrupt`]: cancellation, the wall-clock deadline and the
-    /// peak-size budgets are all checked between gates (and inside
-    /// composition swap ladders), so a run that would blow up stops within
-    /// one gate boundary of its limit and reports a typed [`Interrupted`]
-    /// with the statistics gathered so far.
-    pub fn apply_circuit_interruptible(
-        &self,
-        set: &StateSet,
-        circuit: &Circuit,
-        interrupt: &Interrupt,
-    ) -> Result<(StateSet, ApplyStats), Interrupted> {
-        self.apply_circuit_inner(set, circuit, Some(interrupt), None)
-    }
-
-    /// [`Engine::apply_circuit_interruptible`] with the daemon's
-    /// progress-observer hook.
-    pub fn apply_circuit_interruptible_observed(
-        &self,
-        set: &StateSet,
-        circuit: &Circuit,
-        interrupt: &Interrupt,
-        observer: &mut dyn FnMut(usize, usize),
-    ) -> Result<(StateSet, ApplyStats), Interrupted> {
-        self.apply_circuit_inner(set, circuit, Some(interrupt), Some(observer))
-    }
-
-    fn apply_circuit_inner(
-        &self,
-        set: &StateSet,
-        circuit: &Circuit,
-        interrupt: Option<&Interrupt>,
-        mut observer: Option<&mut dyn FnMut(usize, usize)>,
+        options: RunOptions<'_>,
     ) -> Result<(StateSet, ApplyStats), Interrupted> {
         assert!(
             circuit.num_qubits() <= set.num_qubits(),
             "circuit has more qubits than the state set"
         );
+        let RunOptions {
+            interrupt,
+            mut observer,
+        } = options;
         let gates = circuit.gates();
         let total = gates.len();
         let mut automaton = set.automaton().clone();
@@ -472,21 +363,20 @@ impl Engine {
         let mut stats = ApplyStats::default();
         stats.observe(&automaton);
         for (applied, index) in interference_schedule(circuit).into_iter().enumerate() {
-            if let Some(interrupt) = interrupt {
-                if let Err(reason) = interrupt.check(&stats) {
-                    return Err(Interrupted {
-                        reason,
-                        partial_stats: stats,
-                    });
-                }
+            let step = match interrupt {
+                Some(interrupt) => interrupt.check(&stats),
+                None => Ok(()),
             }
-            if let Err(reason) = self.apply_gate_in_place(
-                &mut automaton,
-                &gates[index],
-                &mut baseline,
-                &mut stats,
-                interrupt,
-            ) {
+            .and_then(|()| {
+                self.apply_gate_in_place(
+                    &mut automaton,
+                    &gates[index],
+                    &mut baseline,
+                    &mut stats,
+                    interrupt,
+                )
+            });
+            if let Err(reason) = step {
                 return Err(Interrupted {
                     reason,
                     partial_stats: stats,
@@ -710,18 +600,22 @@ mod tests {
             ],
         )
         .unwrap();
+        let eager_engine = Engine::hybrid().with_reduction(ReductionPolicy::AfterEachGate);
         for basis in [0u128, 0b101] {
             let input = StateSet::basis_state(3, basis);
-            let (eager, eager_stats) = Engine::hybrid().apply_circuit_with_stats(&input, &circuit);
+            let (eager, eager_stats) = eager_engine.apply_circuit_with_stats(&input, &circuit);
             let (adaptive, adaptive_stats) =
-                Engine::adaptive().apply_circuit_with_stats(&input, &circuit);
+                Engine::hybrid().apply_circuit_with_stats(&input, &circuit);
             assert!(
                 autoq_treeaut::equivalence(eager.automaton(), adaptive.automaton()).holds(),
                 "adaptive output set differs on |{basis:b}⟩"
             );
+            assert_eq!(eager_stats.reductions, circuit.gates().len());
             assert!(
-                adaptive_stats.reductions <= eager_stats.reductions,
-                "adaptive must not reduce more often than after-each-gate"
+                adaptive_stats.reductions < eager_stats.reductions,
+                "adaptive must skip the no-growth permutation gates ({} vs {})",
+                adaptive_stats.reductions,
+                eager_stats.reductions
             );
         }
     }
@@ -731,7 +625,7 @@ mod tests {
         // The stateless apply_gate API has no cross-gate growth baseline, so
         // Adaptive must fall back to reducing after each gate: a long run of
         // controlled grafts (each doubling the automaton) must not compound.
-        let engine = Engine::adaptive();
+        let engine = Engine::hybrid();
         let mut set = Engine::hybrid().apply_gate(&StateSet::basis_state(3, 0), &Gate::H(0));
         for _ in 0..10 {
             set = engine.apply_gate(

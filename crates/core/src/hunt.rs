@@ -14,11 +14,7 @@ use autoq_treeaut::basis::{self, BasisIndex};
 use autoq_treeaut::Tree;
 use rand::Rng;
 
-use crate::verify::check_circuit_equivalence_interruptible;
-use crate::{
-    check_circuit_equivalence_with_stats, ApplyStats, CancelFlag, Engine, Interrupt, Interrupted,
-    StateSet,
-};
+use crate::{check_circuit_equivalence_with, ApplyStats, Engine, Interrupt, Interrupted, StateSet};
 
 /// Configuration of the bug hunter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,28 +160,13 @@ impl BugHunter {
             .expect("hunt without an interrupt cannot stop early")
     }
 
-    /// Like [`BugHunter::hunt`], but cooperatively cancellable: the flag is
-    /// checked between gates of every circuit application, and `None` is
-    /// returned as soon as it is observed raised.  This is the entry point
-    /// used by [`crate::HuntPool`] workers so a confirmed witness on one
-    /// thread stops the others mid-hunt.
-    pub fn hunt_cancellable(
-        &self,
-        original: &Circuit,
-        candidate: &Circuit,
-        rng: &mut impl Rng,
-        cancel: &CancelFlag,
-    ) -> Option<HuntReport> {
-        let interrupt = Interrupt::from_flag(cancel.clone());
-        self.hunt_inner(original, candidate, rng, Some(&interrupt))
-            .ok()
-    }
-
-    /// Like [`BugHunter::hunt`], but governed by an [`Interrupt`]: the
-    /// deadline and the peak-size budgets are checked between gates and at
-    /// every iteration boundary.  An interrupted hunt reports its reason
+    /// Like [`BugHunter::hunt`], but governed by an [`Interrupt`]: its
+    /// flag, deadline and peak-size budgets are checked between gates of
+    /// every circuit application.  An interrupted hunt reports its reason
     /// and the statistics merged across *all* iterations performed, not
-    /// just the interrupted one.
+    /// just the interrupted one.  This is the entry point
+    /// [`crate::HuntPool`] workers use, so a confirmed witness on one
+    /// thread stops the others mid-hunt.
     pub fn hunt_interruptible(
         &self,
         original: &Circuit,
@@ -232,19 +213,14 @@ impl BugHunter {
             // Freed qubits range over both values, so their base bits are
             // cleared (`basis_pattern` rejects overlapping fixed bits).
             let inputs = StateSet::basis_pattern(n, base & !free_mask, free);
-            let (result, iteration_stats) = match interrupt {
-                Some(interrupt) => check_circuit_equivalence_interruptible(
-                    &self.engine,
-                    &inputs,
-                    original,
-                    candidate,
-                    interrupt,
-                )
-                .map_err(|interrupted| interrupted.merge_stats(&stats))?,
-                None => {
-                    check_circuit_equivalence_with_stats(&self.engine, &inputs, original, candidate)
-                }
-            };
+            let (result, iteration_stats) = check_circuit_equivalence_with(
+                &self.engine,
+                &inputs,
+                original,
+                candidate,
+                interrupt,
+            )
+            .map_err(|interrupted| interrupted.merge_stats(&stats))?;
             stats = stats.merge(&iteration_stats);
             if let Some(witness) = result.witness() {
                 return Ok(HuntReport {

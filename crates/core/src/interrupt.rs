@@ -3,15 +3,21 @@
 //!
 //! The paper's evaluation is defined by resource exhaustion — the Table 2/3
 //! baselines "timeout" and "OOM" on the superposing rows — so the engine
-//! needs a first-class notion of both.  An [`Interrupt`] generalises the
-//! [`CancelFlag`]: it carries the flag *plus* an optional deadline and
-//! optional peak-size budgets, and is checked at every point the flag is
-//! checked today — between gates, inside composition swap ladders, between
-//! hunt iterations and at portfolio job boundaries.  A run that trips a
-//! limit stops within one gate boundary and reports a typed
-//! [`Interrupted`] carrying the [`StopReason`] and the statistics gathered
-//! so far, instead of hanging, exhausting memory or returning a bare
-//! `None`.
+//! needs a first-class notion of both.  An [`Interrupt`] carries a
+//! [`CancelFlag`] *plus* an optional deadline and optional peak-size
+//! budgets.  Every governed operation takes one — [`Engine::run`] and
+//! [`verify_with`](crate::verify_with) through
+//! [`RunOptions::interrupt`], [`check_circuit_equivalence_with`] and
+//! [`BugHunter::hunt_interruptible`](crate::BugHunter::hunt_interruptible)
+//! directly — and checks it between gates, inside composition swap
+//! ladders, between hunt iterations and at portfolio job boundaries.  A
+//! run that trips a limit stops within one gate boundary and reports a
+//! typed [`Interrupted`] carrying the [`StopReason`] and the statistics
+//! gathered so far, instead of hanging or exhausting memory.
+//!
+//! [`Engine::run`]: crate::Engine::run
+//! [`RunOptions::interrupt`]: crate::RunOptions::interrupt
+//! [`check_circuit_equivalence_with`]: crate::check_circuit_equivalence_with
 //!
 //! # Check-point invariants
 //!
@@ -42,9 +48,52 @@
 //! }
 //! ```
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::engine::{ApplyStats, CancelFlag};
+use crate::engine::ApplyStats;
+
+/// A shared, clonable cancellation flag: the part of an [`Interrupt`] that
+/// other threads raise.
+///
+/// The portfolio hunter ([`crate::pool::HuntPool`]) raises the flag as soon
+/// as one worker's witness is simulator-confirmed, and the daemon raises a
+/// job's flag when its client disconnects or cancels, so the runs under
+/// interrupts sharing the flag stop at their next checkpoint instead of
+/// finishing a now-pointless analysis.  Cancellation is cooperative and
+/// monotone: once raised, the flag stays raised.
+///
+/// # Examples
+///
+/// ```
+/// use autoq_core::CancelFlag;
+///
+/// let flag = CancelFlag::new();
+/// let observer = flag.clone(); // shares the same flag
+/// assert!(!observer.is_cancelled());
+/// flag.cancel();
+/// assert!(observer.is_cancelled());
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct CancelFlag(Arc<AtomicBool>);
+
+impl CancelFlag {
+    /// A fresh, unraised flag.
+    pub fn new() -> Self {
+        CancelFlag::default()
+    }
+
+    /// Raises the flag.  All clones observe the cancellation.
+    pub fn cancel(&self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+
+    /// Returns `true` once any clone has raised the flag.
+    pub fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::SeqCst)
+    }
+}
 
 /// The resource whose budget a run exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,8 +182,8 @@ impl std::fmt::Display for Interrupted {
 /// set, one monotonic clock read.
 ///
 /// An `Interrupt` with no deadline and no budgets behaves exactly like a
-/// bare [`CancelFlag`], which is how the pre-existing `*_cancellable` entry
-/// points are implemented.
+/// bare [`CancelFlag`]: [`Interrupt::from_flag`] is how a caller holding
+/// only a flag governs a run.
 #[derive(Clone, Debug, Default)]
 pub struct Interrupt {
     cancel: CancelFlag,

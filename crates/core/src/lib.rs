@@ -24,6 +24,22 @@
 //!   rest ([`CancelFlag`]), and completed campaigns can reclaim their
 //!   arena nodes (see `docs/CONCURRENCY.md`).
 //!
+//! # Entry points
+//!
+//! Each operation has one plain and one governed entry point; the governed
+//! one takes an [`Interrupt`] (cancellation, deadline, size budgets) and,
+//! for apply and verify, a progress observer, both in [`RunOptions`]:
+//!
+//! | operation | plain | governed |
+//! |---|---|---|
+//! | apply | [`Engine::apply_circuit`], [`Engine::apply_circuit_with_stats`] | [`Engine::run`] |
+//! | verify | [`verify()`] | [`verify_with`] (also certifies, see [`CertifyPolicy`]) |
+//! | equivalence | [`check_circuit_equivalence`] | [`check_circuit_equivalence_with`] |
+//! | hunt | [`BugHunter::hunt`] | [`BugHunter::hunt_interruptible`] |
+//!
+//! The engine itself is sequential; parallelism is between independent
+//! jobs ([`HuntPool`]).
+//!
 //! *Pipeline position*: bigint → amplitude → {treeaut, circuit} →
 //! simulator → **core** → bench — the user-facing engine tying the automata
 //! substrate to circuits, specs and witness confirmation.
@@ -64,16 +80,14 @@ mod state_set;
 pub mod verify;
 
 pub use composition::{default_eval_threads, CompositionOptions};
-pub use engine::{ApplyStats, CancelFlag, Engine, EngineKind, ReductionPolicy};
+pub use engine::{ApplyStats, Engine, EngineKind, ReductionPolicy, RunOptions};
 pub use hunt::{BugHunter, HuntReport};
-pub use interrupt::{Interrupt, Interrupted, Resource, StopReason};
+pub use interrupt::{CancelFlag, Interrupt, Interrupted, Resource, StopReason};
 pub use pool::{HuntJob, HuntPool, PortfolioOutcome, PortfolioWin};
 pub use state_set::StateSet;
 pub use verify::{
-    check_circuit_equivalence, check_circuit_equivalence_cancellable,
-    check_circuit_equivalence_interruptible, check_circuit_equivalence_with_stats,
-    compare_with_post, compare_with_post_certified, verify, verify_cancellable,
-    verify_interruptible, verify_interruptible_certified, verify_interruptible_observed,
-    verify_observed, CertifiedComparison, CertifiedOutcome, CertifiedVerdict, CertifyPolicy,
-    SoundnessViolation, SpecMode, VerificationOutcome, VerifyError,
+    check_circuit_equivalence, check_circuit_equivalence_with, compare_with_post,
+    compare_with_post_certified, verify, verify_with, CertifiedComparison, CertifiedOutcome,
+    CertifiedVerdict, CertifyPolicy, SoundnessViolation, SpecMode, VerificationOutcome,
+    VerifyError,
 };

@@ -6,11 +6,11 @@
 //! substrate no longer serialises concurrent interning on a single lock, so
 //! independent hunts can genuinely run in parallel: [`HuntPool`] spawns `W`
 //! workers over a shared job queue, each worker runs
-//! [`BugHunter::hunt_cancellable`] on its claimed job, and as soon as one
-//! worker's witness is confirmed by the exact simulator
-//! ([`HuntReport::confirm_with_simulator`]) it raises the shared
-//! [`CancelFlag`] — the other workers observe the flag between gates and
-//! abandon their hunts mid-circuit.
+//! [`BugHunter::hunt_interruptible`] on its claimed job under an
+//! [`Interrupt`] sharing one [`CancelFlag`], and as soon as one worker's
+//! witness is confirmed by the exact simulator
+//! ([`HuntReport::confirm_with_simulator`]) it raises that flag — the other
+//! workers observe it between gates and abandon their hunts mid-circuit.
 //!
 //! Workers that find a bug the simulator *cannot* confirm (superposition
 //! witnesses with no basis-state preimage) do not cancel the pool; the

@@ -15,7 +15,7 @@ use autoq_treeaut::{
     EquivalenceResult, InclusionCertificate, InclusionResult, Tree,
 };
 
-use crate::{Engine, StateSet};
+use crate::{ApplyStats, Engine, Interrupt, Interrupted, RunOptions, StateSet};
 
 /// How the set of output states must relate to the post-condition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -132,7 +132,7 @@ impl std::error::Error for SoundnessViolation {}
 #[derive(Clone, Debug, PartialEq)]
 pub enum VerifyError {
     /// The run tripped a cancellation flag, deadline or size budget.
-    Interrupted(crate::Interrupted),
+    Interrupted(Interrupted),
     /// Certification failed — see [`SoundnessViolation`].
     Soundness(SoundnessViolation),
 }
@@ -149,7 +149,7 @@ impl std::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// The result of a certified verification: the outcome, the statistics
-/// (with [`ApplyStats::certified`](crate::ApplyStats) filled in when a
+/// (with [`ApplyStats::certified`] filled in when a
 /// certificate was produced), and the serialized `AQIC` bundle for callers
 /// that forward certificates — the daemon ships these bytes to clients.
 #[derive(Clone, Debug, PartialEq)]
@@ -157,7 +157,7 @@ pub struct CertifiedOutcome {
     /// The verification verdict.
     pub outcome: VerificationOutcome,
     /// Gate-application statistics, including the certification record.
-    pub stats: crate::ApplyStats,
+    pub stats: ApplyStats,
     /// The checked `AQIC` certificate bundle, when the policy produced one.
     pub certificate: Option<Vec<u8>>,
 }
@@ -319,109 +319,34 @@ pub fn compare_with_post_certified(
     Ok((outcome, Some((record, bytes))))
 }
 
-/// Like [`verify`] but checks `cancel` between gates and returns `None` as
-/// soon as the flag is observed raised — the cooperative-cancellation entry
-/// point used by the verification daemon when a client disconnects or
-/// cancels mid-job.  The post-condition comparison itself is not
-/// interrupted; the circuit application, the dominant cost, is.
-pub fn verify_cancellable(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    cancel: &crate::CancelFlag,
-) -> Option<VerificationOutcome> {
-    let (output, _) = engine.apply_circuit_cancellable(pre, circuit, cancel)?;
-    Some(compare_with_post(&output, post, mode))
-}
-
-/// Like [`verify_cancellable`], but also reports gate-application statistics
-/// and calls `observer(applied, total)` after every applied gate — the
-/// daemon's progress-streaming hook.
+/// [`verify`] governed by [`RunOptions`] and a [`CertifyPolicy`] — the
+/// daemon's path.
 ///
-/// `certify` governs verdict certification: with a policy other than
-/// [`CertifyPolicy::Off`], applicable verdicts are only released after
-/// their proof certificate passes the independent checker, and the
-/// [`CertifiedVerdict`] record lands in the returned statistics.  `Ok(None)`
-/// means cancelled; a certification failure is a hard
-/// [`SoundnessViolation`].
-#[allow(clippy::too_many_arguments)]
-pub fn verify_observed(
+/// The options' interrupt is checked between gates (and inside composition
+/// swap ladders), so a verification that would blow up returns a typed
+/// [`Interrupted`] with the statistics gathered so far within one gate
+/// boundary of its limit; the post-condition comparison itself is not
+/// interrupted — the circuit application, the dominant cost, is.  The
+/// observer is called as `observer(applied, total)` after each applied
+/// gate.
+///
+/// With a policy other than [`CertifyPolicy::Off`], applicable verdicts are
+/// only released after their proof certificate passes the independent
+/// checker: the [`CertifiedOutcome`] then carries the serialized `AQIC`
+/// bundle so callers can forward or persist it, and the certification
+/// record is also in `stats.certified`.  Failure separates resource
+/// interruption from certification failure via [`VerifyError`].
+pub fn verify_with(
     engine: &Engine,
     pre: &StateSet,
     circuit: &Circuit,
     post: &StateSet,
     mode: SpecMode,
     certify: CertifyPolicy,
-    cancel: &crate::CancelFlag,
-    observer: &mut dyn FnMut(usize, usize),
-) -> Result<Option<(VerificationOutcome, crate::ApplyStats)>, SoundnessViolation> {
-    let Some((output, mut stats)) = engine.apply_circuit_observed(pre, circuit, cancel, observer)
-    else {
-        return Ok(None);
-    };
-    let (outcome, certified) = compare_with_post_certified(&output, post, mode, certify)?;
-    if let Some((record, _bundle)) = certified {
-        stats.certified = Some(record);
-    }
-    Ok(Some((outcome, stats)))
-}
-
-/// Like [`verify`] but governed by an [`Interrupt`](crate::Interrupt):
-/// cancellation, the wall-clock deadline and the peak-size budgets are
-/// checked between gates, so a verification that would blow up returns a
-/// typed [`Interrupted`](crate::Interrupted) (with the statistics gathered
-/// so far) within one gate boundary of its limit — no hang, no OOM.  The
-/// post-condition comparison itself is not interrupted; the circuit
-/// application, the dominant cost, is.
-pub fn verify_interruptible(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    interrupt: &crate::Interrupt,
-) -> Result<(VerificationOutcome, crate::ApplyStats), crate::Interrupted> {
-    let (output, stats) = engine.apply_circuit_interruptible(pre, circuit, interrupt)?;
-    Ok((compare_with_post(&output, post, mode), stats))
-}
-
-/// [`verify_interruptible`] with the daemon's progress-observer hook.
-pub fn verify_interruptible_observed(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    interrupt: &crate::Interrupt,
-    observer: &mut dyn FnMut(usize, usize),
-) -> Result<(VerificationOutcome, crate::ApplyStats), crate::Interrupted> {
-    let (output, stats) =
-        engine.apply_circuit_interruptible_observed(pre, circuit, interrupt, observer)?;
-    Ok((compare_with_post(&output, post, mode), stats))
-}
-
-/// The most general verification entry point: interruptible, observed, and
-/// certified — the daemon's path when a client sets `want_certificate`.
-///
-/// On success the [`CertifiedOutcome`] carries the serialized `AQIC` bundle
-/// (when the policy produced one) so callers can forward or persist it; the
-/// certification record is also in `stats.certified`.  Failure separates
-/// resource interruption from certification failure via [`VerifyError`].
-#[allow(clippy::too_many_arguments)]
-pub fn verify_interruptible_certified(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    certify: CertifyPolicy,
-    interrupt: &crate::Interrupt,
-    observer: &mut dyn FnMut(usize, usize),
+    options: RunOptions<'_>,
 ) -> Result<CertifiedOutcome, VerifyError> {
     let (output, mut stats) = engine
-        .apply_circuit_interruptible_observed(pre, circuit, interrupt, observer)
+        .run(pre, circuit, options)
         .map_err(VerifyError::Interrupted)?;
     let (outcome, certified) = compare_with_post_certified(&output, post, mode, certify)
         .map_err(VerifyError::Soundness)?;
@@ -460,58 +385,36 @@ pub fn check_circuit_equivalence(
     c1: &Circuit,
     c2: &Circuit,
 ) -> EquivalenceResult {
-    check_circuit_equivalence_with_stats(engine, inputs, c1, c2).0
+    check_circuit_equivalence_with(engine, inputs, c1, c2, None)
+        .expect("a check without an interrupt cannot stop early")
+        .0
 }
 
 /// Like [`check_circuit_equivalence`] but also reports the combined
 /// gate-application statistics of the two runs (peak automaton sizes,
-/// reduction counts) — the per-row hot-path numbers printed by `table3`.
-pub fn check_circuit_equivalence_with_stats(
-    engine: &Engine,
-    inputs: &StateSet,
-    c1: &Circuit,
-    c2: &Circuit,
-) -> (EquivalenceResult, crate::ApplyStats) {
-    let (out1, stats1) = engine.apply_circuit_with_stats(inputs, c1);
-    let (out2, stats2) = engine.apply_circuit_with_stats(inputs, c2);
-    (
-        equivalence(out1.automaton(), out2.automaton()),
-        stats1.merge(&stats2),
-    )
-}
-
-/// Like [`check_circuit_equivalence_with_stats`], but checks the cancel
-/// flag between gates of both runs and returns `None` as soon as it is
-/// observed raised (the equivalence decision itself is not interrupted —
-/// both circuit applications, the dominant cost, are).
-pub fn check_circuit_equivalence_cancellable(
-    engine: &Engine,
-    inputs: &StateSet,
-    c1: &Circuit,
-    c2: &Circuit,
-    cancel: &crate::CancelFlag,
-) -> Option<(EquivalenceResult, crate::ApplyStats)> {
-    let interrupt = crate::Interrupt::from_flag(cancel.clone());
-    check_circuit_equivalence_interruptible(engine, inputs, c1, c2, &interrupt).ok()
-}
-
-/// Like [`check_circuit_equivalence_with_stats`], but governed by an
-/// [`Interrupt`](crate::Interrupt) checked between gates of both runs: the
+/// reduction counts — the per-row hot-path numbers printed by `table3`),
+/// and, given an [`Interrupt`], checks it between gates of both runs: the
 /// first run to trip the flag, the deadline or a size budget stops the
-/// whole check with a typed [`Interrupted`](crate::Interrupted) whose
-/// partial statistics cover everything applied so far (including a
-/// completed first circuit when the second one trips).
-pub fn check_circuit_equivalence_interruptible(
+/// whole check with a typed [`Interrupted`] whose partial statistics cover
+/// everything applied so far (including a completed first circuit when the
+/// second one trips).  The equivalence decision itself is not interrupted.
+/// With `None` the runs do no per-gate checks at all.
+pub fn check_circuit_equivalence_with(
     engine: &Engine,
     inputs: &StateSet,
     c1: &Circuit,
     c2: &Circuit,
-    interrupt: &crate::Interrupt,
-) -> Result<(EquivalenceResult, crate::ApplyStats), crate::Interrupted> {
-    let (out1, stats1) = engine.apply_circuit_interruptible(inputs, c1, interrupt)?;
-    let (out2, stats2) = engine
-        .apply_circuit_interruptible(inputs, c2, interrupt)
-        .map_err(|interrupted| interrupted.merge_stats(&stats1))?;
+    interrupt: Option<&Interrupt>,
+) -> Result<(EquivalenceResult, ApplyStats), Interrupted> {
+    let run = |circuit| {
+        let options = RunOptions {
+            interrupt,
+            observer: None,
+        };
+        engine.run(inputs, circuit, options)
+    };
+    let (out1, stats1) = run(c1)?;
+    let (out2, stats2) = run(c2).map_err(|interrupted| interrupted.merge_stats(&stats1))?;
     Ok((
         equivalence(out1.automaton(), out2.automaton()),
         stats1.merge(&stats2),
@@ -584,15 +487,14 @@ mod tests {
             _ => Algebraic::zero(),
         });
         let engine = Engine::hybrid();
-        let result = verify_interruptible_certified(
+        let result = verify_with(
             &engine,
             &pre,
             &epr,
             &post,
             SpecMode::Equality,
             CertifyPolicy::OnHolds,
-            &crate::Interrupt::new(),
-            &mut |_, _| {},
+            RunOptions::default(),
         )
         .expect("certification must succeed");
         assert!(result.outcome.holds());

@@ -7,7 +7,7 @@
 //!   the unfused [`project_reference`] ladder;
 //! * a reference recursive formula evaluator built from the same unfused
 //!   pieces and the untrimmed [`binary_op_reference`] product agrees with
-//!   the fused/parallel [`evaluate_with`];
+//!   the fused [`evaluate_with`];
 //! * on the operands of every `Combine` of X, H, CNOT and Toffoli formulae
 //!   (controls above and below the target) over random tagged sets, the
 //!   trimmed [`binary_op`] accepts the reference product's tagged language
@@ -78,7 +78,6 @@ fn random_tagged_set(n: u32, mask: u64, seed: u32, shape: u8) -> TreeAutomaton {
 fn aggressive_options() -> CompositionOptions {
     CompositionOptions {
         ladder_growth_factor: Some(1),
-        eval_threads: 1,
     }
 }
 
@@ -221,7 +220,6 @@ proptest! {
         mask in 0u64..64,
         seed in any::<u32>(),
         gate_seed in any::<u32>(),
-        threads in 1usize..=4,
     ) {
         let tagged = random_automaton(n, mask, seed, true);
         let target = gate_seed % n;
@@ -231,15 +229,11 @@ proptest! {
             _ => Gate::RyPi2(target),
         };
         let formula = update_formula(&gate).expect("superposing gates have formulae");
-        let opts = CompositionOptions {
-            eval_threads: threads,
-            ..aggressive_options()
-        };
-        let fused = evaluate_with(&formula, &tagged, &opts);
+        let fused = evaluate_with(&formula, &tagged, &aggressive_options());
         let reference = evaluate_reference(&formula, &tagged);
         prop_assert!(
             equivalence(&fused.untagged(), &reference.untagged()).holds(),
-            "fused evaluation diverged ({gate:?}, {threads} thread(s))"
+            "fused evaluation diverged ({gate:?})"
         );
     }
 
@@ -306,13 +300,16 @@ fn reduction_never_merges_across_tags() {
     assert!(tags.contains(&Tag::Single(1)) && tags.contains(&Tag::Single(2)));
 }
 
-/// The composition options are re-exported at the crate root (the engine's
-/// public tuning surface) and default to in-ladder reduction at growth
-/// factor 2 with the machine-derived thread budget.
+/// The composition options are re-exported at the crate root and default
+/// to in-ladder reduction at growth factor 2, which every engine but the
+/// `Never` ablation uses; the evaluator is sequential.
 #[test]
 fn composition_options_default_and_reexport() {
     let options: ReexportedOptions = CompositionOptions::default();
     assert_eq!(options.ladder_growth_factor, Some(2));
-    assert!(options.eval_threads >= 1);
-    assert_eq!(options.eval_threads, composition::default_eval_threads());
+    assert_eq!(Engine::hybrid().composition_options(), options);
+    assert_eq!(Engine::composition().composition_options(), options);
+    let never = Engine::hybrid().with_reduction(autoq_core::ReductionPolicy::Never);
+    assert_eq!(never.composition_options().ladder_growth_factor, None);
+    assert_eq!(composition::default_eval_threads(), 1);
 }

@@ -4,16 +4,26 @@
 
 use std::time::{Duration, Instant};
 
+use autoq_amplitude::Algebraic;
 use autoq_circuit::generators::{
     bernstein_vazirani, mc_toffoli, random_circuit, RandomCircuitConfig,
 };
 use autoq_circuit::mutation::insert_gate;
+use autoq_circuit::Circuit;
 use autoq_circuit::Gate;
 use autoq_core::{
-    verify_interruptible, BugHunter, Engine, HuntJob, HuntPool, Interrupt, Resource, SpecMode,
-    StateSet, StopReason,
+    verify_with, BugHunter, CertifyPolicy, Engine, HuntJob, HuntPool, Interrupt, Resource,
+    RunOptions, SpecMode, StateSet, StopReason, VerifyError,
 };
 use rand::SeedableRng;
+
+/// Run options governed by `interrupt`, with no observer.
+fn governed(interrupt: &Interrupt) -> RunOptions<'_> {
+    RunOptions {
+        interrupt: Some(interrupt),
+        observer: None,
+    }
+}
 
 fn superposing_circuit(qubits: u32, gates: usize, seed: u64) -> autoq_circuit::Circuit {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -35,7 +45,7 @@ fn unlimited_interrupt_matches_the_plain_run() {
     let engine = Engine::hybrid();
     let (plain, plain_stats) = engine.apply_circuit_with_stats(&input, &circuit);
     let (governed, governed_stats) = engine
-        .apply_circuit_interruptible(&input, &circuit, &Interrupt::new())
+        .run(&input, &circuit, governed(&Interrupt::new()))
         .expect("an unlimited interrupt must not stop the run");
     assert!(autoq_treeaut::equivalence(plain.automaton(), governed.automaton()).holds());
     assert_eq!(plain_stats, governed_stats);
@@ -48,7 +58,7 @@ fn expired_deadline_stops_before_the_first_gate() {
     let interrupt = Interrupt::new().with_deadline(Duration::ZERO);
     let started = Instant::now();
     let err = Engine::hybrid()
-        .apply_circuit_interruptible(&input, &circuit, &interrupt)
+        .run(&input, &circuit, governed(&interrupt))
         .expect_err("a zero deadline must stop the run");
     assert!(
         started.elapsed() < Duration::from_secs(5),
@@ -78,7 +88,7 @@ fn state_budget_stops_a_superposing_run_within_one_gate() {
     let cap = (stats.peak_states / 2).max(2) as u64;
     let interrupt = Interrupt::new().with_max_states(cap);
     let err = engine
-        .apply_circuit_interruptible(&input, &circuit, &interrupt)
+        .run(&input, &circuit, governed(&interrupt))
         .expect_err("a budget below the peak must stop the run");
     match err.reason {
         StopReason::Exhausted {
@@ -114,10 +124,10 @@ fn transition_budget_stops_the_run_with_a_typed_reason() {
     let (_, stats) = engine.apply_circuit_with_stats(&input, &circuit);
     let cap = (stats.peak_transitions / 2).max(2) as u64;
     let err = engine
-        .apply_circuit_interruptible(
+        .run(
             &input,
             &circuit,
-            &Interrupt::new().with_max_transitions(cap),
+            governed(&Interrupt::new().with_max_transitions(cap)),
         )
         .expect_err("a transition budget below the peak must stop the run");
     assert!(matches!(
@@ -138,29 +148,101 @@ fn composition_engine_checks_inside_single_gates() {
     let input = StateSet::basis_state(circuit.num_qubits(), 0);
     let engine = Engine::composition();
     let err = engine
-        .apply_circuit_interruptible(&input, &circuit, &Interrupt::new().with_max_states(1))
+        .run(
+            &input,
+            &circuit,
+            governed(&Interrupt::new().with_max_states(1)),
+        )
         .expect_err("a one-state budget must stop a composition run");
     assert!(matches!(err.reason, StopReason::Exhausted { .. }));
 }
 
 #[test]
-fn verify_interruptible_reports_partial_stats() {
+fn verify_with_reports_partial_stats() {
     let circuit = superposing_circuit(10, 50, 13);
     let n = circuit.num_qubits();
     let pre = StateSet::basis_state(n, 0);
     let post = StateSet::all_basis_states(n);
     let engine = Engine::hybrid();
-    let err = verify_interruptible(
+    let err = match verify_with(
         &engine,
         &pre,
         &circuit,
         &post,
         SpecMode::Inclusion,
-        &Interrupt::new().with_max_states(2),
-    )
-    .expect_err("a two-state budget must stop the verification");
+        CertifyPolicy::Off,
+        governed(&Interrupt::new().with_max_states(2)),
+    ) {
+        Err(VerifyError::Interrupted(err)) => err,
+        other => panic!("a two-state budget must stop the verification, got {other:?}"),
+    };
     assert!(matches!(err.reason, StopReason::Exhausted { .. }));
     assert!(err.partial_stats.peak_states >= 2);
+}
+
+/// The `(applied, total)` sequence the daemon streams as progress frames:
+/// one call per applied gate, `(1, n)` through `(n, n)`, on both the plain
+/// run and the governed, certified verification.
+#[test]
+fn observer_sees_every_gate_once_in_order() {
+    let epr = Circuit::from_gates(
+        2,
+        [
+            Gate::H(0),
+            Gate::Cnot {
+                control: 0,
+                target: 1,
+            },
+            Gate::T(1),
+            Gate::Tdg(1),
+        ],
+    )
+    .unwrap();
+    let n = epr.gates().len();
+    let expected: Vec<(usize, usize)> = (1..=n).map(|applied| (applied, n)).collect();
+    let pre = StateSet::basis_state(2, 0);
+    let engine = Engine::hybrid();
+
+    let mut calls = Vec::new();
+    let mut observer = |applied, total| calls.push((applied, total));
+    let options = RunOptions {
+        interrupt: None,
+        observer: Some(&mut observer),
+    };
+    let (_, stats) = engine.run(&pre, &epr, options).unwrap();
+    assert_eq!(calls, expected);
+    assert_eq!(calls.len(), stats.gates_applied);
+
+    let post = StateSet::from_state_fn(2, |basis| match basis {
+        0b00 | 0b11 => Algebraic::one_over_sqrt2(),
+        _ => Algebraic::zero(),
+    });
+    let interrupt = Interrupt::new();
+    let mut calls = Vec::new();
+    let mut observer = |applied, total| calls.push((applied, total));
+    let options = RunOptions {
+        interrupt: Some(&interrupt),
+        observer: Some(&mut observer),
+    };
+    let certified = verify_with(
+        &engine,
+        &pre,
+        &epr,
+        &post,
+        SpecMode::Equality,
+        CertifyPolicy::OnHolds,
+        options,
+    )
+    .expect("the Bell triple holds and certifies");
+    assert!(certified.outcome.holds());
+    assert_eq!(calls, expected);
+    assert_eq!(calls.len(), certified.stats.gates_applied);
+    let bundle = certified.certificate.expect("OnHolds ships the bundle");
+    let record = certified
+        .stats
+        .certified
+        .expect("the record lands in stats");
+    assert_eq!(record.digest, autoq_circuit::digest::sha256(&bundle));
 }
 
 #[test]
@@ -170,7 +252,7 @@ fn cancellation_still_wins_over_budgets() {
     let interrupt = Interrupt::new().with_max_states(1);
     interrupt.cancel();
     let err = Engine::hybrid()
-        .apply_circuit_interruptible(&input, &circuit, &interrupt)
+        .run(&input, &circuit, governed(&interrupt))
         .expect_err("a cancelled interrupt must stop the run");
     assert_eq!(err.reason, StopReason::Cancelled);
 }

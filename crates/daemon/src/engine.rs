@@ -2,9 +2,9 @@
 //! protocol surface is testable without ever touching the real automata
 //! engine.
 //!
-//! [`RealEngine`] wraps [`autoq_core::Engine`] via the interrupt-governed,
-//! progress-observed, certificate-capable entry point
-//! [`autoq_core::verify_interruptible_certified`].
+//! [`RealEngine`] wraps [`autoq_core::Engine`] via the governed,
+//! certificate-capable entry point [`autoq_core::verify_with`], passing the
+//! job's interrupt and progress observer in its [`RunOptions`].
 //! [`MockEngine`] produces scripted verdicts with configurable timing
 //! (instant, slow, blocked-until-cancelled, or panicking) and counts its
 //! invocations, which is how the test suites prove cache hits never reach
@@ -16,8 +16,8 @@ use std::time::Duration;
 
 use autoq_circuit::Circuit;
 use autoq_core::{
-    ApplyStats, CertifyPolicy, Engine, Interrupt, Interrupted, StateSet, VerificationOutcome,
-    VerifyError,
+    ApplyStats, CertifyPolicy, Engine, Interrupt, Interrupted, RunOptions, StateSet,
+    VerificationOutcome, VerifyError,
 };
 use autoq_treeaut::{basis, format, Tree};
 
@@ -181,7 +181,7 @@ pub trait VerifyEngine: Send + Sync {
     ) -> Result<EngineVerdict, EngineError>;
 }
 
-/// The production engine: [`autoq_core::verify_interruptible_certified`] on
+/// The production engine: [`autoq_core::verify_with`] on
 /// a configurable [`Engine`]; jobs asking for a certificate run under
 /// [`CertifyPolicy::OnHolds`].
 pub struct RealEngine {
@@ -220,15 +220,18 @@ impl VerifyEngine for RealEngine {
         } else {
             CertifyPolicy::Off
         };
-        let certified = autoq_core::verify_interruptible_certified(
+        let options = RunOptions {
+            interrupt: Some(interrupt),
+            observer: Some(&mut observer),
+        };
+        let certified = autoq_core::verify_with(
             &self.engine,
             &inputs.pre,
             &inputs.circuit,
             &inputs.post,
             inputs.mode,
             certify,
-            interrupt,
-            &mut observer,
+            options,
         )
         .map_err(|error| match error {
             VerifyError::Interrupted(interrupted) => EngineError::Interrupted(interrupted),
