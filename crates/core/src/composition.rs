@@ -64,12 +64,46 @@
 //! operands (one root, at most one transition per state) skip the join:
 //! their products have no dead pair in practice, and one that does is
 //! rebuilt through the join.
+//!
+//! # The one-state path
+//!
+//! Tagging and the ladder exist to keep the trees of a *set* apart: a
+//! `Combine` must add each tree's terms to that tree's own terms only.  A
+//! set that holds exactly one quantum state has nothing to keep apart, and
+//! for it the automaton is just a decision diagram of the state.  With
+//! [`CompositionOptions::single_state_dag`] set, an input with one root,
+//! exactly one transition per state and every state at the depth its
+//! transition names (checked by one scan over the transitions and one walk
+//! from the root; [`is_single_state_dag`]) is imported into a locally
+//! hash-consed DAG, and the formula runs on it as memoised node walks:
+//!
+//! * `Proj` rebuilds the paths above the qubit, with both children of each
+//!   qubit node replaced by the kept one;
+//! * `Restrict` does the same with one child replaced by the all-zero
+//!   subtree of its depth (one node per depth);
+//! * `Scale` maps every leaf, and `Combine` walks both operands in step,
+//!   memoised on the node pair, with [`intern::combine`] on the leaves
+//!   (adding or subtracting an all-zero subtree returns the other operand).
+//!
+//! One evaluator covers every gate, controls below the target included.
+//! The nodes the root reaches are emitted as an untagged automaton, one
+//! state and one transition per node, so the result is already reduced
+//! (debug builds assert it); the peak reports the nodes built.  Any other
+//! input goes through the ladder unchanged.
+//!
+//! The path sits behind this entry point, not in the engine, so every
+//! caller that passes the engine's options, the benchmark's step-by-step
+//! replay included, takes the same path.  Only `Engine::composition_options`
+//! sets the option, and only for the Hybrid engine: the Composition engine
+//! and [`CompositionOptions::default`] keep the paper's ladder for every
+//! gate, so Table 2's Composition column still reproduces the paper and is
+//! this path's oracle (the `singleton_equivalence` suite).
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use autoq_amplitude::hash::{FixedMap, FixedSet};
-use autoq_amplitude::intern;
+use autoq_amplitude::{intern, Algebraic, AmpId};
 use autoq_treeaut::{
     InternalSymbol, InternalTransition, LeafTransition, StateId, Tag, TransitionIndex,
     TreeAutomaton,
@@ -78,9 +112,9 @@ use autoq_treeaut::{
 use crate::formula::{CombineSign, ScaleFactor, UpdateExpr};
 use crate::interrupt::{Interrupt, StopReason};
 
-/// Tuning of the composition-encoded gate pipeline (the fused swap
-/// ladder).  The engine derives the effective options from its reduction
-/// policy via `Engine::composition_options`.
+/// Tuning of the composition-encoded gate pipeline.  The engine derives
+/// the effective options from its kind and reduction policy via
+/// `Engine::composition_options`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompositionOptions {
     /// In-ladder reduction: between swap passes, reduce the intermediate
@@ -89,12 +123,19 @@ pub struct CompositionOptions {
     /// `None` disables in-ladder reduction (the `ReductionPolicy::Never`
     /// ablation setting).
     pub ladder_growth_factor: Option<u32>,
+    /// Evaluate the formula on a hash-consed DAG when the input holds one
+    /// quantum state (see *The one-state path* in the module docs).  Off by
+    /// default, so the paper's ladder runs for every gate;
+    /// `Engine::composition_options` turns it on for `EngineKind::Hybrid`
+    /// only.
+    pub single_state_dag: bool,
 }
 
 impl Default for CompositionOptions {
     fn default() -> Self {
         CompositionOptions {
             ladder_growth_factor: Some(2),
+            single_state_dag: false,
         }
     }
 }
@@ -186,12 +227,24 @@ impl<'a> EvalCtx<'a> {
 /// unspecified partial (tagged) state and must be discarded — the engine
 /// throws away its whole working automaton when a gate is interrupted, so
 /// nothing downstream observes it.  With `None` it never fails.
+///
+/// With [`CompositionOptions::single_state_dag`] set, an input that
+/// [`is_single_state_dag`] accepts skips the ladder: the formula runs on a
+/// hash-consed DAG, the peak reports the DAG nodes built, and the result is
+/// already reduced.
 pub fn apply_formula_in_place_interruptible(
     automaton: &mut TreeAutomaton,
     formula: &UpdateExpr,
     opts: &CompositionOptions,
     interrupt: Option<&Interrupt>,
 ) -> Result<FormulaPeak, StopReason> {
+    if opts.single_state_dag {
+        if let Some(mut dag) = Dag::from_single_state(automaton) {
+            let (result, peak) = dag.apply(formula, interrupt)?;
+            *automaton = result;
+            return Ok(peak);
+        }
+    }
     tag_in_place(automaton);
     let mut ctx = EvalCtx::new(opts, interrupt);
     let result = evaluate_term(formula, automaton, &mut ctx);
@@ -412,11 +465,23 @@ pub fn multiply(automaton: &TreeAutomaton, factor: ScaleFactor) -> TreeAutomaton
 
 /// In-place variant of [`multiply`].
 pub fn multiply_in_place(automaton: &mut TreeAutomaton, factor: ScaleFactor) {
-    automaton.map_leaves_in_place(|value| match factor {
+    automaton.map_leaves_in_place(|value| scale_value(value, factor));
+}
+
+fn scale_value(value: &Algebraic, factor: ScaleFactor) -> Algebraic {
+    match factor {
         ScaleFactor::OmegaPow(j) => value.mul_omega_pow(j as i64),
         ScaleFactor::Neg => -value,
         ScaleFactor::InvSqrt2 => value.div_sqrt2(),
-    });
+    }
+}
+
+/// The leaf operation of a binary combination.
+fn leaf_op(sign: CombineSign) -> intern::LeafOp {
+    match sign {
+        CombineSign::Plus => intern::LeafOp::Add,
+        CombineSign::Minus => intern::LeafOp::Sub,
+    }
 }
 
 /// The projection operation (Eq. (13)) through the fused swap ladder:
@@ -1304,10 +1369,7 @@ fn pair_product(
         Some(filter) => filter.accepts(q1, q2),
         None => true,
     };
-    let leaf_op = match sign {
-        CombineSign::Plus => intern::LeafOp::Add,
-        CombineSign::Minus => intern::LeafOp::Sub,
-    };
+    let leaf_op = leaf_op(sign);
     let mut result = TreeAutomaton::new(a1.num_vars);
     let mut pair_state: FixedMap<(StateId, StateId), StateId> = FixedMap::default();
     let mut worklist: Vec<(StateId, StateId, StateId)> = Vec::new();
@@ -1440,14 +1502,399 @@ pub fn binary_op_reference(
             .first()
             .map(|&i| a2.leaves[i as usize].amp);
         if let (Some(v1), Some(v2)) = (v1, v2) {
-            let op = match sign {
-                CombineSign::Plus => intern::LeafOp::Add,
-                CombineSign::Minus => intern::LeafOp::Sub,
-            };
-            result.add_leaf_id(parent, intern::combine(op, v1, v2));
+            result.add_leaf_id(parent, intern::combine(leaf_op(sign), v1, v2));
         }
     }
     result
+}
+
+/// `true` if `automaton` holds one quantum state in the shape the one-state
+/// path of [`apply_formula_in_place_interruptible`] evaluates: one root,
+/// exactly one transition (internal or leaf) on every state, and every
+/// state the root reaches sits at the depth its transition names (an `x_v`
+/// transition at depth `v`, a leaf at depth `num_vars`).  Any other input
+/// takes the ladder.  Tests use it to pin which inputs take which path.
+#[doc(hidden)]
+pub fn is_single_state_dag(automaton: &TreeAutomaton) -> bool {
+    Dag::from_single_state(automaton).is_some()
+}
+
+/// A node of the one-state DAG: a leaf amplitude, or a branch whose two
+/// children sit one level further down.  Levels are implicit: the DAG is
+/// layered, so every node lives at one depth.
+#[derive(Clone, Copy)]
+enum DagNode {
+    Leaf(AmpId),
+    Branch(u32, u32),
+}
+
+impl DagNode {
+    /// The hash-consing key: node ids stay below `2^31`, so a branch key
+    /// never sets the leaf bit.
+    fn key(self) -> u64 {
+        match self {
+            DagNode::Leaf(amp) => 1 << 63 | u64::from(amp.raw()),
+            DagNode::Branch(left, right) => u64::from(left) << 32 | u64::from(right),
+        }
+    }
+}
+
+/// A locally hash-consed DAG holding one quantum state and every term a
+/// gate's formula derives from it: the one-state path of
+/// [`apply_formula_in_place_interruptible`] (see the module docs).
+struct Dag {
+    num_vars: u32,
+    nodes: Vec<DagNode>,
+    ids: FixedMap<u64, u32>,
+    /// `zeros[d]`: the all-zero subtree at depth `d`, once built.
+    zeros: Vec<Option<u32>>,
+    /// The input state's root.
+    source: u32,
+}
+
+/// Per-state transition slots of [`Dag::from_single_state`]: a leaf
+/// position carries [`LEAF`], and two sentinels mark "none" and "several".
+const LEAF: u32 = 1 << 31;
+const NO_TRANSITION: u32 = u32::MAX;
+const SEVERAL: u32 = u32::MAX - 1;
+
+impl Dag {
+    /// Imports `automaton` if [`is_single_state_dag`] holds for it: one
+    /// scan assigns each state its one transition, then one walk from the
+    /// root hash-conses the states it reaches, checking each depth.
+    fn from_single_state(automaton: &TreeAutomaton) -> Option<Dag> {
+        let mut roots = automaton.roots.iter();
+        let (Some(&root), None) = (roots.next(), roots.next()) else {
+            return None;
+        };
+        // Every slot must stay clear of the leaf bit and the sentinels.
+        if automaton.internal.len() > LEAF as usize
+            || automaton.leaves.len() > (SEVERAL & !LEAF) as usize
+        {
+            return None;
+        }
+        let mut only = vec![NO_TRANSITION; automaton.num_states as usize];
+        let mut claim = |parent: StateId, slot: u32| {
+            let entry = &mut only[parent.index()];
+            *entry = if *entry == NO_TRANSITION {
+                slot
+            } else {
+                SEVERAL
+            };
+        };
+        for (position, t) in automaton.internal.iter().enumerate() {
+            claim(t.parent, position as u32);
+        }
+        for (position, t) in automaton.leaves.iter().enumerate() {
+            claim(t.parent, LEAF | position as u32);
+        }
+        if only
+            .iter()
+            .any(|&slot| slot == NO_TRANSITION || slot == SEVERAL)
+        {
+            return None;
+        }
+        let mut dag = Dag {
+            num_vars: automaton.num_vars,
+            nodes: Vec::new(),
+            ids: FixedMap::default(),
+            zeros: vec![None; automaton.num_vars as usize + 1],
+            source: 0,
+        };
+        let mut node_of = vec![u32::MAX; only.len()];
+        dag.source = dag.import(automaton, &only, &mut node_of, root, 0)?;
+        Some(dag)
+    }
+
+    /// The node of `state`, reached at `depth`; `None` if the state's
+    /// transition belongs to another depth.
+    fn import(
+        &mut self,
+        automaton: &TreeAutomaton,
+        only: &[u32],
+        node_of: &mut [u32],
+        state: StateId,
+        depth: u32,
+    ) -> Option<u32> {
+        let slot = only[state.index()];
+        let node = if slot & LEAF != 0 {
+            if depth != self.num_vars {
+                return None;
+            }
+            DagNode::Leaf(automaton.leaves[(slot & !LEAF) as usize].amp)
+        } else {
+            let t = &automaton.internal[slot as usize];
+            if t.symbol.var != depth || depth >= self.num_vars {
+                return None;
+            }
+            if node_of[state.index()] != u32::MAX {
+                return Some(node_of[state.index()]);
+            }
+            let left = self.import(automaton, only, node_of, t.left, depth + 1)?;
+            let right = self.import(automaton, only, node_of, t.right, depth + 1)?;
+            DagNode::Branch(left, right)
+        };
+        let id = self.intern(node);
+        node_of[state.index()] = id;
+        Some(id)
+    }
+
+    fn intern(&mut self, node: DagNode) -> u32 {
+        let next = self.nodes.len() as u32;
+        let id = *self.ids.entry(node.key()).or_insert(next);
+        if id == next {
+            self.nodes.push(node);
+        }
+        id
+    }
+
+    fn branch(&mut self, left: u32, right: u32) -> u32 {
+        self.intern(DagNode::Branch(left, right))
+    }
+
+    fn children(&self, node: u32) -> (u32, u32) {
+        match self.nodes[node as usize] {
+            DagNode::Branch(left, right) => (left, right),
+            DagNode::Leaf(_) => unreachable!("a leaf sits below every qubit"),
+        }
+    }
+
+    /// The all-zero subtree at `depth`.
+    fn zero(&mut self, depth: u32) -> u32 {
+        if let Some(zero) = self.zeros[depth as usize] {
+            return zero;
+        }
+        let zero = if depth == self.num_vars {
+            self.intern(DagNode::Leaf(intern::zero_id()))
+        } else {
+            let below = self.zero(depth + 1);
+            self.branch(below, below)
+        };
+        self.zeros[depth as usize] = Some(zero);
+        zero
+    }
+
+    /// Applies `formula` to the source state and emits the result.
+    fn apply(
+        &mut self,
+        formula: &UpdateExpr,
+        interrupt: Option<&Interrupt>,
+    ) -> Result<(TreeAutomaton, FormulaPeak), StopReason> {
+        self.checkpoint(interrupt)?;
+        let root = self.eval(formula, interrupt)?;
+        let result = self.to_automaton(root);
+        debug_assert!(
+            Dag::from_single_state(&result).is_some(),
+            "the one-state path must emit one transition per state, layered"
+        );
+        debug_assert_eq!(
+            result.reduce().state_count(),
+            result.state_count(),
+            "the one-state path must emit a reduced automaton"
+        );
+        let built = self.nodes.len();
+        Ok((
+            result,
+            FormulaPeak {
+                states: built,
+                transitions: built,
+            },
+        ))
+    }
+
+    /// Checks the interrupt's cancellation and deadline.  Its size budgets
+    /// are left to the engine's check after the gate, against the peak this
+    /// path reports: a one-state gate builds a few nodes per input node, so
+    /// it cannot blow up inside the gate the way a ladder can, and the
+    /// stopped run's statistics then hold the peak that tripped the budget.
+    fn checkpoint(&self, interrupt: Option<&Interrupt>) -> Result<(), StopReason> {
+        match interrupt {
+            Some(interrupt) => interrupt.check_sizes(0, 0),
+            None => Ok(()),
+        }
+    }
+
+    fn eval(
+        &mut self,
+        expr: &UpdateExpr,
+        interrupt: Option<&Interrupt>,
+    ) -> Result<u32, StopReason> {
+        Ok(match *expr {
+            UpdateExpr::Source => self.source,
+            UpdateExpr::Proj { qubit, bit } => {
+                self.rewrite_layer(self.source, qubit, |left, right| {
+                    let kept = if bit { right } else { left };
+                    (kept, kept)
+                })
+            }
+            UpdateExpr::Restrict {
+                qubit,
+                bit,
+                ref inner,
+            } => {
+                let inner = self.eval(inner, interrupt)?;
+                let zero = self.zero(qubit + 1);
+                self.rewrite_layer(
+                    inner,
+                    qubit,
+                    |left, right| {
+                        if bit {
+                            (zero, right)
+                        } else {
+                            (left, zero)
+                        }
+                    },
+                )
+            }
+            UpdateExpr::Scale { factor, ref inner } => {
+                let inner = self.eval(inner, interrupt)?;
+                self.scale(inner, factor, &mut FixedMap::default())
+            }
+            UpdateExpr::Combine {
+                sign,
+                ref lhs,
+                ref rhs,
+            } => {
+                let a = self.eval(lhs, interrupt)?;
+                let b = self.eval(rhs, interrupt)?;
+                let combined = self.combine(a, b, 0, leaf_op(sign), &mut FixedMap::default());
+                self.checkpoint(interrupt)?;
+                combined
+            }
+        })
+    }
+
+    /// Rebuilds the paths from `root` down to depth `qubit`, replacing
+    /// each branch `(left, right)` there by `at_qubit(left, right)`.
+    fn rewrite_layer(
+        &mut self,
+        root: u32,
+        qubit: u32,
+        at_qubit: impl Fn(u32, u32) -> (u32, u32) + Copy,
+    ) -> u32 {
+        let mut memo = FixedMap::default();
+        self.rewrite_from(root, 0, qubit, at_qubit, &mut memo)
+    }
+
+    fn rewrite_from(
+        &mut self,
+        node: u32,
+        depth: u32,
+        qubit: u32,
+        at_qubit: impl Fn(u32, u32) -> (u32, u32) + Copy,
+        memo: &mut FixedMap<u32, u32>,
+    ) -> u32 {
+        if let Some(&done) = memo.get(&node) {
+            return done;
+        }
+        let (left, right) = self.children(node);
+        let (left, right) = if depth == qubit {
+            at_qubit(left, right)
+        } else {
+            (
+                self.rewrite_from(left, depth + 1, qubit, at_qubit, memo),
+                self.rewrite_from(right, depth + 1, qubit, at_qubit, memo),
+            )
+        };
+        let rewritten = self.branch(left, right);
+        memo.insert(node, rewritten);
+        rewritten
+    }
+
+    /// Multiplies every leaf under `node` by `factor`.
+    fn scale(&mut self, node: u32, factor: ScaleFactor, memo: &mut FixedMap<u32, u32>) -> u32 {
+        if let Some(&done) = memo.get(&node) {
+            return done;
+        }
+        let scaled = match self.nodes[node as usize] {
+            DagNode::Leaf(amp) => {
+                let value = intern::intern(&scale_value(&intern::resolve(amp), factor));
+                self.intern(DagNode::Leaf(value))
+            }
+            DagNode::Branch(left, right) => {
+                let left = self.scale(left, factor, memo);
+                let right = self.scale(right, factor, memo);
+                self.branch(left, right)
+            }
+        };
+        memo.insert(node, scaled);
+        scaled
+    }
+
+    /// The pointwise `a op b` of two nodes at `depth`; adding or
+    /// subtracting the zero subtree returns the other operand unwalked.
+    fn combine(
+        &mut self,
+        a: u32,
+        b: u32,
+        depth: u32,
+        op: intern::LeafOp,
+        memo: &mut FixedMap<u64, u32>,
+    ) -> u32 {
+        let zero = self.zeros[depth as usize];
+        if zero == Some(b) {
+            return a;
+        }
+        if zero == Some(a) && op == intern::LeafOp::Add {
+            return b;
+        }
+        let key = u64::from(a) << 32 | u64::from(b);
+        if let Some(&done) = memo.get(&key) {
+            return done;
+        }
+        let combined = match (self.nodes[a as usize], self.nodes[b as usize]) {
+            (DagNode::Leaf(x), DagNode::Leaf(y)) => {
+                self.intern(DagNode::Leaf(intern::combine(op, x, y)))
+            }
+            (DagNode::Branch(a_left, a_right), DagNode::Branch(b_left, b_right)) => {
+                let left = self.combine(a_left, b_left, depth + 1, op, memo);
+                let right = self.combine(a_right, b_right, depth + 1, op, memo);
+                self.branch(left, right)
+            }
+            _ => unreachable!("both operands sit at the same depth"),
+        };
+        memo.insert(key, combined);
+        combined
+    }
+
+    /// Emits the nodes `root` reaches as an untagged automaton, one state
+    /// and one transition per node.
+    fn to_automaton(&self, root: u32) -> TreeAutomaton {
+        let mut result = TreeAutomaton::new(self.num_vars);
+        let mut state_of = vec![u32::MAX; self.nodes.len()];
+        let root = self.emit(root, 0, &mut result, &mut state_of);
+        result.add_root(root);
+        result
+    }
+
+    fn emit(
+        &self,
+        node: u32,
+        depth: u32,
+        result: &mut TreeAutomaton,
+        state_of: &mut [u32],
+    ) -> StateId {
+        if state_of[node as usize] != u32::MAX {
+            return StateId::new(state_of[node as usize]);
+        }
+        let state = StateId::new(result.num_states);
+        result.num_states += 1;
+        state_of[node as usize] = state.raw();
+        match self.nodes[node as usize] {
+            DagNode::Leaf(amp) => result.leaves.push(LeafTransition { parent: state, amp }),
+            DagNode::Branch(left, right) => {
+                let left = self.emit(left, depth + 1, result, state_of);
+                let right = self.emit(right, depth + 1, result, state_of);
+                result.internal.push(InternalTransition {
+                    parent: state,
+                    symbol: InternalSymbol::new(depth),
+                    left,
+                    right,
+                });
+            }
+        }
+        state
+    }
 }
 
 #[cfg(test)]
@@ -1598,6 +2045,7 @@ mod tests {
         let tagged = tag(&TreeAutomaton::from_trees(3, &trees));
         let opts = CompositionOptions {
             ladder_growth_factor: Some(1),
+            ..CompositionOptions::default()
         };
         for qubit in 0..3 {
             for bit in [false, true] {

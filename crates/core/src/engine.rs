@@ -181,16 +181,20 @@ impl Engine {
         Engine { reduction, ..self }
     }
 
-    /// The composition-pipeline options under this engine's reduction
-    /// policy: [`ReductionPolicy::Never`] also disables the in-ladder
-    /// reduction (the ablation benchmarks measure the unreduced pipeline),
-    /// every other policy keeps the default in-ladder reduction.
+    /// The composition-pipeline options of this engine:
+    /// [`ReductionPolicy::Never`] also disables the in-ladder reduction
+    /// (the ablation benchmarks measure the unreduced pipeline), every other
+    /// policy keeps the default in-ladder reduction; and
+    /// [`EngineKind::Hybrid`] evaluates one-state inputs on a hash-consed
+    /// DAG, while [`EngineKind::Composition`] keeps the paper's ladder for
+    /// every gate (see `composition`'s *The one-state path*).
     pub fn composition_options(&self) -> CompositionOptions {
-        match self.reduction {
-            ReductionPolicy::Never => CompositionOptions {
-                ladder_growth_factor: None,
+        CompositionOptions {
+            ladder_growth_factor: match self.reduction {
+                ReductionPolicy::Never => None,
+                _ => CompositionOptions::default().ladder_growth_factor,
             },
-            _ => CompositionOptions::default(),
+            single_state_dag: self.kind == EngineKind::Hybrid,
         }
     }
 

@@ -9,13 +9,15 @@
 //!   and post-conditions plus the mode and witness flag, so any semantic
 //!   field change misses.
 //!
-//! The cache is an in-memory map with two persistence formats, both served
-//! through a [`VerdictStore`](crate::store::VerdictStore):
+//! The cache is a map from keys to encoded verdicts with two persistence
+//! formats, both served through a [`VerdictStore`]:
 //!
 //! * the **snapshot** (magic `AQVC`) — the whole map in one blob, streamed
 //!   to the store entry by entry in key order.  A corrupt or truncated
 //!   snapshot is *rejected as a whole*: the daemon then starts with an
-//!   empty cache rather than trusting partial data.
+//!   empty cache rather than trusting partial data.  Once a snapshot is
+//!   saved, the cache drops the bodies it holds from memory and reads them
+//!   back from the snapshot on demand (see [`VerdictCache`]).
 //! * the **journal** (record tag `AQVJ` semantics) — an append-only
 //!   sequence of length-prefixed, FNV-1a-checksummed single-entry records
 //!   written after each fresh verdict, so persistence cost per verdict is
@@ -26,12 +28,13 @@
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use autoq_circuit::digest::{chunks_digest, Digest};
 
 use crate::lock;
 use crate::proto::{JobRequest, SpecMode};
+use crate::store::{SnapshotFile, VerdictStore};
 use crate::wire::{Decoder, Encoder, WireError};
 
 /// Snapshot magic: **A**uto**Q** **V**erdict **C**ache.
@@ -137,21 +140,28 @@ fn encode_verdict(enc: &mut Encoder, verdict: &CachedVerdict) {
 
 /// Decodes one `(key, verdict)` entry (inverse of [`encode_entry`]).
 fn decode_entry(dec: &mut Decoder<'_>) -> Result<(VerdictKey, CachedVerdict), WireError> {
+    let key = decode_key(dec)?;
+    Ok((key, decode_verdict(dec)?))
+}
+
+fn decode_key(dec: &mut Decoder<'_>) -> Result<VerdictKey, WireError> {
     let digest = |dec: &mut Decoder<'_>| -> Result<Digest, WireError> {
-        let bytes = dec.get_bytes()?;
-        let arr: [u8; 32] = bytes
-            .as_slice()
+        let arr: [u8; 32] = dec
+            .get_byte_slice()?
             .try_into()
             .map_err(|_| WireError::malformed(0, "digest must be 32 bytes"))?;
         Ok(Digest(arr))
     };
     let circuit = digest(dec)?;
     let spec = digest(dec)?;
-    Ok((VerdictKey { circuit, spec }, decode_verdict(dec)?))
+    Ok(VerdictKey { circuit, spec })
 }
 
-/// Decodes the verdict part of an entry (inverse of [`encode_verdict`]).
-fn decode_verdict(dec: &mut Decoder<'_>) -> Result<CachedVerdict, WireError> {
+/// The parts of one encoded verdict ([`encode_verdict`]), borrowed from
+/// the buffer: flags, witness, certificate.
+type VerdictParts<'a> = (u8, Option<&'a [u8]>, Option<&'a [u8]>);
+
+fn verdict_parts<'a>(dec: &mut Decoder<'a>) -> Result<VerdictParts<'a>, WireError> {
     let flags = dec.get_u8()?;
     if flags & !0x0f != 0 {
         return Err(WireError::malformed(
@@ -160,20 +170,26 @@ fn decode_verdict(dec: &mut Decoder<'_>) -> Result<CachedVerdict, WireError> {
         ));
     }
     let witness = if flags & 4 != 0 {
-        Some(dec.get_bytes()?)
+        Some(dec.get_byte_slice()?)
     } else {
         None
     };
     let certificate = if flags & 8 != 0 {
-        Some(dec.get_bytes()?)
+        Some(dec.get_byte_slice()?)
     } else {
         None
     };
+    Ok((flags, witness, certificate))
+}
+
+/// Decodes the verdict part of an entry (inverse of [`encode_verdict`]).
+fn decode_verdict(dec: &mut Decoder<'_>) -> Result<CachedVerdict, WireError> {
+    let (flags, witness, certificate) = verdict_parts(dec)?;
     Ok(CachedVerdict {
         holds: flags & 1 != 0,
         reachable_but_forbidden: flags & 2 != 0,
-        witness,
-        certificate,
+        witness: witness.map(<[u8]>::to_vec),
+        certificate: certificate.map(<[u8]>::to_vec),
     })
 }
 
@@ -206,16 +222,87 @@ fn shard_index(key: &VerdictKey) -> usize {
     fnv1a32(&bytes) as usize & (NUM_SHARDS - 1)
 }
 
-/// The in-memory verdict cache with hit/miss counters, sharded 16 ways so
-/// concurrent workers rarely contend on a lock.
+/// Where one verdict's encoded bytes ([`encode_verdict`]) live.
+enum Body {
+    /// Written since the last snapshot: the bytes themselves, exact size.
+    Inline(Box<[u8]>),
+    /// Older than the last snapshot: a range of that snapshot.
+    Stored(StoredBody),
+}
+
+/// Where a snapshot holds one verdict body, with the checksum of the
+/// bytes written there.
+#[derive(Clone, Copy)]
+struct BodyRange {
+    offset: u64,
+    len: u32,
+    checksum: u32,
+}
+
+impl BodyRange {
+    fn of(offset: usize, body: &[u8]) -> Self {
+        BodyRange {
+            offset: offset as u64,
+            len: body.len() as u32,
+            checksum: fnv1a32(body),
+        }
+    }
+}
+
+/// A verdict body in a snapshot file.
+#[derive(Clone)]
+struct StoredBody {
+    file: Arc<dyn SnapshotFile>,
+    range: BodyRange,
+}
+
+impl StoredBody {
+    /// The body's bytes; `None` if the read fails or returns other bytes
+    /// than were written.
+    fn read(&self) -> Option<Vec<u8>> {
+        let BodyRange {
+            offset,
+            len,
+            checksum,
+        } = self.range;
+        let bytes = self.file.read_at(offset, len as usize).ok()?;
+        (bytes.len() == len as usize && fnv1a32(&bytes) == checksum).then_some(bytes)
+    }
+}
+
+struct Entry {
+    /// Which insert wrote the entry, unique per insert: a snapshot records
+    /// the stamps it wrote and moves out of memory only the entries that
+    /// still carry one, so an entry replaced since keeps its newer body.
+    stamp: u64,
+    body: Body,
+}
+
+/// The verdict cache with hit/miss counters, sharded 16 ways so concurrent
+/// workers rarely contend on a lock.
 ///
-/// Each verdict is held as its exact-size encoded bytes (the tail of its
-/// journal payload, after the key) rather than as a [`CachedVerdict`] with
-/// two separately allocated buffers: one allocation per entry, no spare
-/// capacity, and a snapshot copies the bytes out as they are.
+/// Each verdict is held as its encoded bytes (the tail of its journal
+/// payload, after the key), in one of two places:
+///
+/// * *inline*, an exact-size allocation in memory, for every verdict
+///   inserted since the last snapshot;
+/// * *stored*, an `(offset, len)` range of the last snapshot (plus the
+///   checksum of the bytes written there), for everything older.
+///   [`VerdictCache::save_to`] moves the inline bodies there once the
+///   store holds the snapshot, and a daemon recovering from a snapshot
+///   indexes it instead of decoding every body
+///   ([`VerdictCache::recover_snapshot`]).
+///
+/// So memory holds ~100 bytes per stored verdict instead of its ~570-byte
+/// body, and a daemon that keeps answering fresh jobs stays flat between
+/// snapshots.  A stored body that fails to read back, or reads back other
+/// bytes than were written, is a miss: the job recomputes and its verdict
+/// is inserted inline again.  Without a store nothing is ever snapshotted
+/// and every body stays inline.
 #[derive(Default)]
 pub struct VerdictCache {
-    shards: [Mutex<HashMap<VerdictKey, Box<[u8]>>>; NUM_SHARDS],
+    shards: [Mutex<HashMap<VerdictKey, Entry>>; NUM_SHARDS],
+    stamps: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -232,14 +319,13 @@ impl VerdictCache {
     /// wants one: that lookup counts as a miss so the job recomputes (and
     /// its richer verdict then overwrites the entry).  The reverse serve —
     /// a certificate-carrying entry answering a job that did not ask — is
-    /// fine; the server strips the bundle from the framed reply.
+    /// fine; the server strips the bundle from the framed reply.  A body
+    /// that fails to read back from the snapshot is a miss too.
     pub fn lookup(&self, key: &VerdictKey, want_certificate: bool) -> Option<CachedVerdict> {
-        let entries = lock(&self.shards[shard_index(key)]);
-        // The bytes were encoded by `insert`, so decoding cannot fail.
-        let verdict = entries
-            .get(key)
-            .and_then(|bytes| decode_verdict(&mut Decoder::new(bytes)).ok());
-        drop(entries);
+        let verdict = self
+            .stamped_body(key)
+            .and_then(|(_, body)| body)
+            .and_then(|bytes| decode_verdict(&mut Decoder::new(&bytes)).ok());
         match verdict {
             Some(verdict) if !want_certificate || verdict.certificate.is_some() => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -252,12 +338,31 @@ impl VerdictCache {
         }
     }
 
-    /// Inserts (or overwrites) a verdict.
+    /// The stamp and encoded body of `key`, `None` if it is absent: an
+    /// inline body is copied out under its shard's lock, a stored one is
+    /// read back after the lock is released (`None` if that fails).
+    fn stamped_body(&self, key: &VerdictKey) -> Option<(u64, Option<Vec<u8>>)> {
+        let (stamp, stored) = {
+            let shard = lock(&self.shards[shard_index(key)]);
+            let entry = shard.get(key)?;
+            match &entry.body {
+                Body::Inline(bytes) => return Some((entry.stamp, Some(bytes.to_vec()))),
+                Body::Stored(stored) => (entry.stamp, stored.clone()),
+            }
+        };
+        Some((stamp, stored.read()))
+    }
+
+    /// Inserts (or overwrites) a verdict, inline.
     pub fn insert(&self, key: VerdictKey, verdict: CachedVerdict) {
         let mut enc = Encoder::default();
         encode_verdict(&mut enc, &verdict);
-        let bytes = enc.finish().into_boxed_slice();
-        lock(&self.shards[shard_index(&key)]).insert(key, bytes);
+        self.insert_body(key, Body::Inline(enc.finish().into_boxed_slice()));
+    }
+
+    fn insert_body(&self, key: VerdictKey, body: Body) {
+        let stamp = self.stamps.fetch_add(1, Ordering::Relaxed);
+        lock(&self.shards[shard_index(&key)]).insert(key, Entry { stamp, body });
     }
 
     /// Number of cached verdicts.
@@ -268,6 +373,21 @@ impl VerdictCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of cached verdicts whose body is held in memory, i.e. was
+    /// inserted since the last snapshot.
+    #[cfg(test)]
+    fn inline_len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                lock(shard)
+                    .values()
+                    .filter(|entry| matches!(entry.body, Body::Inline(_)))
+                    .count()
+            })
+            .sum()
     }
 
     /// Cache hits so far.
@@ -281,15 +401,23 @@ impl VerdictCache {
     }
 
     /// Streams the cache's binary snapshot into `out`, one entry at a time,
-    /// so a snapshot never holds a second copy of the cache in memory.
+    /// so a snapshot never holds a second copy of the cache in memory, and
+    /// records each entry's stamp with where its body went (24 bytes per
+    /// entry, not the body).
     ///
     /// The keys are collected and sorted first, so equal caches snapshot
     /// to identical bytes regardless of how entries landed in shards; each
-    /// entry is then copied out under its shard's lock and written after
-    /// it.  Entries are never removed, so every collected key is still
-    /// there when its turn comes (a concurrent overwrite just snapshots
-    /// the newer verdict).
-    pub fn write_snapshot(&self, out: &mut dyn Write) -> io::Result<()> {
+    /// entry is then copied out under its shard's lock (a stored body is
+    /// read back after it) and written.  Only this method removes entries,
+    /// so every collected key is still there when its turn comes (a
+    /// concurrent overwrite just snapshots the newer verdict).  A stored
+    /// body that fails to read back fails the snapshot and is forgotten,
+    /// so the next snapshot goes through.
+    fn write_snapshot(
+        &self,
+        out: &mut dyn Write,
+        written: &mut Vec<(u64, BodyRange)>,
+    ) -> io::Result<()> {
         let mut keys: Vec<VerdictKey> = Vec::with_capacity(self.len());
         for shard in &self.shards {
             keys.extend(lock(shard).keys().copied());
@@ -301,59 +429,115 @@ impl VerdictCache {
         }
         enc.put_u8(SNAPSHOT_VERSION);
         enc.put_varint(keys.len() as u64);
-        out.write_all(&enc.finish())?;
-        for key in &keys {
+        let header = enc.finish();
+        out.write_all(&header)?;
+        let mut offset = header.len();
+        for key in keys {
+            let (stamp, body) = self
+                .stamped_body(&key)
+                .ok_or_else(|| io::Error::other("verdict cache entry vanished"))?;
+            let Some(body) = body else {
+                self.forget(&key, stamp);
+                return Err(io::Error::other("a stored verdict body did not read back"));
+            };
             let mut enc = Encoder::default();
-            encode_key(&mut enc, key);
+            encode_key(&mut enc, &key);
             let mut entry = enc.finish();
-            match lock(&self.shards[shard_index(key)]).get(key) {
-                Some(verdict) => entry.extend_from_slice(verdict),
-                None => return Err(io::Error::other("verdict cache entry vanished")),
-            }
+            written.push((stamp, BodyRange::of(offset + entry.len(), &body)));
+            entry.extend_from_slice(&body);
             out.write_all(&entry)?;
+            offset += entry.len();
+        }
+        Ok(())
+    }
+
+    /// Removes `key` unless an insert replaced it since `stamp`.
+    fn forget(&self, key: &VerdictKey, stamp: u64) {
+        let mut shard = lock(&self.shards[shard_index(key)]);
+        if shard.get(key).is_some_and(|entry| entry.stamp == stamp) {
+            shard.remove(key);
+        }
+    }
+
+    /// Saves a snapshot into `store`; once the store holds it, every body
+    /// the snapshot wrote is dropped from memory and read back from the
+    /// snapshot on demand.  If the store cannot reopen the snapshot, the
+    /// bodies stay where they were.
+    ///
+    /// # Errors
+    ///
+    /// The store's error if the save fails; the cache is then unchanged,
+    /// except for a stored body that failed to read back, which is gone.
+    pub fn save_to(&self, store: &dyn VerdictStore) -> io::Result<()> {
+        let mut written = Vec::new();
+        store.save_with(&mut |sink| {
+            written.clear();
+            self.write_snapshot(sink, &mut written)
+        })?;
+        if let Ok(Some(file)) = store.open_snapshot() {
+            // Stamps are unique per insert, so an entry whose stamp the
+            // snapshot wrote still holds the body it wrote.
+            written.sort_unstable_by_key(|&(stamp, _)| stamp);
+            for shard in &self.shards {
+                for entry in lock(shard).values_mut() {
+                    if let Ok(at) = written.binary_search_by_key(&entry.stamp, |&(stamp, _)| stamp)
+                    {
+                        entry.body = Body::Stored(StoredBody {
+                            file: Arc::clone(&file),
+                            range: written[at].1,
+                        });
+                    }
+                }
+            }
         }
         Ok(())
     }
 
     /// Serialises the cache into its binary snapshot format in memory
-    /// (the bytes [`VerdictCache::write_snapshot`] streams).
+    /// (the bytes [`VerdictCache::save_to`] streams).  Writing into a `Vec`
+    /// cannot fail; a stored body that fails to read back cuts the bytes
+    /// short, so [`VerdictCache::from_snapshot`] rejects them.
     pub fn to_snapshot(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
-        // Writing into a `Vec` cannot fail, and no entry is ever removed.
-        let _ = self.write_snapshot(&mut bytes);
+        let _ = self.write_snapshot(&mut bytes, &mut Vec::new());
         bytes
     }
 
-    /// Restores a cache from a snapshot.
+    /// Restores a cache from a snapshot, every body inline.
     ///
     /// # Errors
     ///
     /// Any structural problem — wrong magic, unknown version, truncation,
     /// trailing bytes — rejects the whole snapshot.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut dec = Decoder::new(bytes);
-        for expected in SNAPSHOT_MAGIC {
-            if dec.get_u8()? != *expected {
-                return Err(WireError::malformed(0, "bad cache snapshot magic"));
-            }
-        }
-        let version = dec.get_u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(WireError::malformed(
-                4,
-                format!("unsupported cache snapshot version {version}"),
-            ));
-        }
-        let count = dec.get_varint()?;
-        if count > dec.remaining() as u64 {
-            return Err(WireError::malformed(5, "snapshot entry count too large"));
-        }
         let cache = VerdictCache::new();
-        for _ in 0..count {
-            let (key, verdict) = decode_entry(&mut dec)?;
-            cache.insert(key, verdict);
-        }
-        dec.expect_end()?;
+        for_each_snapshot_body(bytes, |key, range| {
+            cache.insert_body(key, Body::Inline(bytes[range].into()));
+        })?;
+        Ok(cache)
+    }
+
+    /// Recovers a cache from `bytes`, the snapshot `store` last saved: the
+    /// snapshot is checked like [`VerdictCache::from_snapshot`] does, but
+    /// each body is only indexed, as a range of the snapshot read back
+    /// through [`VerdictStore::open_snapshot`] on demand.  If the store
+    /// cannot open the snapshot, the bodies are kept inline.
+    ///
+    /// # Errors
+    ///
+    /// As [`VerdictCache::from_snapshot`].
+    pub fn recover_snapshot(bytes: &[u8], store: &dyn VerdictStore) -> Result<Self, WireError> {
+        let Ok(Some(file)) = store.open_snapshot() else {
+            return VerdictCache::from_snapshot(bytes);
+        };
+        let cache = VerdictCache::new();
+        for_each_snapshot_body(bytes, |key, range| {
+            let body = StoredBody {
+                file: Arc::clone(&file),
+                range: BodyRange::of(range.start, &bytes[range]),
+            };
+            cache.insert_body(key, Body::Stored(body));
+        })?;
         Ok(cache)
     }
 
@@ -391,6 +575,38 @@ impl VerdictCache {
         }
         applied
     }
+}
+
+/// Checks a whole snapshot and calls `each` with every entry's key and the
+/// byte range of its verdict body, in snapshot order.
+fn for_each_snapshot_body(
+    bytes: &[u8],
+    mut each: impl FnMut(VerdictKey, std::ops::Range<usize>),
+) -> Result<(), WireError> {
+    let mut dec = Decoder::new(bytes);
+    for expected in SNAPSHOT_MAGIC {
+        if dec.get_u8()? != *expected {
+            return Err(WireError::malformed(0, "bad cache snapshot magic"));
+        }
+    }
+    let version = dec.get_u8()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(WireError::malformed(
+            4,
+            format!("unsupported cache snapshot version {version}"),
+        ));
+    }
+    let count = dec.get_varint()?;
+    if count > dec.remaining() as u64 {
+        return Err(WireError::malformed(5, "snapshot entry count too large"));
+    }
+    for _ in 0..count {
+        let key = decode_key(&mut dec)?;
+        let start = dec.position();
+        verdict_parts(&mut dec)?;
+        each(key, start..dec.position());
+    }
+    dec.expect_end()
 }
 
 #[cfg(test)]
@@ -564,18 +780,187 @@ mod tests {
         assert_eq!(cache.to_snapshot(), expected);
 
         let mem = MemStore::new();
-        mem.save_with(&mut |sink| cache.write_snapshot(sink))
-            .unwrap();
+        cache.save_to(&mem).unwrap();
         assert_eq!(mem.snapshot().unwrap(), expected);
 
         let dir = std::env::temp_dir().join(format!("autoq-stream-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = FileStore::new(dir.join("cache.aqvc"));
-        file.save_with(&mut |sink| cache.write_snapshot(sink))
-            .unwrap();
+        cache.save_to(&file).unwrap();
         assert_eq!(file.load().unwrap().unwrap(), expected);
         assert!(!dir.join("cache.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// 40 verdicts of every shape: holding or not, with and without a
+    /// witness and a certificate.
+    fn mixed_verdicts() -> Vec<(VerdictKey, CachedVerdict)> {
+        (0..40u8)
+            .map(|tag| {
+                let verdict = CachedVerdict {
+                    holds: tag % 3 == 0,
+                    reachable_but_forbidden: tag % 3 == 1,
+                    witness: (tag % 2 == 0).then(|| vec![tag; usize::from(tag)]),
+                    certificate: (tag % 5 == 0).then(|| vec![!tag; 100]),
+                };
+                (key(tag), verdict)
+            })
+            .collect()
+    }
+
+    fn cache_of(verdicts: &[(VerdictKey, CachedVerdict)]) -> VerdictCache {
+        let cache = VerdictCache::new();
+        for (key, verdict) in verdicts {
+            cache.insert(*key, verdict.clone());
+        }
+        cache
+    }
+
+    /// Every key answers exactly its verdict, certified or not.
+    fn assert_answers(cache: &VerdictCache, verdicts: &[(VerdictKey, CachedVerdict)]) {
+        for (key, verdict) in verdicts {
+            assert_eq!(cache.lookup(key, false).as_ref(), Some(verdict));
+            let certified = cache.lookup(key, true);
+            if verdict.certificate.is_some() {
+                assert_eq!(certified.as_ref(), Some(verdict));
+            } else {
+                assert_eq!(certified, None);
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_move_every_body_out_of_memory() {
+        use crate::store::{FileStore, MemStore, VerdictStore};
+
+        let verdicts = mixed_verdicts();
+        let (old, new) = verdicts.split_at(25);
+        let dir = std::env::temp_dir().join(format!("autoq-bodies-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = FileStore::new(dir.join("cache.aqvc"));
+        let mem = MemStore::new();
+        for store in [&file as &dyn VerdictStore, &mem] {
+            let cache = cache_of(old);
+            assert_eq!(cache.inline_len(), 25);
+            cache.save_to(store).unwrap();
+            assert_eq!((cache.len(), cache.inline_len()), (25, 0));
+            assert_answers(&cache, old);
+            // New verdicts stay inline until the next snapshot, which
+            // copies the stored bodies over and replaces the file they
+            // were read from.
+            for (key, verdict) in new {
+                cache.insert(*key, verdict.clone());
+            }
+            assert_eq!(cache.inline_len(), 15);
+            assert_answers(&cache, &verdicts);
+            cache.save_to(store).unwrap();
+            assert_eq!((cache.len(), cache.inline_len()), (40, 0));
+            assert_answers(&cache, &verdicts);
+            // The bytes match a cache that never left memory, and a
+            // recovery indexes them without holding a body inline.
+            let snapshot = store.load().unwrap().unwrap();
+            assert_eq!(snapshot, cache_of(&verdicts).to_snapshot());
+            assert_eq!(cache.to_snapshot(), snapshot);
+            let recovered = VerdictCache::recover_snapshot(&snapshot, store).unwrap();
+            assert_eq!((recovered.len(), recovered.inline_len()), (40, 0));
+            assert_answers(&recovered, &verdicts);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_overwrite_during_a_snapshot_stays_inline() {
+        use crate::store::{MemStore, SnapshotWriter, VerdictStore};
+
+        /// A store that inserts a newer verdict for `key(3)` while a
+        /// snapshot is being written, as a concurrent worker would.
+        struct Interleaving<'a> {
+            inner: MemStore,
+            cache: &'a VerdictCache,
+            newer: CachedVerdict,
+        }
+        impl VerdictStore for Interleaving<'_> {
+            fn load(&self) -> io::Result<Option<Vec<u8>>> {
+                self.inner.load()
+            }
+            fn open_snapshot(&self) -> io::Result<Option<Arc<dyn SnapshotFile>>> {
+                self.inner.open_snapshot()
+            }
+            fn save_with(&self, write: &mut SnapshotWriter<'_>) -> io::Result<()> {
+                self.inner.save_with(write)?;
+                self.cache.insert(key(3), self.newer.clone());
+                Ok(())
+            }
+            fn append_journal(&self, record: &[u8]) -> io::Result<()> {
+                self.inner.append_journal(record)
+            }
+            fn load_journal(&self) -> io::Result<Vec<u8>> {
+                self.inner.load_journal()
+            }
+            fn clear_journal(&self) -> io::Result<()> {
+                self.inner.clear_journal()
+            }
+        }
+
+        let mut verdicts = mixed_verdicts();
+        let cache = cache_of(&verdicts);
+        let newer = CachedVerdict {
+            holds: true,
+            reachable_but_forbidden: false,
+            witness: None,
+            certificate: Some(vec![7; 9]),
+        };
+        let store = Interleaving {
+            inner: MemStore::new(),
+            cache: &cache,
+            newer: newer.clone(),
+        };
+        cache.save_to(&store).unwrap();
+        assert_eq!(cache.inline_len(), 1, "only the overwritten entry");
+        verdicts[3].1 = newer;
+        assert_answers(&cache, &verdicts);
+    }
+
+    #[test]
+    fn stored_bodies_that_read_back_wrong_are_misses() {
+        use crate::fault::FaultPlan;
+        use crate::store::{FailMode, FailStore, MemStore};
+
+        let verdicts = mixed_verdicts();
+        let snapshot = cache_of(&verdicts).to_snapshot();
+        let mut bodies = Vec::new();
+        for_each_snapshot_body(&snapshot, |_, range| bodies.push(range)).unwrap();
+        for at in (0..snapshot.len()).step_by(7) {
+            let corrupt = FaultPlan::corrupt_at(at, 0x5a);
+            let truncate = FaultPlan::truncate_at(at);
+            let hits_a_body = [
+                (corrupt, bodies.iter().any(|body| body.contains(&at))),
+                (truncate, bodies.iter().any(|body| body.end > at)),
+            ];
+            for (plan, hits_a_body) in hits_a_body {
+                let store = FailStore::new(MemStore::new(), FailMode::CorruptReads(plan));
+                let cache = cache_of(&verdicts);
+                cache.save_to(&store).unwrap();
+                let mut missed = 0;
+                for (key, verdict) in &verdicts {
+                    match cache.lookup(key, false) {
+                        Some(served) => assert_eq!(&served, verdict, "{plan:?}"),
+                        None => {
+                            missed += 1;
+                            // The recomputed verdict goes back inline.
+                            cache.insert(*key, verdict.clone());
+                        }
+                    }
+                }
+                assert_eq!(missed > 0, hits_a_body, "{plan:?}");
+                assert_answers(&cache, &verdicts);
+                // A body that no longer reads back fails one snapshot and
+                // is forgotten; the next snapshot goes through.
+                if cache.save_to(&store).is_err() {
+                    cache.save_to(&store).unwrap();
+                }
+            }
+        }
     }
 
     #[test]

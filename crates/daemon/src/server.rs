@@ -43,11 +43,13 @@
 //! Fresh verdicts are appended to a checksummed journal (O(entry) per
 //! verdict) through the configured [`VerdictStore`]; every
 //! [`DaemonConfig::snapshot_every`] journaled verdicts the whole cache is
-//! snapshotted and the journal cleared.  Startup loads the snapshot,
+//! snapshotted and the journal cleared.  Startup indexes the snapshot,
 //! replays the journal's intact prefix (a torn tail from a crash is
 //! dropped silently) and writes a fresh compacting snapshot.  Snapshots
 //! stream entry by entry into the store, so one never holds a second copy
-//! of the cache.
+//! of the cache, and once one is saved the cache reads the bodies it holds
+//! back from it instead of keeping them in memory (see
+//! [`VerdictCache`]).
 //!
 //! # Tree-arena reclamation
 //!
@@ -266,7 +268,7 @@ impl Shared {
     /// Snapshots the whole cache and clears the journal.  Caller holds the
     /// persist lock.
     fn snapshot_locked(&self, store: &Arc<dyn VerdictStore>, state: &mut PersistState) {
-        match store.save_with(&mut |sink| self.cache.write_snapshot(sink)) {
+        match self.cache.save_to(store.as_ref()) {
             Ok(()) => {
                 // A failed clear only means the next recovery replays
                 // records the snapshot already contains — replay is
@@ -382,11 +384,12 @@ impl DaemonHandle {
 /// Starts the daemon on `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
 ///
 /// `store`, when given, seeds the verdict cache from its last snapshot
-/// plus the intact prefix of the write-ahead journal — a corrupt or
-/// unreadable snapshot is discarded wholesale, a torn journal tail is
-/// dropped record-by-record — and the recovered state is immediately
-/// compacted into a fresh snapshot.  Fresh verdicts are journaled as they
-/// arrive and snapshotted periodically and on shutdown.
+/// (indexed, not decoded: the bodies stay in the snapshot) plus the intact
+/// prefix of the write-ahead journal — a corrupt or unreadable snapshot is
+/// discarded wholesale, a torn journal tail is dropped record-by-record —
+/// and a recovered journal is immediately compacted into a fresh snapshot.
+/// Fresh verdicts are journaled as they arrive and snapshotted
+/// periodically and on shutdown.
 pub fn serve(
     addr: &str,
     config: DaemonConfig,
@@ -396,15 +399,17 @@ pub fn serve(
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
 
-    let cache = match store.as_ref().map(|s| s.load()) {
-        Some(Ok(Some(bytes))) => match VerdictCache::from_snapshot(&bytes) {
-            Ok(cache) => cache,
-            Err(e) => {
-                eprintln!("autoq-daemon: discarding corrupt verdict cache snapshot: {e}");
-                VerdictCache::new()
+    let cache = match store.as_ref().map(|s| (s.load(), s)) {
+        Some((Ok(Some(bytes)), store)) => {
+            match VerdictCache::recover_snapshot(&bytes, store.as_ref()) {
+                Ok(cache) => cache,
+                Err(e) => {
+                    eprintln!("autoq-daemon: discarding corrupt verdict cache snapshot: {e}");
+                    VerdictCache::new()
+                }
             }
-        },
-        Some(Err(e)) => {
+        }
+        Some((Err(e), _)) => {
             eprintln!("autoq-daemon: verdict store unreadable, starting empty: {e}");
             VerdictCache::new()
         }
@@ -418,10 +423,7 @@ pub fn serve(
         match store.load_journal() {
             Ok(journal) if !journal.is_empty() => {
                 cache.replay_journal(&journal);
-                if store
-                    .save_with(&mut |sink| cache.write_snapshot(sink))
-                    .is_ok()
-                {
+                if cache.save_to(store.as_ref()).is_ok() {
                     let _ = store.clear_journal();
                 }
             }

@@ -7,16 +7,20 @@
 //! intact prefix — a torn tail from a crash mid-append is dropped, not
 //! fatal.  Snapshots are *streamed* into the store
 //! ([`VerdictStore::save_with`]), so saving never holds a second copy of
-//! the cache.  [`FileStore`] is the production backend with atomic
+//! the cache, and read back piecewise through a [`SnapshotFile`] handle
+//! ([`VerdictStore::open_snapshot`]): the cache keeps only the bodies
+//! written since the last snapshot in memory and reads older ones from
+//! it.  [`FileStore`] is the production backend with atomic
 //! write-then-rename snapshots and an `O_APPEND` journal file; [`MemStore`]
 //! backs restart tests without a filesystem; [`FailStore`] wraps another
 //! store and corrupts traffic through it with a [`FaultPlan`], which is how
 //! the tests prove a daemon facing a bad disk starts empty instead of
-//! serving half a cache.
+//! serving half a cache, and recomputes a verdict whose stored body reads
+//! back wrong instead of serving it.
 
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultPlan;
 use crate::lock;
@@ -25,10 +29,32 @@ use crate::lock;
 /// [`VerdictStore::save_with`]).
 pub type SnapshotWriter<'a> = dyn FnMut(&mut dyn Write) -> io::Result<()> + 'a;
 
+/// A read handle on one saved snapshot.  It keeps reading the snapshot it
+/// was opened on after a later save replaces that snapshot, so every
+/// verdict body the cache points at it stays readable until the cache
+/// points the body elsewhere.
+pub trait SnapshotFile: Send + Sync {
+    /// Reads the `len` bytes at `offset`; a short read is an error.
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Vec<u8>>;
+}
+
+impl SnapshotFile for Vec<u8> {
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        usize::try_from(offset)
+            .ok()
+            .and_then(|start| self.get(start..start.checked_add(len)?))
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))
+    }
+}
+
 /// Snapshot + journal persistence for the verdict cache.
 pub trait VerdictStore: Send + Sync {
     /// Loads the last saved snapshot, `None` if nothing was ever saved.
     fn load(&self) -> io::Result<Option<Vec<u8>>>;
+    /// Opens the last saved snapshot for piecewise reads, `None` if
+    /// nothing was ever saved.
+    fn open_snapshot(&self) -> io::Result<Option<Arc<dyn SnapshotFile>>>;
     /// Replaces the saved snapshot with the bytes `write` emits into the
     /// store's sink.  A backend streams them to its medium; one that has
     /// to see the whole snapshot at once may buffer it.
@@ -72,6 +98,14 @@ impl VerdictStore for FileStore {
         }
     }
 
+    fn open_snapshot(&self) -> io::Result<Option<Arc<dyn SnapshotFile>>> {
+        match std::fs::File::open(&self.path) {
+            Ok(file) => Ok(Some(Arc::new(OpenFile(Mutex::new(file))))),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
     fn save_with(&self, write: &mut SnapshotWriter<'_>) -> io::Result<()> {
         let tmp = self.path.with_extension("tmp");
         let mut file = BufWriter::new(std::fs::File::create(&tmp)?);
@@ -105,11 +139,25 @@ impl VerdictStore for FileStore {
     }
 }
 
+/// A [`FileStore`] snapshot opened for reading: the open file keeps its
+/// contents after a rename replaces the path.
+struct OpenFile(Mutex<std::fs::File>);
+
+impl SnapshotFile for OpenFile {
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut file = lock(&self.0);
+        file.seek(SeekFrom::Start(offset))?;
+        let mut bytes = vec![0; len];
+        file.read_exact(&mut bytes)?;
+        Ok(bytes)
+    }
+}
+
 /// In-memory store for restart tests: survives a daemon "restart" because
 /// the test holds the `Arc`.
 #[derive(Default)]
 pub struct MemStore {
-    bytes: Mutex<Option<Vec<u8>>>,
+    bytes: Mutex<Option<Arc<Vec<u8>>>>,
     journal: Mutex<Vec<u8>>,
 }
 
@@ -121,7 +169,7 @@ impl MemStore {
 
     /// The currently saved snapshot, if any.
     pub fn snapshot(&self) -> Option<Vec<u8>> {
-        lock(&self.bytes).clone()
+        lock(&self.bytes).as_deref().cloned()
     }
 
     /// The current journal bytes (for tests inspecting growth).
@@ -138,13 +186,19 @@ impl MemStore {
 
 impl VerdictStore for MemStore {
     fn load(&self) -> io::Result<Option<Vec<u8>>> {
-        Ok(lock(&self.bytes).clone())
+        Ok(self.snapshot())
+    }
+
+    fn open_snapshot(&self) -> io::Result<Option<Arc<dyn SnapshotFile>>> {
+        Ok(lock(&self.bytes)
+            .clone()
+            .map(|bytes| bytes as Arc<dyn SnapshotFile>))
     }
 
     fn save_with(&self, write: &mut SnapshotWriter<'_>) -> io::Result<()> {
         let mut bytes = Vec::new();
         write(&mut bytes)?;
-        *lock(&self.bytes) = Some(bytes);
+        *lock(&self.bytes) = Some(Arc::new(bytes));
         Ok(())
     }
 
@@ -174,6 +228,10 @@ pub enum FailMode {
     CorruptOnSave(FaultPlan),
     /// `load` corrupts the bytes on the way out; `save` stores faithfully.
     CorruptOnLoad(FaultPlan),
+    /// `load` and `save` are faithful, but every read through a handle
+    /// from `open_snapshot` passes through the plan at its file offsets: a
+    /// disk going bad after start-up.
+    CorruptReads(FaultPlan),
 }
 
 /// A store wrapper that injects disk-level faults.
@@ -199,7 +257,18 @@ impl<S: VerdictStore> VerdictStore for FailStore<S> {
         match self.mode {
             FailMode::Unavailable => Err(io::Error::other("fault injection: store unavailable")),
             FailMode::CorruptOnLoad(plan) => Ok(self.inner.load()?.map(|bytes| plan.apply(&bytes))),
-            FailMode::CorruptOnSave(_) => self.inner.load(),
+            FailMode::CorruptOnSave(_) | FailMode::CorruptReads(_) => self.inner.load(),
+        }
+    }
+
+    fn open_snapshot(&self) -> io::Result<Option<Arc<dyn SnapshotFile>>> {
+        match self.mode {
+            FailMode::Unavailable => Err(io::Error::other("fault injection: store unavailable")),
+            FailMode::CorruptReads(plan) => Ok(self
+                .inner
+                .open_snapshot()?
+                .map(|inner| Arc::new(FaultyFile { inner, plan }) as Arc<dyn SnapshotFile>)),
+            FailMode::CorruptOnSave(_) | FailMode::CorruptOnLoad(_) => self.inner.open_snapshot(),
         }
     }
 
@@ -211,7 +280,7 @@ impl<S: VerdictStore> VerdictStore for FailStore<S> {
                 write(&mut bytes)?;
                 self.inner.save(&plan.apply(&bytes))
             }
-            FailMode::CorruptOnLoad(_) => self.inner.save_with(write),
+            FailMode::CorruptOnLoad(_) | FailMode::CorruptReads(_) => self.inner.save_with(write),
         }
     }
 
@@ -219,7 +288,9 @@ impl<S: VerdictStore> VerdictStore for FailStore<S> {
         match self.mode {
             FailMode::Unavailable => Err(io::Error::other("fault injection: store unavailable")),
             FailMode::CorruptOnSave(plan) => self.inner.append_journal(&plan.apply(record)),
-            FailMode::CorruptOnLoad(_) => self.inner.append_journal(record),
+            FailMode::CorruptOnLoad(_) | FailMode::CorruptReads(_) => {
+                self.inner.append_journal(record)
+            }
         }
     }
 
@@ -227,7 +298,7 @@ impl<S: VerdictStore> VerdictStore for FailStore<S> {
         match self.mode {
             FailMode::Unavailable => Err(io::Error::other("fault injection: store unavailable")),
             FailMode::CorruptOnLoad(plan) => Ok(plan.apply(&self.inner.load_journal()?)),
-            FailMode::CorruptOnSave(_) => self.inner.load_journal(),
+            FailMode::CorruptOnSave(_) | FailMode::CorruptReads(_) => self.inner.load_journal(),
         }
     }
 
@@ -239,9 +310,77 @@ impl<S: VerdictStore> VerdictStore for FailStore<S> {
     }
 }
 
+/// A snapshot handle whose reads pass through a [`FaultPlan`] at their
+/// file offsets (see [`FailMode::CorruptReads`]).
+struct FaultyFile {
+    inner: Arc<dyn SnapshotFile>,
+    plan: FaultPlan,
+}
+
+impl SnapshotFile for FaultyFile {
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut bytes = self.inner.read_at(offset, len)?;
+        if let Some((at, mask)) = self.plan.corrupt {
+            let at = (at as u64).checked_sub(offset);
+            if let Some(byte) = at.and_then(|i| bytes.get_mut(i as usize)) {
+                *byte ^= mask;
+            }
+        }
+        if self
+            .plan
+            .truncate_at
+            .is_some_and(|limit| (limit as u64) < offset + len as u64)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "fault injection: snapshot truncated",
+            ));
+        }
+        Ok(bytes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_handles_read_ranges_and_survive_replacement() {
+        let dir = std::env::temp_dir().join(format!("autoq-open-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = FileStore::new(dir.join("cache.bin"));
+        let mem = MemStore::new();
+        for store in [&file as &dyn VerdictStore, &mem] {
+            assert!(store.open_snapshot().unwrap().is_none());
+            store.save(b"first snapshot").unwrap();
+            let handle = store.open_snapshot().unwrap().unwrap();
+            assert_eq!(handle.read_at(6, 4).unwrap(), b"snap");
+            assert!(handle.read_at(10, 5).is_err(), "a short read is an error");
+            // A later save replaces the snapshot; the handle keeps the old one.
+            store.save(b"the second one").unwrap();
+            assert_eq!(handle.read_at(0, 5).unwrap(), b"first");
+            let latest = store.open_snapshot().unwrap().unwrap();
+            assert_eq!(latest.read_at(4, 6).unwrap(), b"second");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_reads_fault_handles_only() {
+        let store = FailStore::new(
+            MemStore::new(),
+            FailMode::CorruptReads(FaultPlan {
+                truncate_at: Some(8),
+                corrupt: Some((2, 0xff)),
+            }),
+        );
+        store.save(b"abcdefghij").unwrap();
+        assert_eq!(store.load().unwrap(), Some(b"abcdefghij".to_vec()));
+        let handle = store.open_snapshot().unwrap().unwrap();
+        assert_eq!(handle.read_at(1, 3).unwrap(), [b'b', b'c' ^ 0xff, b'd']);
+        assert_eq!(handle.read_at(4, 4).unwrap(), b"efgh");
+        assert!(handle.read_at(6, 3).is_err(), "reads past the cut fail");
+    }
 
     #[test]
     fn mem_store_round_trips() {

@@ -257,9 +257,20 @@ impl<'a> Decoder<'a> {
         Ok(slice)
     }
 
+    /// Bytes consumed so far.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Length-prefixed byte string.  The announced length is checked against
     /// the remaining payload before any allocation.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        self.get_byte_slice().map(<[u8]>::to_vec)
+    }
+
+    /// [`Decoder::get_bytes`] without the copy: the string borrowed from the
+    /// payload.
+    pub fn get_byte_slice(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_varint()?;
         if len > self.remaining() as u64 {
             return Err(self.error(format!(
@@ -267,7 +278,7 @@ impl<'a> Decoder<'a> {
                 self.remaining()
             )));
         }
-        Ok(self.get_raw(len as usize)?.to_vec())
+        self.get_raw(len as usize)
     }
 
     /// Length-prefixed UTF-8 string.

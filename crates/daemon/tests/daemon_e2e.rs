@@ -355,6 +355,71 @@ fn restart_re_serves_persisted_verdicts_without_the_engine() {
 }
 
 #[test]
+fn restart_answers_certified_hits_from_the_recovered_snapshot() {
+    let store = Arc::new(MemStore::new());
+    let post_set = StateSet::from_state_fn(2, |basis| match basis {
+        0b00 | 0b11 => autoq_amplitude::Algebraic::one_over_sqrt2(),
+        _ => autoq_amplitude::Algebraic::zero(),
+    });
+    let job = JobRequest {
+        qasm: "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n".into(),
+        pre: Spec::Basis {
+            num_qubits: 2,
+            basis: 0,
+        },
+        post: automaton_spec(&post_set),
+        mode: SpecMode::Equality,
+        want_witness: false,
+        limits: Default::default(),
+        want_certificate: true,
+    };
+    let daemon = serve(
+        "127.0.0.1:0",
+        DaemonConfig::default(),
+        Arc::new(RealEngine::default()),
+        Some(store.clone() as Arc<dyn VerdictStore>),
+    )
+    .unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let JobOutcome::Verdict {
+        verdict: certified,
+        cached: false,
+    } = client.verify(job.clone()).unwrap()
+    else {
+        panic!("expected a cold verdict");
+    };
+    assert!(certified.certificate.is_some());
+    client.shutdown().unwrap();
+    daemon.join();
+
+    // The second life indexes the snapshot; the certificate request is
+    // answered from it, bundle byte for byte, with no engine run.
+    let engine = Arc::new(MockEngine::holding());
+    let daemon = serve(
+        "127.0.0.1:0",
+        DaemonConfig::default(),
+        engine.clone(),
+        Some(store as Arc<dyn VerdictStore>),
+    )
+    .unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    for _ in 0..2 {
+        let JobOutcome::Verdict {
+            verdict,
+            cached: true,
+        } = client.verify(job.clone()).unwrap()
+        else {
+            panic!("expected a certified hit after restart");
+        };
+        assert_eq!(verdict, certified);
+    }
+    assert_eq!(engine.calls(), 0);
+    assert_eq!(client.stats().unwrap().verdicts_certified, 2);
+    daemon.shutdown();
+    daemon.join();
+}
+
+#[test]
 fn job_errors_are_scoped_and_descriptive() {
     let daemon = real_daemon();
     let mut client = Client::connect(daemon.addr()).unwrap();

@@ -11,10 +11,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use autoq_daemon::client::{Client, JobOutcome};
-use autoq_daemon::engine::{MockBehavior, MockEngine};
+use autoq_daemon::engine::{MockBehavior, MockEngine, RealEngine};
 use autoq_daemon::fault::{FaultPlan, FaultyWriter};
 use autoq_daemon::proto::{
-    ErrorCode, JobRequest, Request, Response, Spec, SpecMode, MAGIC, PROTOCOL_VERSION,
+    ErrorCode, JobRequest, Request, Response, Spec, SpecMode, Verdict, MAGIC, PROTOCOL_VERSION,
 };
 use autoq_daemon::server::{serve, DaemonConfig, DaemonHandle};
 use autoq_daemon::store::{FailMode, FailStore, MemStore, VerdictStore};
@@ -390,4 +390,90 @@ fn unavailable_stores_degrade_to_a_memory_only_cache() {
     assert_eq!(engine.calls(), 1);
     daemon.shutdown();
     daemon.join();
+}
+
+/// Jobs whose verdicts carry every body part: a certified holding verdict
+/// and a violation with its witness, each also asked without a
+/// certificate.
+fn persisted_jobs() -> Vec<JobRequest> {
+    let permutes = "OPENQASM 2.0;\nqreg q[3];\nx q[0];\ncx q[0], q[2];\n";
+    let superposes = "OPENQASM 2.0;\nqreg q[3];\nx q[0];\nh q[2];\n";
+    let mut jobs = Vec::new();
+    for qasm in [permutes, superposes] {
+        let job = JobRequest {
+            qasm: qasm.into(),
+            pre: Spec::Basis {
+                num_qubits: 3,
+                basis: 0,
+            },
+            post: Spec::AllBasis { num_qubits: 3 },
+            mode: SpecMode::Inclusion,
+            want_witness: true,
+            limits: Default::default(),
+            want_certificate: true,
+        };
+        jobs.push(job.clone());
+        jobs.push(JobRequest {
+            want_certificate: false,
+            ..job
+        });
+    }
+    jobs
+}
+
+/// Runs `jobs` on a real-engine daemon over `store`, returning each
+/// verdict with whether it was served from the cache, and the daemon's
+/// cache-miss count.
+fn serve_jobs(store: Arc<dyn VerdictStore>, jobs: &[JobRequest]) -> (Vec<(Verdict, bool)>, u64) {
+    let daemon = serve(
+        "127.0.0.1:0",
+        DaemonConfig::default(),
+        Arc::new(RealEngine::default()),
+        Some(store),
+    )
+    .unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let verdicts = jobs
+        .iter()
+        .map(|job| match client.verify(job.clone()).unwrap() {
+            JobOutcome::Verdict { verdict, cached } => (verdict, cached),
+            other => panic!("expected a verdict, got {other:?}"),
+        })
+        .collect();
+    let misses = client.stats().unwrap().cache_misses;
+    client.shutdown().unwrap();
+    daemon.join();
+    (verdicts, misses)
+}
+
+#[test]
+fn stored_bodies_that_read_back_wrong_are_recomputed_not_served() {
+    // First life: compute and persist every verdict.
+    let jobs = persisted_jobs();
+    let first = Arc::new(MemStore::new());
+    let (fresh, _) = serve_jobs(first.clone(), &jobs);
+    assert!(fresh[0].0.holds && fresh[0].0.certificate.is_some());
+    assert!(!fresh[2].0.holds && fresh[2].0.witness.is_some());
+    let snapshot = first.snapshot().expect("shutdown persists the cache");
+
+    // Later lives recover that snapshot, but every stored body reads back
+    // through a fault: a flipped byte or a cut file.  Each job must get
+    // its first verdict, witness and certificate byte for byte, from the
+    // cache or recomputed.
+    let mut recomputed = 0;
+    for at in (0..snapshot.len()).step_by(snapshot.len() / 24 + 1) {
+        for plan in [FaultPlan::corrupt_at(at, 0x20), FaultPlan::truncate_at(at)] {
+            let inner = MemStore::new();
+            inner.save(&snapshot).unwrap();
+            let store = Arc::new(FailStore::new(inner, FailMode::CorruptReads(plan)));
+            let (verdicts, misses) = serve_jobs(store, &jobs);
+            for ((verdict, _), (expected, _)) in verdicts.iter().zip(&fresh) {
+                assert_eq!(verdict, expected, "{plan:?}");
+            }
+            let cold = verdicts.iter().filter(|(_, cached)| !cached).count() as u64;
+            assert_eq!(cold, misses, "{plan:?}");
+            recomputed += cold;
+        }
+    }
+    assert!(recomputed > 0, "some faults must land in a stored body");
 }
