@@ -324,7 +324,6 @@ pub fn tag_in_place(automaton: &mut TreeAutomaton) {
             .untagged()
             .with_tag(Tag::Single(index as u64 + 1));
     }
-    automaton.invalidate_index();
 }
 
 /// The restriction operation (Algorithm 4): `B_{x_t}·T` (`bit = true`) keeps
@@ -346,7 +345,7 @@ pub fn restrict(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomat
 pub fn restrict_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: bool) {
     // The children that will be redirected into the zeroed copy.  When no
     // transition branches on `qubit` the restriction is the identity; skip
-    // the import (and the index invalidation it would force) entirely.
+    // the import (and the index build) entirely.
     let seeds: Vec<StateId> = automaton
         .internal
         .iter()
@@ -356,7 +355,7 @@ pub fn restrict_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: bool) {
     if seeds.is_empty() {
         return;
     }
-    let index = automaton.index();
+    let index = TransitionIndex::build(automaton);
     let n = automaton.num_states as usize;
     // Downward closure of the seeds: the only part of the zeroed copy the
     // redirected transitions can reach.
@@ -452,7 +451,6 @@ pub fn restrict_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: bool) {
             }
         }
     }
-    automaton.invalidate_index();
 }
 
 /// The multiplication operation (Algorithm 5, generalised to all scalar
@@ -582,7 +580,7 @@ fn forward_ladder(
     state
 }
 
-/// Reference implementation of [`project`]: the unfused ladder of
+/// Reference implementation of [`project_with`]: the unfused ladder of
 /// per-pass-deduped [`forward_swap`]/[`backward_swap`] rebuilds, with no
 /// in-ladder reduction and no cross-pass interning.  Retained as the oracle
 /// the property tests compare the fused pipeline against; not used on the
@@ -607,15 +605,8 @@ pub fn project_reference(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> Tr
     current
 }
 
-/// The subtree-copying procedure (Algorithm 6), only valid at the layer just
-/// above the leaves (Lemma 6.8).
-pub fn subtree_copy(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    subtree_copy_in_place(&mut result, qubit, bit);
-    result
-}
-
-/// In-place variant of [`subtree_copy`].
+/// The subtree-copying procedure (Algorithm 6), in place; only valid at the
+/// layer just above the leaves (Lemma 6.8).
 pub fn subtree_copy_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: bool) {
     for transition in automaton.internal.iter_mut() {
         if transition.symbol.var == qubit {
@@ -628,7 +619,6 @@ pub fn subtree_copy_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: boo
             transition.right = copied;
         }
     }
-    automaton.invalidate_index();
 }
 
 /// Per-pass singleton-state interner: maps a `(symbol, left, right)` key
@@ -1212,8 +1202,8 @@ fn single_tag(tag: Tag) -> u64 {
 /// is it rebuilt through both passes.  Running the join on them anyway
 /// would cost the singleton-heavy verification rows for nothing.
 pub fn binary_op(a1: &TreeAutomaton, a2: &TreeAutomaton, sign: CombineSign) -> TreeAutomaton {
-    let index1 = a1.index();
-    let index2 = a2.index();
+    let index1 = TransitionIndex::build(a1);
+    let index2 = TransitionIndex::build(a2);
     if is_singleton(a1, &index1) && is_singleton(a2, &index2) {
         if let Some(product) = pair_product(a1, a2, &index1, &index2, sign, None) {
             return product;
@@ -1459,8 +1449,8 @@ pub fn binary_op_reference(
     }
 
     // Adjacency (parent- and leaf-indexed) for both sides.
-    let index1 = a1.index();
-    let index2 = a2.index();
+    let index1 = TransitionIndex::build(a1);
+    let index2 = TransitionIndex::build(a2);
 
     while let Some((q1, q2)) = worklist.pop() {
         let parent = pair_state[&(q1, q2)];
@@ -2134,7 +2124,7 @@ mod tests {
     #[test]
     fn singleton_products_are_built_trimmed() {
         let a = two_level_singleton(3);
-        assert!(is_singleton(&a, &a.index()));
+        assert!(is_singleton(&a, &TransitionIndex::build(&a)));
         let product = binary_op(&a, &a, CombineSign::Plus);
         assert_eq!(product, binary_op_reference(&a, &a, CombineSign::Plus));
         assert_eq!(product.state_count(), 5);

@@ -43,19 +43,8 @@ pub fn supports(gate: &Gate) -> bool {
     }
 }
 
-/// Applies a gate with the permutation-based encoding.
-///
-/// # Panics
-///
-/// Panics if [`supports`] returns `false` for the gate.
-pub fn apply(automaton: &TreeAutomaton, gate: &Gate) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    apply_in_place(&mut result, gate);
-    result
-}
-
-/// In-place variant of [`apply`], used on the engine's working automaton so
-/// permutation gates skip the per-gate whole-automaton clone.
+/// Applies a gate with the permutation-based encoding, in place on the
+/// engine's working automaton (no per-gate whole-automaton clone).
 ///
 /// # Panics
 ///
@@ -118,7 +107,6 @@ pub fn swap_children_in_place(automaton: &mut TreeAutomaton, qubit: u32) {
             std::mem::swap(&mut transition.left, &mut transition.right);
         }
     }
-    automaton.invalidate_index();
 }
 
 /// Scales the `0`-subtree of every `x_t` node by `scale_left` and the
@@ -160,7 +148,6 @@ pub fn scale_children_in_place(
             transition.right = transition.right.offset(offset);
         }
     }
-    automaton.invalidate_index();
 }
 
 /// Grafts the transformed automaton under the `1`-branch of every `x_c`
@@ -193,13 +180,18 @@ pub fn controlled_graft_in_place(
             transition.right = transition.right.offset(offset);
         }
     }
-    automaton.invalidate_index();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use autoq_treeaut::Tree;
+
+    fn apply(automaton: &TreeAutomaton, gate: &Gate) -> TreeAutomaton {
+        let mut result = automaton.clone();
+        apply_in_place(&mut result, gate);
+        result
+    }
 
     fn states_of(automaton: &TreeAutomaton) -> Vec<std::collections::BTreeMap<u128, Algebraic>> {
         automaton

@@ -29,7 +29,7 @@ use autoq_core::composition::{
 use autoq_core::formula::update_formula;
 use autoq_core::{Engine, Interrupt, ReductionPolicy, Resource, RunOptions, StateSet, StopReason};
 use autoq_simulator::DenseState;
-use autoq_treeaut::{equivalence, InternalSymbol, Tree, TreeAutomaton};
+use autoq_treeaut::{equivalence, InternalSymbol, TransitionIndex, Tree, TreeAutomaton};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -375,7 +375,7 @@ fn the_swap_ladders_dead_state_ids_take_the_ladder() {
     let amplitudes = random_state(4, &mut rng);
     let tagged = tag(&state_automaton(4, &amplitudes));
     let projected = project_with(&tagged, 0, true, &CompositionOptions::default()).untagged();
-    let index = projected.index();
+    let index = TransitionIndex::build(&projected);
     let dead = (0..projected.num_states)
         .map(autoq_treeaut::StateId::new)
         .filter(|&q| index.internal_of(q).is_empty() && index.leaves_of(q).is_empty())

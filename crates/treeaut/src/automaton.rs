@@ -3,7 +3,6 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 use autoq_amplitude::{intern, Algebraic, AmpId};
 
@@ -59,7 +58,7 @@ pub struct LeafTransition {
 /// assert!(set.accepts(&Tree::basis_state(1, 1)));
 /// assert_eq!(set.enumerate(16).len(), 2);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeAutomaton {
     /// Number of qubit variables (tree height).
     pub num_vars: u32,
@@ -71,39 +70,7 @@ pub struct TreeAutomaton {
     pub internal: Vec<InternalTransition>,
     /// Leaf transitions.
     pub leaves: Vec<LeafTransition>,
-    /// Lazily built adjacency index ([`TreeAutomaton::index`]).  Derived
-    /// data only: never part of the automaton's identity (equality, clones).
-    /// A `Mutex` (not `RefCell`) so `TreeAutomaton` stays `Send + Sync`;
-    /// the lock is uncontended and taken once per indexed operation.
-    index: Mutex<Option<Arc<TransitionIndex>>>,
 }
-
-impl Clone for TreeAutomaton {
-    /// Clones the automaton *without* the cached adjacency index, so a clone
-    /// can be mutated freely and rebuilds its own index on first use.
-    fn clone(&self) -> Self {
-        TreeAutomaton {
-            num_vars: self.num_vars,
-            num_states: self.num_states,
-            roots: self.roots.clone(),
-            internal: self.internal.clone(),
-            leaves: self.leaves.clone(),
-            index: Mutex::new(None),
-        }
-    }
-}
-
-impl PartialEq for TreeAutomaton {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_vars == other.num_vars
-            && self.num_states == other.num_states
-            && self.roots == other.roots
-            && self.internal == other.internal
-            && self.leaves == other.leaves
-    }
-}
-
-impl Eq for TreeAutomaton {}
 
 impl TreeAutomaton {
     /// Creates an empty automaton over `num_vars` qubit variables.
@@ -114,39 +81,13 @@ impl TreeAutomaton {
             roots: BTreeSet::new(),
             internal: Vec::new(),
             leaves: Vec::new(),
-            index: Mutex::new(None),
         }
-    }
-
-    /// Returns the (lazily built, cached) adjacency index over the current
-    /// transitions.
-    ///
-    /// The cache is dropped by every mutating method of this type; code that
-    /// mutates the public fields *directly* must call
-    /// [`TreeAutomaton::invalidate_index`] afterwards, or the next `index()`
-    /// call may observe a stale snapshot.
-    pub fn index(&self) -> Arc<TransitionIndex> {
-        let mut cache = self.index.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(index) = cache.as_ref() {
-            return Arc::clone(index);
-        }
-        let built = Arc::new(TransitionIndex::build(self));
-        *cache = Some(Arc::clone(&built));
-        built
-    }
-
-    /// Drops the cached adjacency index.  Required after mutating the public
-    /// transition/state fields directly (the methods of this type do it
-    /// themselves).
-    pub fn invalidate_index(&self) {
-        self.index.lock().unwrap_or_else(|e| e.into_inner()).take();
     }
 
     /// Allocates a fresh state.
     pub fn add_state(&mut self) -> StateId {
         let id = StateId::new(self.num_states);
         self.num_states += 1;
-        self.invalidate_index();
         id
     }
 
@@ -180,7 +121,6 @@ impl TreeAutomaton {
             left,
             right,
         });
-        self.invalidate_index();
     }
 
     /// Adds a leaf transition `parent → value()`.
@@ -210,7 +150,6 @@ impl TreeAutomaton {
             return;
         }
         self.leaves.push(LeafTransition { parent, amp });
-        self.invalidate_index();
     }
 
     /// Returns the leaf value of `state` if it has a leaf transition.
@@ -240,7 +179,6 @@ impl TreeAutomaton {
         }
         let state = self.add_state();
         self.leaves.push(LeafTransition { parent: state, amp });
-        self.invalidate_index();
         state
     }
 
@@ -395,7 +333,7 @@ impl TreeAutomaton {
     /// this crate and by `autoq-core` is); states on a cycle contribute no
     /// trees.
     pub fn enumerate(&self, limit: usize) -> Vec<Tree> {
-        let index = self.index();
+        let index = TransitionIndex::build(self);
         let mut memo: HashMap<StateId, Vec<Tree>> = HashMap::new();
         let mut visiting: HashSet<StateId> = HashSet::new();
         let mut result = Vec::new();
@@ -476,7 +414,6 @@ impl TreeAutomaton {
                 .entry(leaf.amp)
                 .or_insert_with(|| intern(&f(&autoq_amplitude::resolve(leaf.amp))));
         }
-        self.invalidate_index();
     }
 
     /// Imports all states and transitions of `other` with state ids shifted
@@ -499,7 +436,6 @@ impl TreeAutomaton {
                 amp: t.amp,
             });
         }
-        self.invalidate_index();
         offset
     }
 
@@ -512,7 +448,6 @@ impl TreeAutomaton {
         let mut seen_leaves: HashSet<(StateId, AmpId)> = HashSet::with_capacity(self.leaves.len());
         self.leaves
             .retain(|t| seen_leaves.insert((t.parent, t.amp)));
-        self.invalidate_index();
     }
 
     /// Returns a copy with every tag stripped from the internal symbols and
@@ -535,11 +470,6 @@ impl TreeAutomaton {
     /// Returns `true` if any internal symbol carries a tag.
     pub fn is_tagged(&self) -> bool {
         self.internal.iter().any(|t| t.symbol.tag != Tag::None)
-    }
-
-    /// Iterates over the internal transitions whose symbol is on `var`.
-    pub fn transitions_on_var(&self, var: u32) -> impl Iterator<Item = &InternalTransition> {
-        self.internal.iter().filter(move |t| t.symbol.var == var)
     }
 
     /// Checks basic structural sanity: transitions refer to allocated
@@ -582,7 +512,10 @@ impl TreeAutomaton {
             }
         }
         let all = vec![true; self.num_states as usize];
-        if self.bottom_up_order(&self.index(), &all).is_none() {
+        if self
+            .bottom_up_order(&TransitionIndex::build(self), &all)
+            .is_none()
+        {
             return Err("transitions form a cycle".into());
         }
         Ok(())
@@ -739,8 +672,7 @@ mod tests {
 
     #[test]
     fn automaton_stays_send_and_sync() {
-        // The lazily cached adjacency index must not strip the auto traits
-        // (callers parallelise independent hunts over whole automata).
+        // Callers parallelise independent hunts over whole automata.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TreeAutomaton>();
     }

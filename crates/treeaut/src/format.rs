@@ -639,7 +639,6 @@ pub fn from_binary(bytes: &[u8]) -> Result<TreeAutomaton, BinaryFormatError> {
         });
     }
     cursor.expect_end()?;
-    automaton.invalidate_index();
     automaton.validate().map_err(|message| BinaryFormatError {
         offset: bytes.len(),
         message,

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use autoq_amplitude::AmpId;
 
 use crate::certificate::{build_certificate, CertificateBuildError, InclusionCertificate};
-use crate::{StateId, Tree, TreeAutomaton};
+use crate::{StateId, TransitionIndex, Tree, TreeAutomaton};
 
 /// Result of a language inclusion test `L(A) ⊆ L(B)`.
 #[derive(Clone, Debug, PartialEq)]
@@ -206,7 +206,7 @@ fn search(a: &TreeAutomaton, b: &TreeAutomaton) -> Result<Vec<Vec<Rc<SearchPair>
     // A's transitions indexed by child state, so each *new* pair combines
     // only with the transitions it can actually extend (worklist saturation)
     // instead of a fixpoint rescan over all of A's transitions.
-    let a_index = a.index();
+    let a_index = TransitionIndex::build(a);
 
     // pairs[q] = antichain (by ⊆ on b_states) of SearchPairs for A-state q.
     let mut pairs: Vec<Vec<Rc<SearchPair>>> = vec![Vec::new(); a.num_states as usize];

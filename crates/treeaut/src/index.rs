@@ -8,11 +8,12 @@
 //! same queries from three compressed-sparse-row tables built in one
 //! counting-sort pass, O(states + transitions) total.
 //!
-//! The index is a *derived* structure: [`TreeAutomaton`](crate::TreeAutomaton)
-//! caches one lazily (see `TreeAutomaton::index`) and drops the cache on
-//! every mutation, so an index handle is always consistent with the
-//! automaton it was built from as long as the automaton is not mutated
-//! while the handle is alive.
+//! The index is a *derived* snapshot that each operation builds for itself
+//! with [`TransitionIndex::build`] and drops when it returns.  It is not
+//! cached on the automaton: every gate yields a fresh automaton, so a cache
+//! was almost never hit, and without one a direct edit of the automaton's
+//! public fields can never meet a stale index.  A borrowed automaton cannot
+//! change while the operation holds the index built from it.
 
 use crate::{StateId, TreeAutomaton};
 

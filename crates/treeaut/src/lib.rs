@@ -18,10 +18,11 @@
 //! `docs/ARCHITECTURE.md` §2).
 //!
 //! The per-gate hot path — `trim`, `reduce`, `inclusion`, `enumerate` —
-//! reads adjacency through a lazily cached CSR [`TransitionIndex`]
-//! ([`TreeAutomaton::index`]) instead of rescanning the transition vectors,
-//! and the reduction merges states in one bottom-up hash-consing pass (see
-//! `docs/ARCHITECTURE.md` §3.1).
+//! reads adjacency through a CSR [`TransitionIndex`] that each operation
+//! builds for itself instead of rescanning the transition vectors, and the
+//! reduction merges states in one bottom-up hash-consing pass (see
+//! `docs/ARCHITECTURE.md` §3.1).  [`TreeAutomaton`] is plain data: its
+//! public fields may be edited directly, with nothing to keep in step.
 //!
 //! *Pipeline position*: bigint → amplitude → **treeaut** → simulator →
 //! {equivcheck, core} → bench — the automata substrate `autoq-core` builds

@@ -45,7 +45,7 @@ impl TreeAutomaton {
     /// Removes useless states and transitions (non-productive or
     /// inaccessible) and renumbers the remaining states densely.
     pub fn trim(&self) -> TreeAutomaton {
-        let live = self.live_states(&self.index());
+        let live = self.live_states(&TransitionIndex::build(self));
         let mut count = 0;
         let map: Vec<u32> = live
             .iter()
@@ -65,7 +65,7 @@ impl TreeAutomaton {
     /// the fixpoint, which is a sound under-approximation of bottom-up
     /// bisimulation.
     pub fn reduce(&self) -> TreeAutomaton {
-        let index = self.index();
+        let index = TransitionIndex::build(self);
         let live = self.live_states(&index);
         let Some(order) = self.bottom_up_order(&index, &live) else {
             return self.reduce_reference();
