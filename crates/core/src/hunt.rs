@@ -62,9 +62,17 @@ impl HuntReport {
     /// paper does by feeding its witnesses to SliQSim.
     ///
     /// The witness is an *output* state produced by exactly one of the two
-    /// circuits, so it is pulled back to an input by running the inverse
-    /// circuit; if the preimage is a single basis state on which the two
-    /// circuits' exact outputs differ, that basis input is returned.
+    /// circuits, so it is pulled back to an input through each circuit's
+    /// inverse in turn; if the preimage is a single basis state on which the
+    /// two circuits' exact outputs differ, that basis input is returned.
+    ///
+    /// The pull-back is [`SparseState::try_apply_inverse`]: it walks the
+    /// circuit's forward schedule backwards with exact inverse gates, so
+    /// pulling back through the circuit that produced the witness visits
+    /// the forward run's intermediate states in reverse and costs about as
+    /// much as one of the two forward runs that follow.  The witness state
+    /// is built afresh for each circuit ([`SparseState::from_tree`] walks
+    /// the tree's non-zero leaves), so at most one copy of it is alive.
     ///
     /// `None` means the witness could not be confirmed this way — no
     /// witness, no basis-state preimage (possible for superposition
@@ -93,10 +101,9 @@ impl HuntReport {
                 .try_apply_circuit(circuit, MAX_SUPPORT)
                 .then_some(state)
         };
-        let witness_state = SparseState::from_tree(witness);
         for source in [original, candidate] {
-            let mut preimage = witness_state.clone();
-            if !preimage.try_apply_circuit(&source.dagger(), MAX_SUPPORT) {
+            let mut preimage = SparseState::from_tree(witness);
+            if !preimage.try_apply_inverse(source, MAX_SUPPORT) {
                 continue;
             }
             if preimage.support_size() != 1 {

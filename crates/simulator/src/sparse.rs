@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use autoq_amplitude::hash::FixedMap;
-use autoq_amplitude::Algebraic;
+use autoq_amplitude::{intern, Algebraic, AmpId};
 use autoq_circuit::schedule::interference_schedule;
 use autoq_circuit::{Circuit, Gate};
 use autoq_treeaut::basis;
@@ -51,10 +51,20 @@ const UNSET: u32 = u32::MAX - 1;
 /// [`FixedHasher`](autoq_amplitude::hash::FixedHasher) instead of
 /// `SipHash`: the keys are basis indices of circuits under test, not
 /// adversarial input, and hashing dominates once the arithmetic is
-/// memoised.  Confirming the
-/// `random35` bug-hunt witness (262,144 entries pulled back through 207
-/// gates, then two forward runs) took 0.6 s with it and 4.0 s with
-/// `SipHash` on a 2-core VM.
+/// memoised.  When confirmation still pulled the `random35` bug-hunt
+/// witness (262,144 entries) back through the 207-gate dagger circuit, the
+/// whole confirmation took 0.6 s with it and 4.0 s with `SipHash` on a
+/// 2-core VM.
+///
+/// # Inverses
+///
+/// [`SparseState::apply_gate_inverse`] undoes any gate as one step, and
+/// [`SparseState::try_apply_inverse`] pulls a state back through a circuit
+/// by walking the circuit's forward schedule backwards.  Pulling `U|b⟩`
+/// back that way passes exactly the forward run's intermediate states, so
+/// it costs what the forward run costs: random35's witness pulls back in
+/// ~0.06–0.11 s, where the dagger circuit (each `Rx(π/2)`/`Ry(π/2)` spelled
+/// as seven gates, under its own schedule) took ~0.8–0.9 s on the same VM.
 ///
 /// # Examples
 ///
@@ -134,9 +144,13 @@ impl SparseState {
     /// the exact simulator for confirmation — the role SliQSim plays in the
     /// paper's evaluation.
     ///
-    /// The conversion enumerates only the tree's non-zero amplitudes, so a
-    /// 35-qubit basis-state witness costs a handful of map entries, not
-    /// `2^35` leaves.
+    /// The conversion enumerates only the tree's non-zero amplitudes
+    /// ([`Tree::for_each_nonzero`]), so a 35-qubit basis-state witness
+    /// costs a handful of map entries, not `2^35` leaves.  Entries go
+    /// straight into the state's map, and each distinct leaf amplitude is
+    /// resolved from its interned id once: random35's 262,144-entry witness
+    /// converts in ~0.04 s on a 2-core VM, where going through
+    /// [`Tree::to_amplitude_map`] took ~0.2 s.
     ///
     /// # Panics
     ///
@@ -161,7 +175,34 @@ impl SparseState {
             support <= Self::MAX_TREE_SUPPORT,
             "witness support {support} too large to materialise as a sparse state"
         );
-        Self::from_amplitudes(tree.num_qubits(), tree.to_amplitude_map())
+        let num_qubits = tree.num_qubits();
+        assert!(
+            num_qubits <= basis::MAX_QUBITS,
+            "sparse simulation limited to {} qubits",
+            basis::MAX_QUBITS
+        );
+        let mut entries = FixedMap::with_capacity_and_hasher(support as usize, Default::default());
+        // Interned ids are canonical, so distinct ids are distinct non-zero
+        // values: each is resolved once and the table comes out tight.
+        let mut slots: FixedMap<AmpId, u32> = FixedMap::default();
+        let mut values = Vec::new();
+        tree.for_each_nonzero(|basis, amp| {
+            basis::assert_in_range(num_qubits, basis);
+            let next = u32::try_from(values.len()).expect("amplitude table overflow");
+            let value = *slots.entry(amp).or_insert_with(|| {
+                values.push(intern::resolve(amp));
+                next
+            });
+            let previous = entries.insert(basis, value);
+            assert!(previous.is_none(), "basis index {basis} repeated");
+        });
+        let state = SparseState {
+            num_qubits,
+            entries,
+            values,
+        };
+        debug_assert!(state.table_is_tight());
+        state
     }
 
     /// Number of qubits.
@@ -192,9 +233,28 @@ impl SparseState {
     }
 
     /// Consumes the state and returns its non-zero amplitudes, ordered by
-    /// basis index.
+    /// basis index.  Each table value is moved into the last entry that
+    /// uses it and cloned only for the others, so a state whose entries
+    /// all differ clones nothing.
     pub fn into_amplitude_map(self) -> BTreeMap<u128, Algebraic> {
-        self.to_amplitude_map()
+        let mut uses = vec![0u32; self.values.len()];
+        for &value in self.entries.values() {
+            uses[value as usize] += 1;
+        }
+        let mut values = self.values;
+        self.entries
+            .into_iter()
+            .map(|(basis, value)| {
+                let value = value as usize;
+                uses[value] -= 1;
+                let amp = if uses[value] == 0 {
+                    std::mem::take(&mut values[value])
+                } else {
+                    values[value].clone()
+                };
+                (basis, amp)
+            })
+            .collect()
     }
 
     /// Total squared norm (should be 1).
@@ -271,6 +331,39 @@ impl SparseState {
             }
         }
         debug_assert!(self.table_is_tight());
+    }
+
+    /// Applies the exact inverse of one gate in place, as one gate:
+    /// `S`↔`S†`, `T`↔`T†`, and `Rx(π/2)⁻¹`/`Ry(π/2)⁻¹` as one superposing
+    /// step each (where [`Gate::dagger`] spells them as seven copies of the
+    /// gate); every other gate is its own inverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gate refers to a qubit outside the state.
+    pub fn apply_gate_inverse(&mut self, gate: &Gate) {
+        match *gate {
+            Gate::S(q) => self.apply_gate(&Gate::Sdg(q)),
+            Gate::Sdg(q) => self.apply_gate(&Gate::S(q)),
+            Gate::T(q) => self.apply_gate(&Gate::Tdg(q)),
+            Gate::Tdg(q) => self.apply_gate(&Gate::T(q)),
+            Gate::RxPi2(q) => {
+                assert!(q < self.num_qubits, "gate qubit {q} out of range");
+                self.superpose(self.mask(q), |v0, v1| {
+                    let i = Algebraic::i();
+                    ((v0 + &(v1 * &i)).div_sqrt2(), (&(v0 * &i) + v1).div_sqrt2())
+                });
+                debug_assert!(self.table_is_tight());
+            }
+            Gate::RyPi2(q) => {
+                assert!(q < self.num_qubits, "gate qubit {q} out of range");
+                self.superpose(self.mask(q), |v0, v1| {
+                    ((v0 + v1).div_sqrt2(), (v1 - v0).div_sqrt2())
+                });
+                debug_assert!(self.table_is_tight());
+            }
+            _ => self.apply_gate(gate),
+        }
     }
 
     /// Sends each `|b⟩` to `|to(b)⟩` (`to` must be a bijection): keys are
@@ -387,8 +480,8 @@ impl SparseState {
     /// Applies a circuit like [`SparseState::apply_circuit`] but gives up
     /// (returning `false`) as soon as the live support exceeds
     /// `max_support`, so callers probing a possibly-dense evolution — e.g.
-    /// witness confirmation pulling a state back through a superposing
-    /// circuit — degrade gracefully instead of exhausting memory.
+    /// witness confirmation running a superposing circuit on a basis
+    /// input — degrade gracefully instead of exhausting memory.
     ///
     /// On `false` the state is left mid-circuit and is not meaningful.
     ///
@@ -396,13 +489,64 @@ impl SparseState {
     ///
     /// Panics if the circuit is wider than the state.
     pub fn try_apply_circuit(&mut self, circuit: &Circuit, max_support: usize) -> bool {
+        let order = interference_schedule(circuit);
+        self.try_apply_gates(circuit, order.into_iter(), Self::apply_gate, max_support)
+    }
+
+    /// Applies the inverse of `circuit` — the state `U†|ψ⟩` — giving up
+    /// (returning `false`) like [`SparseState::try_apply_circuit`] as soon
+    /// as the live support exceeds `max_support`.
+    ///
+    /// The circuit's [`interference_schedule`] is walked backwards, each
+    /// gate undone by [`SparseState::apply_gate_inverse`].  Pulling `U|b⟩`
+    /// back this way visits exactly the intermediate states of the forward
+    /// run from `|b⟩`, in reverse, so it costs one forward run and stays
+    /// under `max_support` whenever that run does.  Applying
+    /// `circuit.dagger()` gives the same state, but through the dagger's
+    /// own schedule (which can pass much larger supports) and with every
+    /// `Rx(π/2)`/`Ry(π/2)` spelled as seven gates.
+    ///
+    /// On `false` the state is left mid-circuit and is not meaningful.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit is wider than the state.
+    ///
+    /// ```
+    /// use autoq_circuit::{Circuit, Gate};
+    /// use autoq_simulator::SparseState;
+    ///
+    /// let circuit = Circuit::from_gates(2, [Gate::H(0), Gate::RxPi2(1), Gate::T(0)]).unwrap();
+    /// let mut state = SparseState::run(&circuit, 0b10);
+    /// assert!(state.try_apply_inverse(&circuit, usize::MAX));
+    /// assert_eq!(state, SparseState::basis_state(2, 0b10));
+    /// ```
+    pub fn try_apply_inverse(&mut self, circuit: &Circuit, max_support: usize) -> bool {
+        let order = interference_schedule(circuit);
+        self.try_apply_gates(
+            circuit,
+            order.into_iter().rev(),
+            Self::apply_gate_inverse,
+            max_support,
+        )
+    }
+
+    /// Applies `apply` to the gates of `circuit` in `order`, giving up as
+    /// soon as the live support exceeds `max_support`.
+    fn try_apply_gates(
+        &mut self,
+        circuit: &Circuit,
+        order: impl Iterator<Item = usize>,
+        apply: fn(&mut Self, &Gate),
+        max_support: usize,
+    ) -> bool {
         assert!(
             circuit.num_qubits() <= self.num_qubits,
             "circuit wider than the state"
         );
         let gates = circuit.gates();
-        for index in interference_schedule(circuit) {
-            self.apply_gate(&gates[index]);
+        for index in order {
+            apply(self, &gates[index]);
             if self.support_size() > max_support {
                 return false;
             }

@@ -5,6 +5,10 @@
 //! `random_circuit` never draws) are run on superposed inputs whose
 //! amplitudes cancel exactly, and the sparse result must equal the dense one
 //! amplitude for amplitude, zeros dropped.
+//!
+//! The exact inverse kernels (`apply_gate_inverse`, `try_apply_inverse`)
+//! are checked against their oracle, the dagger circuit applied gate by
+//! gate, and against `DenseState`.
 
 use autoq_amplitude::Algebraic;
 use autoq_circuit::generators::{random_circuit, RandomCircuitConfig};
@@ -149,6 +153,41 @@ fn check_circuit(n: u32, circuit: &Circuit, entries: &[(u128, Algebraic)], conte
     assert_same(&sparse, &dense, context);
 }
 
+/// Undoes `gate` on `entries` three ways — `apply_gate_inverse`, the
+/// sparse dagger gate by gate, the dense dagger — and compares; then checks
+/// that the gate followed by its inverse is the identity.
+fn check_gate_inverse(n: u32, gate: &Gate, entries: &[(u128, Algebraic)]) {
+    let input = SparseState::from_amplitudes(n, entries.iter().cloned());
+    let mut inverse = input.clone();
+    inverse.apply_gate_inverse(gate);
+    let mut dagger = input.clone();
+    let mut dense = dense_of(n, entries);
+    for g in gate.dagger() {
+        dagger.apply_gate(&g);
+        dense.apply_gate(&g);
+    }
+    assert_eq!(
+        inverse, dagger,
+        "{gate:?}⁻¹ against its dagger on {n} qubits"
+    );
+    assert_same(&inverse, &dense, &format!("{gate:?}⁻¹ on {n} qubits"));
+
+    let mut round_trip = input.clone();
+    round_trip.apply_gate(gate);
+    round_trip.apply_gate_inverse(gate);
+    assert_eq!(round_trip, input, "{gate:?} then its inverse on {n} qubits");
+}
+
+/// Pulls `entries` back through `circuit` with `try_apply_inverse` and
+/// through `circuit.dagger()` with `try_apply_circuit`, and compares.
+fn check_circuit_inverse(n: u32, circuit: &Circuit, entries: &[(u128, Algebraic)], context: &str) {
+    let mut inverse = SparseState::from_amplitudes(n, entries.iter().cloned());
+    let mut dagger = inverse.clone();
+    assert!(inverse.try_apply_inverse(circuit, usize::MAX));
+    assert!(dagger.try_apply_circuit(&circuit.dagger(), usize::MAX));
+    assert_eq!(inverse, dagger, "{context}");
+}
+
 #[test]
 fn every_gate_kind_matches_dense_on_superposed_states() {
     let mut rng = StdRng::seed_from_u64(151);
@@ -190,6 +229,54 @@ fn inverse_circuits_match_dense_and_undo_the_circuit() {
             assert_eq!(there_and_back, input, "C;C† is not the identity");
         }
     }
+}
+
+#[test]
+fn gate_inverses_match_the_dagger_and_dense_on_superposed_states() {
+    let mut rng = StdRng::seed_from_u64(155);
+    for n in 1..=4u32 {
+        for _ in 0..4 {
+            let qubits = distinct_qubits(n, n.min(3) as usize, &mut rng);
+            let entries = superposed_input(n, &mut rng);
+            for gate in every_kind(&qubits) {
+                check_gate_inverse(n, &gate, &entries);
+            }
+        }
+    }
+}
+
+#[test]
+fn circuit_inverses_match_the_dagger_circuit() {
+    let mut rng = StdRng::seed_from_u64(156);
+    for n in 3..=6u32 {
+        let config = RandomCircuitConfig::with_paper_ratio(n);
+        for round in 0..4 {
+            let circuit = if round % 2 == 0 {
+                random_circuit(&config, &mut rng)
+            } else {
+                random_any_circuit(n, &mut rng)
+            };
+            let entries = superposed_input(n, &mut rng);
+            check_circuit_inverse(n, &circuit, &entries, &format!("{n} qubits, round {round}"));
+            // A forward run pulled back along its own schedule returns the
+            // input exactly.
+            let b = random_basis(n, &mut rng);
+            let mut state = SparseState::run(&circuit, b);
+            assert!(state.try_apply_inverse(&circuit, usize::MAX));
+            assert_eq!(state, SparseState::basis_state(n, b));
+        }
+    }
+}
+
+#[test]
+fn try_apply_inverse_gives_up_past_the_support_cap() {
+    // Pulling |000⟩ back through H⊗H⊗H spreads it over all 8 entries.
+    let circuit = Circuit::from_gates(3, [Gate::H(0), Gate::H(1), Gate::H(2)]).unwrap();
+    let mut state = SparseState::basis_state(3, 0);
+    assert!(!state.try_apply_inverse(&circuit, 4));
+    let mut state = SparseState::basis_state(3, 0);
+    assert!(state.try_apply_inverse(&circuit, 8));
+    assert_eq!(state.support_size(), 8);
 }
 
 #[test]
@@ -268,5 +355,8 @@ fn long_differential_run_over_every_gate_kind() {
             &entries,
             &format!("round {round} (inverse)"),
         );
+        check_circuit_inverse(n, &circuit, &entries, &format!("round {round} (pull-back)"));
+        let gate = random_any_gate(n, &mut rng);
+        check_gate_inverse(n, &gate, &entries);
     }
 }

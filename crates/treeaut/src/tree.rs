@@ -27,9 +27,10 @@
 //! See [`crate::arena`] and `docs/CONCURRENCY.md` for the concurrency model
 //! and the invariants reclamation callers must uphold.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
+use autoq_amplitude::hash::FixedMap;
 use autoq_amplitude::{intern, Algebraic, AmpId};
 
 use crate::arena::{self, TreeNode};
@@ -298,7 +299,7 @@ impl Tree {
     /// safe way to decide whether materialising [`Tree::to_amplitude_map`]
     /// is affordable for a wide witness.
     pub fn support_size(&self) -> u128 {
-        fn count(id: NodeId, memo: &mut HashMap<NodeId, u128>) -> u128 {
+        fn count(id: NodeId, memo: &mut FixedMap<NodeId, u128>) -> u128 {
             if let Some(&cached) = memo.get(&id) {
                 return cached;
             }
@@ -311,14 +312,64 @@ impl Tree {
             memo.insert(id, result);
             result
         }
-        count(self.id, &mut HashMap::new())
+        count(self.id, &mut FixedMap::default())
+    }
+
+    /// Calls `f(basis, amplitude)` for every basis state with a non-zero
+    /// amplitude, in ascending basis order.
+    ///
+    /// One memoised walk over the DAG: each distinct node is read from the
+    /// arena once, and all-zero subtrees are pruned without being
+    /// traversed, so the cost is proportional to the support (times the
+    /// height), not to `2^n`.  The amplitude comes as its interned
+    /// [`AmpId`], so callers resolve each distinct value once, not once per
+    /// entry.
+    ///
+    /// ```
+    /// # use autoq_treeaut::Tree;
+    /// # use autoq_amplitude::intern;
+    /// let t = Tree::basis_state(3, 0b110);
+    /// let mut seen = Vec::new();
+    /// t.for_each_nonzero(|basis, amp| seen.push((basis, amp)));
+    /// assert_eq!(seen, vec![(0b110, intern::one_id())]);
+    /// ```
+    pub fn for_each_nonzero(&self, mut f: impl FnMut(BasisIndex, AmpId)) {
+        /// Node id → (its arena node, whether its subtree is all zero).
+        type Memo = FixedMap<NodeId, (TreeNode, bool)>;
+        fn lookup(id: NodeId, memo: &mut Memo) -> (TreeNode, bool) {
+            if let Some(&cached) = memo.get(&id) {
+                return cached;
+            }
+            let node = arena::read(id);
+            let zero = match node {
+                // Canonical zero is unique, so the id comparison decides
+                // zero-ness without resolving the value.
+                TreeNode::Leaf(amp) => amp == intern::zero_id(),
+                TreeNode::Node { left, right, .. } => lookup(left, memo).1 && lookup(right, memo).1,
+            };
+            memo.insert(id, (node, zero));
+            (node, zero)
+        }
+        fn collect(
+            id: NodeId,
+            prefix: BasisIndex,
+            memo: &mut Memo,
+            f: &mut impl FnMut(BasisIndex, AmpId),
+        ) {
+            match lookup(id, memo) {
+                (_, true) => {}
+                (TreeNode::Leaf(amp), false) => f(prefix, amp),
+                (TreeNode::Node { left, right, .. }, false) => {
+                    collect(left, prefix << 1, memo, f);
+                    collect(right, (prefix << 1) | 1, memo, f);
+                }
+            }
+        }
+        collect(self.id, 0, &mut Memo::default(), &mut f);
     }
 
     /// Converts the tree into an explicit map from basis states to non-zero
-    /// amplitudes.
-    ///
-    /// All-zero subtrees are pruned without being traversed, so the cost is
-    /// proportional to the support (times the height), not to `2^n`; check
+    /// amplitudes (the walk of [`Tree::for_each_nonzero`]); check
     /// [`Tree::support_size`] first when the support itself might be huge.
     ///
     /// ```
@@ -330,38 +381,10 @@ impl Tree {
     /// assert_eq!(map[&0b10], Algebraic::one());
     /// ```
     pub fn to_amplitude_map(&self) -> BTreeMap<BasisIndex, Algebraic> {
-        fn is_zero(id: NodeId, memo: &mut HashMap<NodeId, bool>) -> bool {
-            if let Some(&cached) = memo.get(&id) {
-                return cached;
-            }
-            let result = match arena::read(id) {
-                TreeNode::Leaf(amp) => amp == intern::zero_id(),
-                TreeNode::Node { left, right, .. } => is_zero(left, memo) && is_zero(right, memo),
-            };
-            memo.insert(id, result);
-            result
-        }
-        fn collect(
-            id: NodeId,
-            prefix: BasisIndex,
-            memo: &mut HashMap<NodeId, bool>,
-            map: &mut BTreeMap<BasisIndex, Algebraic>,
-        ) {
-            if is_zero(id, memo) {
-                return;
-            }
-            match arena::read(id) {
-                TreeNode::Leaf(amp) => {
-                    map.insert(prefix, intern::resolve(amp));
-                }
-                TreeNode::Node { left, right, .. } => {
-                    collect(left, prefix << 1, memo, map);
-                    collect(right, (prefix << 1) | 1, memo, map);
-                }
-            }
-        }
         let mut map = BTreeMap::new();
-        collect(self.id, 0, &mut HashMap::new(), &mut map);
+        self.for_each_nonzero(|basis, amp| {
+            map.insert(basis, intern::resolve(amp));
+        });
         map
     }
 
@@ -599,6 +622,25 @@ mod tests {
         let wide = Tree::basis_state(40, 7);
         let rendered = format!("{wide:?}");
         assert!(rendered.contains("40 qubits"), "got {rendered}");
+    }
+
+    #[test]
+    fn for_each_nonzero_lists_the_support_in_ascending_order() {
+        let tree = Tree::from_fn(5, |b| match b % 7 {
+            0 | 3 => Algebraic::zero(),
+            1 => Algebraic::one_over_sqrt2(),
+            _ => Algebraic::i(),
+        });
+        let mut seen = Vec::new();
+        tree.for_each_nonzero(|basis, amp| seen.push((basis, intern::resolve(amp))));
+        let expected: Vec<_> = (0..32u128)
+            .map(|b| (b, tree.amplitude(b)))
+            .filter(|(_, amp)| !amp.is_zero())
+            .collect();
+        assert_eq!(seen, expected);
+        let mut none = 0;
+        Tree::from_fn(4, |_| Algebraic::zero()).for_each_nonzero(|_, _| none += 1);
+        assert_eq!(none, 0);
     }
 
     #[test]

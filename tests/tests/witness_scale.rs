@@ -7,11 +7,13 @@
 //! extraction, automaton re-insertion, simulator confirmation — at ≥ 35
 //! qubits.
 
-use autoq_circuit::generators::ripple_carry_adder;
+use autoq_circuit::generators::{random_circuit, ripple_carry_adder, RandomCircuitConfig};
+use autoq_circuit::mutation::inject_random_gate;
 use autoq_circuit::{Circuit, Gate};
 use autoq_core::{BugHunter, Engine, StateSet};
 use autoq_simulator::SparseState;
 use autoq_treeaut::{equivalence, Tree, TreeAutomaton};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A 35-qubit hunt on a lightweight reversible circuit, end to end: the
@@ -182,4 +184,44 @@ fn equivalence_counterexamples_at_70_qubits() {
     let state = SparseState::from_tree(witness);
     assert_eq!(state.support_size(), 1);
     assert_eq!(state.num_qubits(), n);
+}
+
+/// The superposing `random35` row of `table3 --paper` (circuit: the first
+/// 35-qubit paper-ratio `random_circuit` drawn from seed 3500; row seed
+/// 4245 injects the bug, hunt seed `4245 ^ 0xabcd`, 11 iterations), pinned
+/// end to end.  Its witness has 262,144 non-zero entries, and the circuit
+/// holds `Rx(π/2)`/`Ry(π/2)` gates, whose daggers are seven gates each.
+/// Confirmation must return the same basis input as before the pull-back
+/// walked the forward schedule backwards, and that pull-back must equal the
+/// dagger circuit's, amplitude for amplitude.
+#[test]
+#[ignore = "exact-arithmetic heavy: run in release (--include-ignored)"]
+fn random35_paper_row_confirms_on_its_pinned_input() {
+    const MAX_SUPPORT: usize = 1 << 20;
+    let circuit = random_circuit(
+        &RandomCircuitConfig::with_paper_ratio(35),
+        &mut StdRng::seed_from_u64(3500),
+    );
+    let seed = 4245;
+    let (buggy, _) = inject_random_gate(&circuit, true, &mut StdRng::seed_from_u64(seed));
+    let report = BugHunter::new(Engine::hybrid())
+        .with_max_iterations(11)
+        .hunt(&circuit, &buggy, &mut StdRng::seed_from_u64(seed ^ 0xabcd));
+    assert!(report.bug_found);
+    assert_eq!(
+        report.confirm_with_simulator(&circuit, &buggy),
+        Some(33_522_204_741)
+    );
+
+    // The hunt's witness pulls back to one basis state through either
+    // circuit, within confirmation's support cap on both paths.
+    let witness = report.witness.as_ref().expect("witness tree");
+    for source in [&circuit, &buggy] {
+        let mut inverse = SparseState::from_tree(witness);
+        assert!(inverse.try_apply_inverse(source, MAX_SUPPORT));
+        let mut dagger = SparseState::from_tree(witness);
+        assert!(dagger.try_apply_circuit(&source.dagger(), MAX_SUPPORT));
+        assert_eq!(inverse, dagger);
+        assert_eq!(inverse.support_size(), 1);
+    }
 }
