@@ -9,6 +9,12 @@
 //! `--threads N` runs the paper-scale rows as a portfolio on `N` worker
 //! threads (row seeds are pinned, so the table itself is identical for every
 //! thread count; see `docs/CONCURRENCY.md` §portfolio hunting).
+//!
+//! AutoQ's hunts run the Hybrid engine, which applies a CNOT or Toffoli
+//! whose control sits below its target to a set of phased basis states by
+//! guess-and-verify (`autoq_core::composition`, *The basis path*) instead
+//! of the paper's tagged composition ladder; the peak-states column reports
+//! that path's output sizes.
 
 use autoq_bench::table3::{default_workload, run_paper_scale_rows_threaded, run_row, Table3Row};
 
@@ -25,6 +31,13 @@ fn main() {
     let paper = args.iter().any(|a| a == "--paper");
     let threads = parse_threads(&args);
     println!("# Table 3 — bug finding on circuits with one injected gate");
+    println!();
+    println!(
+        "Hybrid applies a CNOT or Toffoli whose control sits below its target to a set of \
+         phased basis states by guess-and-verify instead of the tagged ladder, and a \
+         composition-encoded gate whose input holds one quantum state on a hash-consed DAG, \
+         deviations from the paper's Hybrid setting that the peak-states column reflects."
+    );
     println!();
     println!("{}", Table3Row::markdown_header());
 

@@ -23,7 +23,7 @@ use autoq_circuit::generators::{
 };
 use autoq_circuit::mutation::inject_random_gate;
 use autoq_circuit::Circuit;
-use autoq_core::{BugHunter, Engine};
+use autoq_core::{BugHunter, Engine, HuntReport};
 use autoq_equivcheck::stimuli::{check_with_stimuli, StimuliConfig};
 use autoq_equivcheck::{pathsum, Verdict};
 use rand::rngs::StdRng;
@@ -146,13 +146,7 @@ fn run_row_inner(
     seed: u64,
     run_baselines: bool,
 ) -> Table3Row {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (buggy, _bug) = inject_random_gate(circuit, superposing, &mut rng);
-
-    let hunter =
-        BugHunter::new(Engine::hybrid()).with_max_iterations(circuit.num_qubits().min(10) + 1);
-    let mut hunt_rng = StdRng::seed_from_u64(seed ^ 0xabcd);
-    let (report, autoq_time) = timed(|| hunter.hunt(circuit, &buggy, &mut hunt_rng));
+    let ((buggy, report), autoq_time) = timed(|| hunt_row(circuit, superposing, seed));
     let (autoq_confirmed_on, confirm_time) =
         timed(|| report.confirm_with_simulator(circuit, &buggy));
 
@@ -188,6 +182,19 @@ fn run_row_inner(
         stimuli_time,
         stimuli_verdict,
     }
+}
+
+/// AutoQ's part of a row: injects a random gate into `circuit` (seed
+/// `seed`) and hunts for it (seed `seed ^ 0xabcd`, `min(n, 10) + 1`
+/// iterations); returns the buggy circuit and the hunt's report.
+fn hunt_row(circuit: &Circuit, superposing: bool, seed: u64) -> (Circuit, HuntReport) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (buggy, _bug) = inject_random_gate(circuit, superposing, &mut rng);
+    let hunter =
+        BugHunter::new(Engine::hybrid()).with_max_iterations(circuit.num_qubits().min(10) + 1);
+    let mut hunt_rng = StdRng::seed_from_u64(seed ^ 0xabcd);
+    let report = hunter.hunt(circuit, &buggy, &mut hunt_rng);
+    (buggy, report)
 }
 
 /// Runs the whole paper-scale workload with the canonical per-row seeds —
@@ -335,6 +342,7 @@ pub fn default_workload() -> Vec<(String, Circuit, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autoq_simulator::SparseState;
 
     #[test]
     fn autoq_finds_bugs_in_reversible_rows() {
@@ -420,6 +428,56 @@ mod tests {
             confirmed_on > u128::from(u64::MAX),
             "expected a confirmation input past the 64-bit boundary, got {confirmed_on}"
         );
+    }
+
+    /// The premise of the confirmation shortcut in
+    /// [`HuntReport::confirm_with_simulator`]: a row's witness is one
+    /// circuit's exact output on the confirmed input, and the other
+    /// circuit's output there differs.
+    fn assert_witness_is_an_output_on_its_confirmed_input(
+        name: &str,
+        circuit: &Circuit,
+        superposing: bool,
+        seed: u64,
+    ) {
+        let (buggy, report) = hunt_row(circuit, superposing, seed);
+        let Some(basis) = report.confirm_with_simulator(circuit, &buggy) else {
+            assert!(superposing, "{name}: a reversible row must confirm");
+            return;
+        };
+        let witness = SparseState::from_tree(report.witness.as_ref().expect("a witness"));
+        let outputs = [
+            SparseState::run(circuit, basis),
+            SparseState::run(&buggy, basis),
+        ];
+        assert_ne!(outputs[0], outputs[1], "{name}");
+        assert!(
+            outputs.contains(&witness),
+            "{name}: the witness is no circuit's output on {basis}"
+        );
+    }
+
+    /// Every default row, with the `table3` binary's seeds (`42 + index`).
+    #[test]
+    fn default_row_witnesses_are_outputs_on_their_confirmed_inputs() {
+        for (index, (name, circuit, superposing)) in default_workload().into_iter().enumerate() {
+            assert_witness_is_an_output_on_its_confirmed_input(
+                &name,
+                &circuit,
+                superposing,
+                42 + index as u64,
+            );
+        }
+    }
+
+    /// Every paper-scale row; `random70` has no basis preimage and is
+    /// skipped by the helper.
+    #[test]
+    #[ignore = "exact-arithmetic heavy: run in release (--include-ignored)"]
+    fn paper_row_witnesses_are_outputs_on_their_confirmed_inputs() {
+        for (name, circuit, superposing, seed) in paper_scale_workload() {
+            assert_witness_is_an_output_on_its_confirmed_input(&name, &circuit, superposing, seed);
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! `Combine` must add each tree's terms to that tree's own terms only.  A
 //! set that holds exactly one quantum state has nothing to keep apart, and
 //! for it the automaton is just a decision diagram of the state.  With
-//! [`CompositionOptions::single_state_dag`] set, an input with one root,
+//! [`CompositionOptions::hybrid_fast_paths`] set, an input with one root,
 //! exactly one transition per state and every state at the depth its
 //! transition names (checked by one scan over the transitions and one walk
 //! from the root; [`is_single_state_dag`]) is imported into a locally
@@ -88,16 +88,53 @@
 //! One evaluator covers every gate, controls below the target included.
 //! The nodes the root reaches are emitted as an untagged automaton, one
 //! state and one transition per node, so the result is already reduced
-//! (debug builds assert it); the peak reports the nodes built.  Any other
-//! input goes through the ladder unchanged.
+//! (debug builds assert it); the peak reports the nodes built.
 //!
-//! The path sits behind this entry point, not in the engine, so every
+//! # The basis path
+//!
+//! A *set* of phased basis states (every tree has exactly one non-zero
+//! leaf) also has nothing to add: the `Combine` of a gate that permutes
+//! basis states sums a tree's non-zero path with zero subtrees only.  This
+//! is the case of every CNOT or Toffoli whose control sits below its target
+//! (the permutation encoding of Section 5 needs the control above) on the
+//! input sets of the bug hunt.  So, with the same option set, the formula
+//! is first evaluated with exact scalars on the `2^k` basis vectors over
+//! its `k ≤ 3` qubits; if that yields a permutation matrix whose entries
+//! are exactly 1 (X, CNOT, Toffoli — not H, Y or the phase gates), and the
+//! input is a phased-basis set ([`is_basis_set`]: every state the roots
+//! reach sits at one depth and is *Zero*, accepting only all-zero trees, or
+//! *Basis*, with one Zero and one Basis child on every transition and
+//! non-zero leaves, and every root is Basis), the gate is applied by
+//! guess-and-verify.  With `m` and `M` the gate's top and bottom qubits:
+//!
+//! * each Basis state at depth `m` becomes the union, over the guessed
+//!   gate-input bits `g`, of the transitions of its `(s, g)` copies;
+//! * between `m` and `M`, the copy `(s, g)` keeps only the transitions
+//!   whose Basis child lies on the side `g` names at each gate qubit,
+//!   moves that child to the side the gate's image of `g` names, and
+//!   reuses the Zero child;
+//! * every other state, and every leaf, is shared unchanged.
+//!
+//! The output is at most `2^k` copies of the band between `m` and `M` next
+//! to the input, emitted from the roots down so it is trimmed; debug builds
+//! assert it is acyclic, trimmed, free of duplicate transitions and again a
+//! layered phased-basis set.  The peak reports its size, which the
+//! interrupt's size budgets are checked against.  Any other input or
+//! formula goes through the ladder unchanged.
+//!
+//! The fast paths are tried in this order: the one-state path, then the
+//! basis path, then the ladder.  A one-state phased basis input qualifies
+//! for both fast paths; `table3 --paper` reports the same peak-states
+//! column in either order, so the one-state path keeps its place.
+//!
+//! Both paths sit behind this entry point, not in the engine, so every
 //! caller that passes the engine's options, the benchmark's step-by-step
 //! replay included, takes the same path.  Only `Engine::composition_options`
 //! sets the option, and only for the Hybrid engine: the Composition engine
 //! and [`CompositionOptions::default`] keep the paper's ladder for every
 //! gate, so Table 2's Composition column still reproduces the paper and is
-//! this path's oracle (the `singleton_equivalence` suite).
+//! the oracle of both paths (the `singleton_equivalence` and
+//! `basis_set_equivalence` suites).
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -123,19 +160,21 @@ pub struct CompositionOptions {
     /// `None` disables in-ladder reduction (the `ReductionPolicy::Never`
     /// ablation setting).
     pub ladder_growth_factor: Option<u32>,
-    /// Evaluate the formula on a hash-consed DAG when the input holds one
-    /// quantum state (see *The one-state path* in the module docs).  Off by
-    /// default, so the paper's ladder runs for every gate;
-    /// `Engine::composition_options` turns it on for `EngineKind::Hybrid`
-    /// only.
-    pub single_state_dag: bool,
+    /// Take the two fast paths ahead of the ladder: a hash-consed DAG when
+    /// the input holds one quantum state, then a guess-and-verify rewrite
+    /// when the input is a set of phased basis states and the gate permutes
+    /// basis states (see *The one-state path* and *The basis path* in the
+    /// module docs).  Off by default, so the paper's ladder runs for every
+    /// gate; `Engine::composition_options` turns it on for
+    /// `EngineKind::Hybrid` only.
+    pub hybrid_fast_paths: bool,
 }
 
 impl Default for CompositionOptions {
     fn default() -> Self {
         CompositionOptions {
             ladder_growth_factor: Some(2),
-            single_state_dag: false,
+            hybrid_fast_paths: false,
         }
     }
 }
@@ -149,8 +188,9 @@ pub fn default_eval_threads() -> usize {
 }
 
 /// Peak automaton sizes observed inside one composition-encoded gate
-/// (swap ladders and binary combinations included); merged into the
-/// engine's `ApplyStats`.
+/// (swap ladders and binary combinations included; the one-state path
+/// reports the DAG nodes it built and the basis path its output's size);
+/// merged into the engine's `ApplyStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FormulaPeak {
     /// Largest *live* state count (binary-operation products and
@@ -228,19 +268,32 @@ impl<'a> EvalCtx<'a> {
 /// throws away its whole working automaton when a gate is interrupted, so
 /// nothing downstream observes it.  With `None` it never fails.
 ///
-/// With [`CompositionOptions::single_state_dag`] set, an input that
-/// [`is_single_state_dag`] accepts skips the ladder: the formula runs on a
-/// hash-consed DAG, the peak reports the DAG nodes built, and the result is
-/// already reduced.
+/// With [`CompositionOptions::hybrid_fast_paths`] set, two inputs skip the
+/// ladder.  One that [`is_single_state_dag`] accepts runs the formula on a
+/// hash-consed DAG; the peak reports the DAG nodes built, and the result is
+/// already reduced.  Otherwise, one that [`is_basis_set`] accepts, under a
+/// formula that permutes basis states with every entry exactly 1, is
+/// rewritten by guess-and-verify; the peak reports the output's size.
 pub fn apply_formula_in_place_interruptible(
     automaton: &mut TreeAutomaton,
     formula: &UpdateExpr,
     opts: &CompositionOptions,
     interrupt: Option<&Interrupt>,
 ) -> Result<FormulaPeak, StopReason> {
-    if opts.single_state_dag {
+    if opts.hybrid_fast_paths {
         if let Some(mut dag) = Dag::from_single_state(automaton) {
             let (result, peak) = dag.apply(formula, interrupt)?;
+            *automaton = result;
+            return Ok(peak);
+        }
+        if let Some(result) = apply_to_basis_set(automaton, formula) {
+            let peak = FormulaPeak {
+                states: result.state_count(),
+                transitions: result.transition_count(),
+            };
+            if let Some(interrupt) = interrupt {
+                interrupt.check_sizes(peak.states, peak.transitions)?;
+            }
             *automaton = result;
             return Ok(peak);
         }
@@ -1884,6 +1937,424 @@ impl Dag {
             }
         }
         state
+    }
+}
+
+/// `true` if `automaton` is a set of phased basis states in the shape the
+/// basis path of [`apply_formula_in_place_interruptible`] rewrites: every
+/// state the roots reach sits at one depth, with `x_v` transitions at depth
+/// `v` and leaves at depth `num_vars`, and is
+///
+/// * *Zero*: every tree it accepts is all-zero, or
+/// * *Basis*: every transition has one Zero child and one Basis child, and
+///   its leaves are non-zero;
+///
+/// and every root is Basis.  Any other input takes the ladder.  Tests use
+/// it to pin which inputs take which path.
+#[doc(hidden)]
+pub fn is_basis_set(automaton: &TreeAutomaton) -> bool {
+    BasisSet::classify(automaton).is_some()
+}
+
+/// The basis path: the formula's gate applied to a set of phased basis
+/// states by guess-and-verify, or `None` when the formula does not permute
+/// basis states or the input is not such a set.
+fn apply_to_basis_set(automaton: &TreeAutomaton, formula: &UpdateExpr) -> Option<TreeAutomaton> {
+    let gate = LocalPermutation::of(formula)?;
+    let set = BasisSet::classify(automaton)?;
+    let result = BasisRewrite::run(&set, &gate);
+    #[cfg(debug_assertions)]
+    debug_assert_basis_output(&result);
+    Some(result)
+}
+
+/// The invariants the basis path's output keeps: acyclic, trimmed, no
+/// duplicate transitions, and again a phased-basis set (leaves at depth
+/// `num_vars` included).
+#[cfg(debug_assertions)]
+fn debug_assert_basis_output(result: &TreeAutomaton) {
+    assert_eq!(
+        result.validate(),
+        Ok(()),
+        "the basis path's output is acyclic"
+    );
+    assert_eq!(
+        result.trim().state_count(),
+        result.state_count(),
+        "the basis path's output is trimmed"
+    );
+    let mut deduplicated = result.clone();
+    deduplicated.dedup_transitions();
+    assert_eq!(
+        deduplicated.transition_count(),
+        result.transition_count(),
+        "the basis path emits no duplicate transitions"
+    );
+    assert!(
+        is_basis_set(result),
+        "the basis path's output is a layered phased-basis set"
+    );
+}
+
+/// A gate whose action on the basis vectors over its qubits is a
+/// permutation matrix with every entry exactly 1.
+struct LocalPermutation {
+    /// The gate's qubits, ascending; bit `i` of a local index is qubit
+    /// `qubits[i]`.
+    qubits: Vec<u32>,
+    /// `image[g]`: the local index the gate sends `|g⟩` to.
+    image: Vec<usize>,
+}
+
+impl LocalPermutation {
+    /// Derives the gate's local action from `formula` itself: evaluates it
+    /// with exact scalars on each of the `2^k` basis vectors over
+    /// `formula.qubits()` (`k ≤ 3`), and keeps the result only if every
+    /// image is one basis vector with amplitude exactly 1, no two alike.
+    fn of(formula: &UpdateExpr) -> Option<Self> {
+        let qubits = formula.qubits();
+        if qubits.len() > 3 {
+            return None;
+        }
+        let size = 1 << qubits.len();
+        let mut image = vec![0; size];
+        let mut hit = vec![false; size];
+        for (g, slot) in image.iter_mut().enumerate() {
+            let mut basis = vec![Algebraic::zero(); size];
+            basis[g] = Algebraic::one();
+            let column = evaluate_local(formula, &qubits, &basis);
+            let mut nonzero = column.iter().enumerate().filter(|(_, a)| !a.is_zero());
+            let (Some((to, amplitude)), None) = (nonzero.next(), nonzero.next()) else {
+                return None;
+            };
+            if *amplitude != Algebraic::one() || std::mem::replace(&mut hit[to], true) {
+                return None;
+            }
+            *slot = to;
+        }
+        Some(LocalPermutation { qubits, image })
+    }
+
+    /// The local bit of `qubit`, if the gate acts on it.
+    fn bit_of(&self, qubit: u32) -> Option<usize> {
+        self.qubits.iter().position(|&q| q == qubit)
+    }
+}
+
+/// Evaluates `expr` on the vector `source` over the basis of `qubits`
+/// (bit `i` of an index is qubit `qubits[i]`; `expr` mentions no other).
+fn evaluate_local(expr: &UpdateExpr, qubits: &[u32], source: &[Algebraic]) -> Vec<Algebraic> {
+    let mask = |qubit: u32| {
+        1 << qubits
+            .iter()
+            .position(|&q| q == qubit)
+            .expect("the formula mentions only its own qubits")
+    };
+    match expr {
+        UpdateExpr::Source => source.to_vec(),
+        UpdateExpr::Proj { qubit, bit } => {
+            let mask = mask(*qubit);
+            (0..source.len())
+                .map(|x| source[if *bit { x | mask } else { x & !mask }].clone())
+                .collect()
+        }
+        UpdateExpr::Restrict { qubit, bit, inner } => {
+            let mask = mask(*qubit);
+            let mut values = evaluate_local(inner, qubits, source);
+            for (x, value) in values.iter_mut().enumerate() {
+                if (x & mask != 0) != *bit {
+                    *value = Algebraic::zero();
+                }
+            }
+            values
+        }
+        UpdateExpr::Scale { factor, inner } => evaluate_local(inner, qubits, source)
+            .iter()
+            .map(|value| scale_value(value, *factor))
+            .collect(),
+        UpdateExpr::Combine { sign, lhs, rhs } => {
+            let lhs = evaluate_local(lhs, qubits, source);
+            let rhs = evaluate_local(rhs, qubits, source);
+            lhs.iter()
+                .zip(&rhs)
+                .map(|(a, b)| match sign {
+                    CombineSign::Plus => a + b,
+                    CombineSign::Minus => a - b,
+                })
+                .collect()
+        }
+    }
+}
+
+/// The class of a state of a phased-basis set (see [`is_basis_set`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum BasisClass {
+    Unreached,
+    Zero,
+    Basis,
+}
+
+/// A classified phased-basis set: the depth and class of every state its
+/// roots reach.
+struct BasisSet<'a> {
+    automaton: &'a TreeAutomaton,
+    index: TransitionIndex,
+    depth: Vec<u32>,
+    class: Vec<BasisClass>,
+}
+
+impl<'a> BasisSet<'a> {
+    /// Classifies `automaton` if [`is_basis_set`] holds for it: a
+    /// breadth-first walk from the roots assigns and checks depths, then
+    /// the reached states are classified deepest first.
+    fn classify(automaton: &'a TreeAutomaton) -> Option<Self> {
+        let index = TransitionIndex::build(automaton);
+        let mut depth = vec![u32::MAX; automaton.num_states as usize];
+        let mut order: Vec<StateId> = automaton.roots.iter().copied().collect();
+        for root in &order {
+            depth[root.index()] = 0;
+        }
+        let mut next = 0;
+        while let Some(&state) = order.get(next) {
+            next += 1;
+            let d = depth[state.index()];
+            let internal = index.internal_of(state);
+            let leaves = index.leaves_of(state);
+            if d == automaton.num_vars {
+                if !internal.is_empty() || leaves.is_empty() {
+                    return None;
+                }
+                continue;
+            }
+            if !leaves.is_empty() || internal.is_empty() {
+                return None;
+            }
+            for &position in internal {
+                let t = &automaton.internal[position as usize];
+                if t.symbol.var != d {
+                    return None;
+                }
+                for child in [t.left, t.right] {
+                    let seen = &mut depth[child.index()];
+                    if *seen == u32::MAX {
+                        *seen = d + 1;
+                        order.push(child);
+                    } else if *seen != d + 1 {
+                        return None;
+                    }
+                }
+            }
+        }
+        let mut set = BasisSet {
+            automaton,
+            index,
+            depth,
+            class: vec![BasisClass::Unreached; automaton.num_states as usize],
+        };
+        // Breadth-first order is by depth, so children come later.
+        for &state in order.iter().rev() {
+            set.class[state.index()] = set.class_of(state)?;
+        }
+        automaton
+            .roots
+            .iter()
+            .all(|root| set.class[root.index()] == BasisClass::Basis)
+            .then_some(set)
+    }
+
+    /// The class of `state` from its children's; `None` for a state that
+    /// is neither Zero nor Basis.
+    fn class_of(&self, state: StateId) -> Option<BasisClass> {
+        let mut classes = self
+            .index
+            .leaves_of(state)
+            .iter()
+            .map(|&position| {
+                if self.automaton.leaves[position as usize].amp == intern::zero_id() {
+                    Some(BasisClass::Zero)
+                } else {
+                    Some(BasisClass::Basis)
+                }
+            })
+            .chain(self.index.internal_of(state).iter().map(|&position| {
+                let t = &self.automaton.internal[position as usize];
+                match (self.class[t.left.index()], self.class[t.right.index()]) {
+                    (BasisClass::Zero, BasisClass::Zero) => Some(BasisClass::Zero),
+                    (BasisClass::Zero, BasisClass::Basis)
+                    | (BasisClass::Basis, BasisClass::Zero) => Some(BasisClass::Basis),
+                    _ => None,
+                }
+            }));
+        let first = classes.next()??;
+        classes.all(|class| class == Some(first)).then_some(first)
+    }
+
+    /// The transition at `position` of a Basis state as (Basis child, its
+    /// side, Zero child); side `true` is the right (`1`) subtree.
+    fn basis_arc(&self, position: u32) -> (StateId, bool, StateId) {
+        let t = &self.automaton.internal[position as usize];
+        if self.class[t.left.index()] == BasisClass::Basis {
+            (t.left, false, t.right)
+        } else {
+            (t.right, true, t.left)
+        }
+    }
+}
+
+/// The guess-and-verify construction of the basis path.  With `top` and
+/// `bottom` the gate's first and last qubits:
+///
+/// * states above `top`, Zero states and states below `bottom` are copied;
+/// * a Basis state `s` at depth `top` becomes the union, over the guessed
+///   local input bits `g`, of the transitions of its `(s, g)` copies;
+/// * the copy `(s, g)` of a Basis state between `top` and `bottom` keeps
+///   only the transitions whose Basis child lies on the side `g` names at a
+///   gate qubit, moves that child to the side `image[g]` names, and reuses
+///   the Zero child; a copy left without transitions is not emitted.
+///
+/// Only what the roots reach is emitted, so the output is trimmed.
+struct BasisRewrite<'s, 'a> {
+    set: &'s BasisSet<'a>,
+    gate: &'s LocalPermutation,
+    top: u32,
+    bottom: u32,
+    out: TreeAutomaton,
+    /// The output state of each copied or unioned input state.
+    emitted: Vec<Option<StateId>>,
+    /// The output state of each copy `(s, g)`, keyed `s << 3 | g`; `None`
+    /// for a copy that accepts nothing.
+    copies: FixedMap<u64, Option<StateId>>,
+}
+
+impl<'s, 'a> BasisRewrite<'s, 'a> {
+    fn run(set: &'s BasisSet<'a>, gate: &'s LocalPermutation) -> TreeAutomaton {
+        let automaton = set.automaton;
+        let mut rewrite = BasisRewrite {
+            set,
+            gate,
+            top: *gate.qubits.first().unwrap_or(&automaton.num_vars),
+            bottom: *gate.qubits.last().unwrap_or(&automaton.num_vars),
+            out: TreeAutomaton::new(automaton.num_vars),
+            emitted: vec![None; automaton.num_states as usize],
+            copies: FixedMap::default(),
+        };
+        for &root in &automaton.roots {
+            let root = rewrite.emit(root);
+            rewrite.out.add_root(root);
+        }
+        rewrite.out
+    }
+
+    /// The output state of an input state other than a Basis state below
+    /// `top` and at most `bottom` deep (those are reached through
+    /// [`BasisRewrite::copy`]): a copy, or at depth `top` the union over
+    /// the guesses.
+    fn emit(&mut self, state: StateId) -> StateId {
+        if let Some(done) = self.emitted[state.index()] {
+            return done;
+        }
+        let parent = self.out.add_state();
+        self.emitted[state.index()] = Some(parent);
+        let set = self.set;
+        let depth = set.depth[state.index()];
+        if depth == self.out.num_vars {
+            let mut amps: Vec<AmpId> = set
+                .index
+                .leaves_of(state)
+                .iter()
+                .map(|&position| set.automaton.leaves[position as usize].amp)
+                .collect();
+            amps.sort_unstable();
+            amps.dedup();
+            self.out
+                .leaves
+                .extend(amps.into_iter().map(|amp| LeafTransition { parent, amp }));
+            return parent;
+        }
+        let mut arcs = Vec::new();
+        if depth == self.top && set.class[state.index()] == BasisClass::Basis {
+            for &position in set.index.internal_of(state) {
+                let (child, side, zero) = set.basis_arc(position);
+                for g in (0..self.gate.image.len()).filter(|g| (g & 1 == 1) == side) {
+                    let moved = if self.top == self.bottom {
+                        Some(self.emit(child))
+                    } else {
+                        self.copy(child, g)
+                    };
+                    if let Some(moved) = moved {
+                        arcs.push(self.arc(self.gate.image[g] & 1 == 1, moved, zero));
+                    }
+                }
+            }
+        } else {
+            for &position in set.index.internal_of(state) {
+                let t = &set.automaton.internal[position as usize];
+                arcs.push((self.emit(t.left), self.emit(t.right)));
+            }
+        }
+        self.push_arcs(parent, depth, arcs);
+        parent
+    }
+
+    /// The output state of the copy `(state, g)` of a Basis state between
+    /// `top` and `bottom`, or `None` when it accepts nothing.
+    fn copy(&mut self, state: StateId, g: usize) -> Option<StateId> {
+        let key = u64::from(state.raw()) << 3 | g as u64;
+        if let Some(&done) = self.copies.get(&key) {
+            return done;
+        }
+        let set = self.set;
+        let depth = set.depth[state.index()];
+        let gate_bit = self.gate.bit_of(depth);
+        let mut arcs = Vec::new();
+        for &position in set.index.internal_of(state) {
+            let (child, side, zero) = set.basis_arc(position);
+            let side = match gate_bit {
+                Some(bit) if (g >> bit & 1 == 1) != side => continue,
+                Some(bit) => self.gate.image[g] >> bit & 1 == 1,
+                None => side,
+            };
+            let moved = if depth == self.bottom {
+                Some(self.emit(child))
+            } else {
+                self.copy(child, g)
+            };
+            if let Some(moved) = moved {
+                arcs.push(self.arc(side, moved, zero));
+            }
+        }
+        let copy = (!arcs.is_empty()).then(|| {
+            let parent = self.out.add_state();
+            self.push_arcs(parent, depth, arcs);
+            parent
+        });
+        self.copies.insert(key, copy);
+        copy
+    }
+
+    /// The children of an output transition with the Basis child `moved`
+    /// on `side` and the Zero child `zero` on the other.
+    fn arc(&mut self, side: bool, moved: StateId, zero: StateId) -> (StateId, StateId) {
+        let zero = self.emit(zero);
+        if side {
+            (zero, moved)
+        } else {
+            (moved, zero)
+        }
+    }
+
+    fn push_arcs(&mut self, parent: StateId, depth: u32, mut arcs: Vec<(StateId, StateId)>) {
+        arcs.sort_unstable();
+        arcs.dedup();
+        let symbol = InternalSymbol::new(depth);
+        self.out
+            .internal
+            .extend(arcs.into_iter().map(|(left, right)| InternalTransition {
+                parent,
+                symbol,
+                left,
+                right,
+            }));
     }
 }
 

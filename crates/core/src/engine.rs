@@ -185,16 +185,18 @@ impl Engine {
     /// [`ReductionPolicy::Never`] also disables the in-ladder reduction
     /// (the ablation benchmarks measure the unreduced pipeline), every other
     /// policy keeps the default in-ladder reduction; and
-    /// [`EngineKind::Hybrid`] evaluates one-state inputs on a hash-consed
-    /// DAG, while [`EngineKind::Composition`] keeps the paper's ladder for
-    /// every gate (see `composition`'s *The one-state path*).
+    /// [`EngineKind::Hybrid`] takes the fast paths ahead of the ladder —
+    /// one-state inputs on a hash-consed DAG, then CNOTs and Toffolis on
+    /// sets of phased basis states by guess-and-verify — while
+    /// [`EngineKind::Composition`] keeps the paper's ladder for every gate
+    /// (see `composition`'s *The one-state path* and *The basis path*).
     pub fn composition_options(&self) -> CompositionOptions {
         CompositionOptions {
             ladder_growth_factor: match self.reduction {
                 ReductionPolicy::Never => None,
                 _ => CompositionOptions::default().ladder_growth_factor,
             },
-            single_state_dag: self.kind == EngineKind::Hybrid,
+            hybrid_fast_paths: self.kind == EngineKind::Hybrid,
         }
     }
 

@@ -8,6 +8,7 @@
 //! sets keep the automata small, so bugs that manifest on few inputs are
 //! found cheaply; the input set only grows as far as necessary.
 
+use autoq_amplitude::Algebraic;
 use autoq_circuit::Circuit;
 use autoq_simulator::SparseState;
 use autoq_treeaut::basis::{self, BasisIndex};
@@ -70,9 +71,14 @@ impl HuntReport {
     /// circuit's forward schedule backwards with exact inverse gates, so
     /// pulling back through the circuit that produced the witness visits
     /// the forward run's intermediate states in reverse and costs about as
-    /// much as one of the two forward runs that follow.  The witness state
-    /// is built afresh for each circuit ([`SparseState::from_tree`] walks
-    /// the tree's non-zero leaves), so at most one copy of it is alive.
+    /// much as a forward run.  When it returns exactly `|b⟩` (one entry,
+    /// amplitude 1), the exact inverse already shows that the source
+    /// circuit maps `|b⟩` to the witness, so only the *other* circuit is
+    /// run forward and compared with the witness: two simulations instead
+    /// of three.  Any other one-entry preimage runs both circuits forward.
+    /// The witness state is built afresh where it is needed
+    /// ([`SparseState::from_tree`] walks the tree's non-zero leaves), so at
+    /// most one copy of it is alive.
     ///
     /// `None` means the witness could not be confirmed this way — no
     /// witness, no basis-state preimage (possible for superposition
@@ -101,7 +107,7 @@ impl HuntReport {
                 .try_apply_circuit(circuit, MAX_SUPPORT)
                 .then_some(state)
         };
-        for source in [original, candidate] {
+        for (source, other) in [(original, candidate), (candidate, original)] {
             let mut preimage = SparseState::from_tree(witness);
             if !preimage.try_apply_inverse(source, MAX_SUPPORT) {
                 continue;
@@ -109,17 +115,22 @@ impl HuntReport {
             if preimage.support_size() != 1 {
                 continue;
             }
-            let basis = preimage
+            let (basis, amplitude) = preimage
                 .into_amplitude_map()
-                .into_keys()
+                .into_iter()
                 .next()
                 .expect("support checked to be 1");
-            if let (Some(out1), Some(out2)) =
-                (run_bounded(original, basis), run_bounded(candidate, basis))
-            {
-                if out1 != out2 {
-                    return Some(basis);
-                }
+            let differs = if amplitude == Algebraic::one() {
+                // The exact inverse sends the witness to `|basis⟩`, so
+                // `source|basis⟩` is the witness itself.
+                run_bounded(other, basis).map(|out| out != SparseState::from_tree(witness))
+            } else {
+                run_bounded(original, basis)
+                    .zip(run_bounded(candidate, basis))
+                    .map(|(out1, out2)| out1 != out2)
+            };
+            if differs == Some(true) {
+                return Some(basis);
             }
         }
         None

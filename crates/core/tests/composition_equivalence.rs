@@ -304,26 +304,26 @@ fn reduction_never_merges_across_tags() {
 /// The composition options are re-exported at the crate root and default
 /// to in-ladder reduction at growth factor 2, which every engine but the
 /// `Never` ablation uses, with the paper's ladder for every gate.  Only
-/// the Hybrid engine derives the one-state DAG path; the evaluator is
+/// the Hybrid engine derives the one-state and basis fast paths; the evaluator is
 /// sequential.
 #[test]
 fn composition_options_default_and_reexport() {
     let options: ReexportedOptions = CompositionOptions::default();
     assert_eq!(options.ladder_growth_factor, Some(2));
-    assert!(!options.single_state_dag);
+    assert!(!options.hybrid_fast_paths);
     assert_eq!(
         Engine::hybrid().composition_options(),
         CompositionOptions {
-            single_state_dag: true,
+            hybrid_fast_paths: true,
             ..options
         }
     );
     assert_eq!(Engine::composition().composition_options(), options);
     let never = Engine::hybrid().with_reduction(autoq_core::ReductionPolicy::Never);
     assert_eq!(never.composition_options().ladder_growth_factor, None);
-    assert!(never.composition_options().single_state_dag);
+    assert!(never.composition_options().hybrid_fast_paths);
     let composition_never =
         Engine::composition().with_reduction(autoq_core::ReductionPolicy::Never);
-    assert!(!composition_never.composition_options().single_state_dag);
+    assert!(!composition_never.composition_options().hybrid_fast_paths);
     assert_eq!(composition::default_eval_threads(), 1);
 }

@@ -37,7 +37,7 @@ type AmplitudeMap = BTreeMap<u128, Algebraic>;
 
 fn dag_options() -> CompositionOptions {
     CompositionOptions {
-        single_state_dag: true,
+        hybrid_fast_paths: true,
         ..CompositionOptions::default()
     }
 }
