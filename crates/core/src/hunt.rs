@@ -8,7 +8,6 @@
 //! sets keep the automata small, so bugs that manifest on few inputs are
 //! found cheaply; the input set only grows as far as necessary.
 
-use autoq_amplitude::Algebraic;
 use autoq_circuit::Circuit;
 use autoq_simulator::SparseState;
 use autoq_treeaut::basis::{self, BasisIndex};
@@ -64,21 +63,23 @@ impl HuntReport {
     ///
     /// The witness is an *output* state produced by exactly one of the two
     /// circuits, so it is pulled back to an input through each circuit's
-    /// inverse in turn; if the preimage is a single basis state on which the
-    /// two circuits' exact outputs differ, that basis input is returned.
+    /// inverse in turn; if the preimage is a single basis state `|b⟩` (up
+    /// to a phase) on which the two circuits' exact outputs differ, `b` is
+    /// returned.
     ///
     /// The pull-back is [`SparseState::try_apply_inverse`]: it walks the
     /// circuit's forward schedule backwards with exact inverse gates, so
     /// pulling back through the circuit that produced the witness visits
     /// the forward run's intermediate states in reverse and costs about as
-    /// much as a forward run.  When it returns exactly `|b⟩` (one entry,
-    /// amplitude 1), the exact inverse already shows that the source
-    /// circuit maps `|b⟩` to the witness, so only the *other* circuit is
-    /// run forward and compared with the witness: two simulations instead
-    /// of three.  Any other one-entry preimage runs both circuits forward.
-    /// The witness state is built afresh where it is needed
-    /// ([`SparseState::from_tree`] walks the tree's non-zero leaves), so at
-    /// most one copy of it is alive.
+    /// much as a forward run.  It is what checks the witness: a state that
+    /// is no circuit's output on a basis input has no one-entry preimage.
+    /// The two outputs on `b` are then compared by
+    /// [`SparseState::circuits_differ_on`], which skips the circuits'
+    /// common gate prefix and suffix and simulates the common prefix once,
+    /// so an injected bug costs the gates up to it, not two full runs.
+    /// A preimage `b` on which the circuits agree ends the search: the
+    /// witness is then a phase times both outputs on `b`, so the other
+    /// circuit pulls it back to `b` as well.
     ///
     /// `None` means the witness could not be confirmed this way — no
     /// witness, no basis-state preimage (possible for superposition
@@ -101,39 +102,14 @@ impl HuntReport {
         if witness.support_size() > (MAX_SUPPORT as u128).min(SparseState::MAX_TREE_SUPPORT) {
             return None;
         }
-        let run_bounded = |circuit: &Circuit, basis: u128| -> Option<SparseState> {
-            let mut state = SparseState::basis_state(circuit.num_qubits(), basis);
-            state
-                .try_apply_circuit(circuit, MAX_SUPPORT)
-                .then_some(state)
-        };
-        for (source, other) in [(original, candidate), (candidate, original)] {
+        let basis = [original, candidate].into_iter().find_map(|source| {
             let mut preimage = SparseState::from_tree(witness);
-            if !preimage.try_apply_inverse(source, MAX_SUPPORT) {
-                continue;
+            if !preimage.try_apply_inverse(source, MAX_SUPPORT) || preimage.support_size() != 1 {
+                return None;
             }
-            if preimage.support_size() != 1 {
-                continue;
-            }
-            let (basis, amplitude) = preimage
-                .into_amplitude_map()
-                .into_iter()
-                .next()
-                .expect("support checked to be 1");
-            let differs = if amplitude == Algebraic::one() {
-                // The exact inverse sends the witness to `|basis⟩`, so
-                // `source|basis⟩` is the witness itself.
-                run_bounded(other, basis).map(|out| out != SparseState::from_tree(witness))
-            } else {
-                run_bounded(original, basis)
-                    .zip(run_bounded(candidate, basis))
-                    .map(|(out1, out2)| out1 != out2)
-            };
-            if differs == Some(true) {
-                return Some(basis);
-            }
-        }
-        None
+            preimage.into_amplitude_map().into_keys().next()
+        })?;
+        SparseState::circuits_differ_on(original, candidate, basis, MAX_SUPPORT)?.then_some(basis)
     }
 }
 
@@ -315,6 +291,51 @@ mod tests {
         let report = BugHunter::default().hunt(&circuit, &buggy, &mut rng);
         assert!(report.bug_found);
         assert!(report.final_input_size >= 1);
+    }
+
+    /// The witness itself is checked, not only the circuits: a forged
+    /// report whose witness is one circuit's output on an input where the
+    /// two circuits agree must not confirm, although they differ elsewhere.
+    #[test]
+    fn confirmation_rejects_a_witness_on_which_the_circuits_agree() {
+        let original = Circuit::from_gates(
+            3,
+            [
+                Gate::H(0),
+                Gate::Cnot {
+                    control: 0,
+                    target: 1,
+                },
+                Gate::T(1),
+            ],
+        )
+        .unwrap();
+        // Z(2) acts as the identity while qubit 2 (the low bit) is |0⟩.
+        let candidate = autoq_circuit::mutation::insert_gate(&original, Gate::Z(2), 1);
+        let report = |witness: Tree| HuntReport {
+            bug_found: true,
+            iterations: 1,
+            witness: Some(witness),
+            final_input_size: 1,
+            stats: ApplyStats::default(),
+        };
+        let output_on = |basis| {
+            let out = SparseState::run(&original, basis);
+            report(Tree::from_fn(3, |b| out.amplitude(b)))
+        };
+        assert_eq!(
+            output_on(0b010).confirm_with_simulator(&original, &candidate),
+            None
+        );
+        assert_eq!(
+            output_on(0b011).confirm_with_simulator(&original, &candidate),
+            Some(0b011)
+        );
+        // |000⟩ is neither circuit's output on a basis input.
+        assert_eq!(
+            report(Tree::basis_state(3, 0)).confirm_with_simulator(&original, &candidate),
+            None
+        );
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   states sparse (reversible circuits, BV, …) even at 128 qubits.
 //!   [`SparseState::from_tree`] converts a DAG-shared witness tree straight
 //!   into a sparse state, so the framework's bug witnesses can be confirmed
-//!   at 35+ qubits.
+//!   at 35+ qubits, and [`SparseState::circuits_differ_on`] decides whether
+//!   two circuits' outputs on a basis input differ while simulating only
+//!   the gates between their common prefix and suffix.
 //!
 //! The simulators do their arithmetic with
 //! [`Algebraic`](autoq_amplitude::Algebraic) operations only and share no

@@ -62,9 +62,10 @@ const UNSET: u32 = u32::MAX - 1;
 /// [`SparseState::try_apply_inverse`] pulls a state back through a circuit
 /// by walking the circuit's forward schedule backwards.  Pulling `U|b⟩`
 /// back that way passes exactly the forward run's intermediate states, so
-/// it costs what the forward run costs: random35's witness pulls back in
-/// ~0.06–0.11 s, where the dagger circuit (each `Rx(π/2)`/`Ry(π/2)` spelled
-/// as seven gates, under its own schedule) took ~0.8–0.9 s on the same VM.
+/// it costs about what the forward run costs: random35's witness pulls
+/// back in 0.12–0.15 s against 0.09–0.11 s for the forward run, where the
+/// dagger circuit (each `Rx(π/2)`/`Ry(π/2)` spelled as seven gates, under
+/// its own schedule) took ~0.8–0.9 s on the same 2-core VM.
 ///
 /// # Examples
 ///
@@ -560,6 +561,65 @@ impl SparseState {
         state.apply_circuit(circuit);
         state
     }
+
+    /// Decides exactly whether `a|basis⟩ ≠ b|basis⟩`, simulating only the
+    /// gates where the two circuits differ.
+    ///
+    /// In program order the circuits are `S·M_a·P` and `S·M_b·P`, with `P`
+    /// their longest common gate prefix and `S` their longest common suffix.
+    /// `S` is unitary and the arithmetic is exact, so the outputs differ
+    /// exactly when `M_a·P|basis⟩ ≠ M_b·P|basis⟩`: `P` runs once, each
+    /// middle runs on a copy of its result, each under its own
+    /// [`interference_schedule`], and the suffix never runs.  Circuits with
+    /// no gate in common cost the two forward runs.
+    ///
+    /// Returns `None` as soon as the live support exceeds `max_support`.
+    /// The state at the cut is a genuine intermediate state, and the
+    /// suffix's interference never gets to shrink it, so a circuit that only
+    /// collapses its superpositions after the cut (Bernstein–Vazirani with
+    /// the difference inside its oracle) can overflow here where a full run
+    /// would not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ or `basis` is outside their range.
+    ///
+    /// ```
+    /// use autoq_circuit::{Circuit, Gate};
+    /// use autoq_simulator::SparseState;
+    ///
+    /// let original = Circuit::from_gates(2, [Gate::H(0), Gate::X(1)]).unwrap();
+    /// let buggy = Circuit::from_gates(2, [Gate::H(0), Gate::Z(1), Gate::X(1)]).unwrap();
+    /// // Z(1) acts as the identity while qubit 1 (the low bit) is |0⟩.
+    /// assert_eq!(SparseState::circuits_differ_on(&original, &buggy, 0b00, usize::MAX), Some(false));
+    /// assert_eq!(SparseState::circuits_differ_on(&original, &buggy, 0b01, usize::MAX), Some(true));
+    /// ```
+    pub fn circuits_differ_on(
+        a: &Circuit,
+        b: &Circuit,
+        basis: u128,
+        max_support: usize,
+    ) -> Option<bool> {
+        let n = a.num_qubits();
+        assert_eq!(n, b.num_qubits(), "circuit width mismatch");
+        let (gates_a, gates_b) = (a.gates(), b.gates());
+        let prefix = common_run(gates_a.iter(), gates_b.iter());
+        let (rest_a, rest_b) = (&gates_a[prefix..], &gates_b[prefix..]);
+        let suffix = common_run(rest_a.iter().rev(), rest_b.iter().rev());
+        let run = |state: &mut SparseState, gates: &[Gate]| {
+            let circuit =
+                Circuit::from_gates(n, gates.iter().copied()).expect("gates of a valid circuit");
+            state.try_apply_circuit(&circuit, max_support)
+        };
+        let mut out_a = SparseState::basis_state(n, basis);
+        if !run(&mut out_a, &gates_a[..prefix]) {
+            return None;
+        }
+        let mut out_b = out_a.clone();
+        (run(&mut out_a, &rest_a[..rest_a.len() - suffix])
+            && run(&mut out_b, &rest_b[..rest_b.len() - suffix]))
+        .then(|| out_a != out_b)
+    }
 }
 
 /// States are equal when they have the same width and the same amplitude at
@@ -621,6 +681,11 @@ fn times_omega_pow(amp: &Algebraic, power: u8) -> Algebraic {
         4 => -amp,
         _ => amp.mul_omega_pow(i64::from(power)),
     }
+}
+
+/// How many gates `a` and `b` have in common before they first differ.
+fn common_run<'g>(a: impl Iterator<Item = &'g Gate>, b: impl Iterator<Item = &'g Gate>) -> usize {
+    a.zip(b).take_while(|(x, y)| x == y).count()
 }
 
 /// Exchanges the bits `a` and `b` (single-bit masks) of `x`.
