@@ -52,18 +52,17 @@
 //! # The trimmed product
 //!
 //! Algorithm 9 pairs every tag-matching state pair reachable from the root
-//! pairs.  On the automata restriction and projection produce for a set of
-//! trees, most such pairs are *dead*: their tags match at the top and stop
-//! matching further down, so they accept no tree.  [`binary_op`] therefore
-//! builds only the productive pairs — a bottom-up merge join of the
-//! operands' transitions on their tagged symbols, deepest variable first,
-//! finds them,
-//! and the top-down worklist allocates nothing else — and emits exactly the
-//! trim of the paper's product, kept as [`binary_op_reference`] (the
-//! oracle of the `composition_equivalence` property tests).  Singleton
-//! operands (one root, at most one transition per state) skip the join:
-//! their products have no dead pair in practice, and one that does is
-//! rebuilt through the join.
+//! pairs, *dead* ones included: their tags stop matching further down, so
+//! they accept no tree.  [`binary_op`] builds that product with one
+//! top-down worklist and trims it only when some pair got no transition;
+//! the operands are acyclic, so every dead pair reaches such a pair.  The
+//! output is thus exactly the trim of [`binary_op_reference`], the paper's
+//! product and the oracle of the `composition_equivalence` property tests.
+//! Dead pairs are rare: `table2` builds 740 products, each operand with one
+//! root, and 4 hold a dead pair (MCToffoli under the Composition engine:
+//! 26/36/46/56 states built, 22/30/38/46 trimmed); `table3 --paper` builds
+//! none, since the fast paths below take all its composition gates.  The
+//! gate's peak counts each product as built, dead pairs included.
 //!
 //! # The one-state path
 //!
@@ -139,7 +138,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use autoq_amplitude::hash::{FixedMap, FixedSet};
+use autoq_amplitude::hash::FixedMap;
 use autoq_amplitude::{intern, Algebraic, AmpId};
 use autoq_treeaut::{
     InternalSymbol, InternalTransition, LeafTransition, StateId, Tag, TransitionIndex,
@@ -193,9 +192,10 @@ pub fn default_eval_threads() -> usize {
 /// merged into the engine's `ApplyStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FormulaPeak {
-    /// Largest *live* state count (binary-operation products and
-    /// post-reduction ladder snapshots — mid-pass allocation counts would
-    /// also include states the next trim drops).
+    /// Largest state count: binary-operation products as built, dead pairs
+    /// included (what the gate allocated, before the trim drops them), and
+    /// post-reduction ladder snapshots (mid-pass allocation counts would
+    /// also include the swap ladder's orphaned state ids).
     pub states: usize,
     /// Largest transition count anywhere, including between swap passes.
     pub transitions: usize,
@@ -320,7 +320,7 @@ pub fn evaluate_with(
 }
 
 /// Evaluates one term, borrowing the source automaton for `Source` leaves so
-/// `Combine` feeds [`binary_op`] borrowed operands end to end — no
+/// `Combine` feeds the product borrowed operands end to end — no
 /// whole-automaton clone for the `T` operand of e.g. the `H` and `Rx(π/2)`
 /// formulae.
 fn evaluate_term<'a>(
@@ -352,10 +352,12 @@ fn evaluate_term<'a>(
             if ctx.stopped.is_some() {
                 return Cow::Borrowed(tagged_source);
             }
-            let combined = binary_op(&a, &b, *sign);
-            ctx.observe_states(combined.state_count());
-            ctx.observe_transitions(combined.transition_count());
-            Cow::Owned(combined)
+            // The peak counts the product as built, dead pairs included:
+            // that is what the gate allocated.
+            let (product, dead) = pair_product(&a, &b, *sign);
+            ctx.observe_states(product.state_count());
+            ctx.observe_transitions(product.transition_count());
+            Cow::Owned(if dead { product.trim() } else { product })
         }
     }
 }
@@ -1226,192 +1228,30 @@ fn single_tag(tag: Tag) -> u64 {
 /// only trees with the same tag (guaranteed by matching the uniquely tagged
 /// symbols) and adds/subtracts their leaf amplitudes.
 ///
-/// The product is built *trimmed*: its output holds exactly the pair states
-/// that are reachable from a root pair **and** accept some tree, so its
-/// tagged language is that of [`binary_op_reference`] with none of the dead
-/// pairs.  Those dead pairs are reachable pairs whose tags stop matching
-/// further down, and on the automata restriction and projection produce
-/// they are nearly all of the reference product: CNOT(13→0) of the
-/// increment8 hunt pairs 947,137 states, of which 7,061 accept a tree.
-///
-/// Two passes build it:
-///
-/// 1. bottom-up, both operands' internal transitions are sorted by their
-///    (tagged) symbol, deepest variable first, and merge-joined, collecting
-///    the productive pairs: a pair is productive if both states carry a
-///    leaf, or if some symbol-matching transition pair has two productive
-///    child pairs.  This
-///    relies on the operands being *layered* (every child of an `x_v`
-///    transition has transitions on `x_{v+1}` only, or none), which every
-///    automaton of the composition pipeline is and debug builds assert;
-/// 2. top-down, the worklist of the reference allocates only productive
-///    pairs and skips every transition pair with an unproductive child.
-///
-/// When both operands are *singletons* (one root, at most one transition
-/// per state) the first pass is skipped: such a product has at most one
-/// transition pair per pair state and is dead-free in practice (all 2,336
-/// singleton products of `table2` and `table3 --paper` were), so the plain
-/// top-down product is built, and only if one of its pairs turns out dead
-/// is it rebuilt through both passes.  Running the join on them anyway
-/// would cost the singleton-heavy verification rows for nothing.
+/// It builds the paper's product over every tag-matching pair reachable
+/// from the root pairs and trims it only when it holds a dead pair, so the
+/// output is exactly the trim of [`binary_op_reference`] (see *The trimmed
+/// product* in the module docs for why and how rarely).
 pub fn binary_op(a1: &TreeAutomaton, a2: &TreeAutomaton, sign: CombineSign) -> TreeAutomaton {
-    let index1 = TransitionIndex::build(a1);
-    let index2 = TransitionIndex::build(a2);
-    if is_singleton(a1, &index1) && is_singleton(a2, &index2) {
-        if let Some(product) = pair_product(a1, a2, &index1, &index2, sign, None) {
-            return product;
-        }
-    }
-    let filter = productive_pairs(a1, a2, &index1, &index2);
-    pair_product(a1, a2, &index1, &index2, sign, Some(&filter))
-        .expect("a product over productive pairs has no dead pair")
-}
-
-/// `true` if `automaton` has one root and at most one transition (internal
-/// or leaf) per state, i.e. it is a hash-consed DAG of the one tree it
-/// accepts, if any.  States with no transition are allowed: the swap
-/// ladder leaves the ids of the states it rewires away behind.  O(states)
-/// on the adjacency index.
-fn is_singleton(automaton: &TreeAutomaton, index: &TransitionIndex) -> bool {
-    automaton.roots.len() == 1
-        && (0..automaton.num_states).all(|q| {
-            let q = StateId::new(q);
-            index.internal_of(q).len() + index.leaves_of(q).len() <= 1
-        })
-}
-
-/// `true` if every child of an `x_v` transition has internal transitions on
-/// `x_{v+1}` only (or none: a leaf state) — the order the bottom-up pass of
-/// [`binary_op`] settles pairs in.
-fn is_layered(automaton: &TreeAutomaton) -> bool {
-    const MIXED: u32 = u32::MAX;
-    let mut state_var: Vec<Option<u32>> = vec![None; automaton.num_states as usize];
-    for t in &automaton.internal {
-        let slot = &mut state_var[t.parent.index()];
-        *slot = match *slot {
-            Some(var) if var != t.symbol.var => Some(MIXED),
-            _ => Some(t.symbol.var),
-        };
-    }
-    automaton.internal.iter().all(|t| {
-        [t.left, t.right]
-            .iter()
-            .all(|c| state_var[c.index()].map_or(true, |var| var == t.symbol.var + 1))
-    })
-}
-
-/// A pair of operand states packed into one integer key.
-fn pair_key(q1: StateId, q2: StateId) -> u64 {
-    (u64::from(q1.raw()) << 32) | u64::from(q2.raw())
-}
-
-/// The sort key of the bottom-up join: deepest variable first, then tag.
-fn join_key(automaton: &TreeAutomaton, transition: u32) -> (std::cmp::Reverse<u32>, Tag) {
-    let symbol = automaton.internal[transition as usize].symbol;
-    (std::cmp::Reverse(symbol.var), symbol.tag)
-}
-
-/// The automaton's internal transitions (as positions), ordered by
-/// [`join_key`].
-fn deepest_first_by_symbol(automaton: &TreeAutomaton) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..automaton.internal.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| join_key(automaton, i));
-    order
-}
-
-/// Productivity of operand-state pairs: both states carry a leaf, or the
-/// pair is in the set the bottom-up pass collected.
-struct PairFilter<'a> {
-    index1: &'a TransitionIndex,
-    index2: &'a TransitionIndex,
-    productive: FixedSet<u64>,
-}
-
-impl PairFilter<'_> {
-    fn accepts(&self, q1: StateId, q2: StateId) -> bool {
-        (!self.index1.leaves_of(q1).is_empty() && !self.index2.leaves_of(q2).is_empty())
-            || self.productive.contains(&pair_key(q1, q2))
+    let (product, dead) = pair_product(a1, a2, sign);
+    if dead {
+        product.trim()
+    } else {
+        product
     }
 }
 
-/// The bottom-up pass of [`binary_op`]: collects the productive pairs that
-/// are the parent pair of some symbol-matching transition pair.  Pairs of
-/// two leaf states are productive too, but [`PairFilter`] checks those
-/// directly instead of storing them.
-fn productive_pairs<'a>(
-    a1: &TreeAutomaton,
-    a2: &TreeAutomaton,
-    index1: &'a TransitionIndex,
-    index2: &'a TransitionIndex,
-) -> PairFilter<'a> {
-    debug_assert!(
-        is_layered(a1) && is_layered(a2),
-        "the trimmed product needs layered operands"
-    );
-    let order1 = deepest_first_by_symbol(a1);
-    let order2 = deepest_first_by_symbol(a2);
-    let mut filter = PairFilter {
-        index1,
-        index2,
-        productive: FixedSet::default(),
-    };
-    // Merge join: each run of equal symbols in one order meets the run of
-    // the same symbol in the other.
-    let (mut i, mut j) = (0, 0);
-    while i < order1.len() && j < order2.len() {
-        let key = join_key(a1, order1[i]);
-        let other = join_key(a2, order2[j]);
-        if key != other {
-            if key < other {
-                i += 1;
-            } else {
-                j += 1;
-            }
-            continue;
-        }
-        let run1 = order1[i..]
-            .iter()
-            .take_while(|&&x| join_key(a1, x) == key)
-            .count();
-        let run2 = order2[j..]
-            .iter()
-            .take_while(|&&x| join_key(a2, x) == key)
-            .count();
-        for &i1 in &order1[i..i + run1] {
-            let t1 = &a1.internal[i1 as usize];
-            for &i2 in &order2[j..j + run2] {
-                let t2 = &a2.internal[i2 as usize];
-                let parent = pair_key(t1.parent, t2.parent);
-                if !filter.productive.contains(&parent)
-                    && filter.accepts(t1.left, t2.left)
-                    && filter.accepts(t1.right, t2.right)
-                {
-                    filter.productive.insert(parent);
-                }
-            }
-        }
-        i += run1;
-        j += run2;
-    }
-    filter
-}
-
-/// The top-down pass of [`binary_op`]: the product over the pairs reachable
-/// from the root pairs, restricted to the pairs `filter` accepts when one is
-/// given.  Returns `None` if some allocated pair got no transition — a dead
-/// pair, which only an unfiltered product can contain.
+/// The top-down worklist of [`binary_op`]: the product over every pair
+/// reachable from the root pairs, and whether some pair got no transition.
+/// The operands are acyclic, so every pair that accepts no tree reaches
+/// such a dead pair: with the flag clear the product is already trimmed.
 fn pair_product(
     a1: &TreeAutomaton,
     a2: &TreeAutomaton,
-    index1: &TransitionIndex,
-    index2: &TransitionIndex,
     sign: CombineSign,
-    filter: Option<&PairFilter<'_>>,
-) -> Option<TreeAutomaton> {
-    let live = |q1: StateId, q2: StateId| match filter {
-        Some(filter) => filter.accepts(q1, q2),
-        None => true,
-    };
+) -> (TreeAutomaton, bool) {
+    let index1 = TransitionIndex::build(a1);
+    let index2 = TransitionIndex::build(a2);
     let leaf_op = leaf_op(sign);
     let mut result = TreeAutomaton::new(a1.num_vars);
     let mut pair_state: FixedMap<(StateId, StateId), StateId> = FixedMap::default();
@@ -1429,20 +1269,19 @@ fn pair_product(
 
     for &r1 in &a1.roots {
         for &r2 in &a2.roots {
-            if live(r1, r2) {
-                let state = get_state(&mut result, &mut worklist, r1, r2);
-                result.add_root(state);
-            }
+            let state = get_state(&mut result, &mut worklist, r1, r2);
+            result.add_root(state);
         }
     }
 
+    let mut dead = false;
     while let Some((q1, q2, parent)) = worklist.pop() {
         let mut emitted = false;
         for &i1 in index1.internal_of(q1) {
             let t1 = &a1.internal[i1 as usize];
             for &i2 in index2.internal_of(q2) {
                 let t2 = &a2.internal[i2 as usize];
-                if t1.symbol != t2.symbol || !live(t1.left, t2.left) || !live(t1.right, t2.right) {
+                if t1.symbol != t2.symbol {
                     continue;
                 }
                 let left = get_state(&mut result, &mut worklist, t1.left, t2.left);
@@ -1461,17 +1300,14 @@ fn pair_product(
             result.add_leaf_id(parent, intern::combine(leaf_op, v1, v2));
             emitted = true;
         }
-        if !emitted {
-            return None;
-        }
+        dead |= !emitted;
     }
-    Some(result)
+    (result, dead)
 }
 
 /// The binary operation (Algorithm 9) as the paper states it: every
 /// tag-matching pair reachable from the root pairs, dead pairs included.
-/// The oracle [`binary_op`]'s trimmed product is tested against; not used
-/// on the hot path.
+/// The oracle [`binary_op`] is tested against; not used on the hot path.
 #[doc(hidden)]
 pub fn binary_op_reference(
     a1: &TreeAutomaton,
@@ -2364,7 +2200,9 @@ mod tests {
     use crate::formula::update_formula;
     use autoq_amplitude::Algebraic;
     use autoq_circuit::Gate;
+    use autoq_simulator::DenseState;
     use autoq_treeaut::{equivalence, Tree};
+    use std::collections::BTreeSet;
 
     fn singleton(tree: &Tree) -> TreeAutomaton {
         TreeAutomaton::from_tree(tree)
@@ -2595,13 +2433,12 @@ mod tests {
     #[test]
     fn singleton_products_are_built_trimmed() {
         let a = two_level_singleton(3);
-        assert!(is_singleton(&a, &TransitionIndex::build(&a)));
         let product = binary_op(&a, &a, CombineSign::Plus);
         assert_eq!(product, binary_op_reference(&a, &a, CombineSign::Plus));
         assert_eq!(product.state_count(), 5);
 
         // The right children's tags differ, so the root pair is dead: the
-        // singleton shortcut must fall back to the trimmed product.
+        // product must come back trimmed.
         let b = two_level_singleton(4);
         let reference = binary_op_reference(&a, &b, CombineSign::Plus);
         assert!(reference.state_count() > 0);
@@ -2612,20 +2449,55 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "layered operands")]
-    fn the_trimmed_product_asserts_layered_operands() {
-        // Two roots (not a singleton), and `x0` under `x0`.
-        let mut automaton = TreeAutomaton::new(2);
-        let leaf = automaton.leaf_state(&Algebraic::one());
-        let [root, other_root, child] = [(); 3].map(|_| automaton.add_state());
-        automaton.add_internal(child, InternalSymbol::new(0), leaf, leaf);
-        automaton.add_internal(root, InternalSymbol::new(0), child, child);
-        automaton.add_internal(other_root, InternalSymbol::new(1), leaf, leaf);
-        automaton.add_root(root);
-        automaton.add_root(other_root);
-        assert!(!is_layered(&automaton));
-        binary_op(&automaton, &automaton, CombineSign::Plus);
+    fn dead_pairs_are_trimmed_and_counted_in_the_peak() {
+        // {|00⟩, i|01⟩} under CNOT(1→0), on the paper's ladder: the top-level
+        // `Combine` pairs states whose tags stop matching further down.
+        let gate = Gate::Cnot {
+            control: 1,
+            target: 0,
+        };
+        let members = [
+            Tree::basis_state(2, 0b00),
+            Tree::from_fn(2, |b| {
+                if b == 0b01 {
+                    Algebraic::i()
+                } else {
+                    Algebraic::zero()
+                }
+            }),
+        ];
+        let input = TreeAutomaton::from_trees(2, &members);
+        let formula = update_formula(&gate).unwrap();
+        let (result, peak) = apply(&input, &formula);
+
+        let expected: BTreeSet<_> = members
+            .iter()
+            .map(|member| {
+                let mut state = DenseState::from_amplitudes(2, member.to_state_vector());
+                state.apply_gate(&gate);
+                state.to_amplitude_map()
+            })
+            .collect();
+        let actual: BTreeSet<_> = state_of(&result).into_iter().collect();
+        assert_eq!(actual, expected);
+        assert_eq!(result.trim().state_count(), result.state_count());
+
+        let UpdateExpr::Combine { sign, lhs, rhs } = &formula else {
+            panic!("a CNOT formula is a Combine");
+        };
+        let tagged = tag(&input);
+        let opts = CompositionOptions::default();
+        let untrimmed = binary_op_reference(
+            &evaluate_with(lhs, &tagged, &opts),
+            &evaluate_with(rhs, &tagged, &opts),
+            *sign,
+        );
+        assert!(
+            untrimmed.trim().state_count() < untrimmed.state_count(),
+            "the product must hold a dead pair"
+        );
+        assert_eq!(peak.states, untrimmed.state_count());
+        assert!(peak.states > result.state_count());
     }
 
     #[test]

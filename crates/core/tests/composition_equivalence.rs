@@ -9,9 +9,10 @@
 //!   pieces and the untrimmed [`binary_op_reference`] product agrees with
 //!   the fused [`evaluate_with`];
 //! * on the operands of every `Combine` of X, H, CNOT and Toffoli formulae
-//!   (controls above and below the target) over random tagged sets, the
-//!   trimmed [`binary_op`] accepts the reference product's tagged language
-//!   and is exactly its trim: every state reachable and productive;
+//!   (controls above and below the target) over random tagged sets,
+//!   [`binary_op`] (the paper's product, trimmed only when it holds a dead
+//!   pair) accepts the reference product's tagged language and is exactly
+//!   its trim: every state reachable and productive;
 //! * tag structure survives in-ladder reduction: reducing a tagged
 //!   automaton never merges states whose signatures disagree on tags, and
 //!   never invents or drops tags.

@@ -59,8 +59,10 @@ fn main() {
             witness.support_size()
         );
         match report.confirm_with_simulator(&circuit, &buggy) {
+            // Qubit 0 is the most significant bit, so pad to the width.
             Some(basis) => println!(
-                "              witness confirmed by the simulator: outputs differ on input |{basis:b}⟩"
+                "              witness confirmed by the simulator: outputs differ on input |{basis:0width$b}⟩",
+                width = circuit.num_qubits() as usize
             ),
             None => println!(
                 "              (witness not confirmable via a basis-state preimage; simulator confirmation skipped)"
