@@ -255,12 +255,6 @@ impl Interrupt {
         self.cancel.is_cancelled()
     }
 
-    /// Whether the deadline (if any) has passed.
-    pub fn deadline_elapsed(&self) -> bool {
-        self.deadline
-            .is_some_and(|(fires_at, _)| Instant::now() >= fires_at)
-    }
-
     /// Checks the flag, the deadline and the size budgets against raw peak
     /// counts; `Err` carries the strongest applicable reason (cancellation
     /// is reported before exhaustion).
@@ -364,14 +358,12 @@ mod tests {
             }) => {}
             other => panic!("expected a deadline stop, got {other:?}"),
         }
-        assert!(interrupt.deadline_elapsed());
     }
 
     #[test]
     fn generous_deadline_does_not_trip() {
         let interrupt = Interrupt::new().with_deadline(Duration::from_secs(3600));
         assert!(interrupt.check_sizes(1_000_000, 1_000_000).is_ok());
-        assert!(!interrupt.deadline_elapsed());
     }
 
     #[test]

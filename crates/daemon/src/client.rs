@@ -39,8 +39,9 @@ pub enum JobOutcome {
         /// Daemon-provided description.
         message: String,
     },
-    /// The job ran out of a resource budget (deadline or peak-state cap)
-    /// — the typed graceful-degradation outcome for limit-carrying jobs.
+    /// The job ran out of a resource budget (deadline or peak-state cap),
+    /// its own or one the server's ceilings imposed — the typed
+    /// graceful-degradation outcome.
     Exhausted {
         /// Which budget tripped.
         resource: Resource,

@@ -37,13 +37,13 @@
 //!
 //! * every job runs under an [`autoq_core::Interrupt`] combining the
 //!   client's requested limits (deadline, peak-state budget) with the
-//!   server's configured ceilings — an exhausted job returns a typed
-//!   [`Response::Exhausted`] within one gate boundary;
+//!   server's configured ceilings; the engine checks it at every gate
+//!   boundary, so an exhausted job returns a typed
+//!   [`Response::Exhausted`] within one gate boundary, whichever limit
+//!   tripped;
 //! * a panicking engine run is contained by `catch_unwind`: the job
 //!   answers `JobError`, the worker survives, and
 //!   [`DaemonStats::jobs_panicked`] counts it;
-//! * a watchdog thread hard-cancels jobs that overstay their deadline
-//!   even if the engine stops polling;
 //! * verdicts persist through an append-only, checksummed journal between
 //!   periodic snapshots, so a crash loses at most the entry being written
 //!   and per-verdict persistence cost is O(entry), not O(cache).

@@ -12,7 +12,7 @@
 //! periodically and at shutdown, so a restarted — or crashed — daemon
 //! re-serves known verdicts without re-running the engine.  The ceilings
 //! clamp every job's deadline/peak-state budget, including jobs that
-//! request none.  The binary owns its process, so it sweeps the tree nodes
+//! request none, and a job that trips one answers `Exhausted`.  The binary owns its process, so it sweeps the tree nodes
 //! of every finished job ([`DaemonConfig::reclaim_arena`]) and its memory
 //! stays flat however many violations it serves.
 

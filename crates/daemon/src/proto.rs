@@ -25,7 +25,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"AQVD");
 /// Current protocol version.  Bumped on any wire-incompatible change; the
 /// server rejects other versions in the handshake with
 /// [`ErrorCode::VersionMismatch`].
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// A set of quantum states, as a specification operand.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -162,7 +162,7 @@ pub enum SpecMode {
     Inclusion,
 }
 
-/// Optional per-job resource limits, carried by the versioned Submit frame.
+/// Optional per-job resource limits, carried by every Submit frame.
 ///
 /// The server clamps every field to its configured ceilings
 /// ([`DaemonConfig`](crate::server::DaemonConfig)), so a client can only
@@ -179,11 +179,6 @@ pub struct JobLimits {
 }
 
 impl JobLimits {
-    /// `true` when no limit is set (the job encodes as a plain v1 Submit).
-    pub fn is_unlimited(&self) -> bool {
-        *self == JobLimits::default()
-    }
-
     fn encode_into(&self, enc: &mut Encoder) {
         let mut flags = 0u8;
         if self.deadline_ms.is_some() {
@@ -231,12 +226,11 @@ pub struct JobRequest {
     /// Whether a violation verdict should carry the witness DAG.
     pub want_witness: bool,
     /// Per-job resource limits (default: unlimited, clamped by the server's
-    /// ceilings).  Unlimited jobs encode as the v1 Submit frame, so old
-    /// servers and clients interoperate unchanged.
+    /// ceilings).
     pub limits: JobLimits,
     /// Whether a positive verdict should carry an AQIC inclusion-certificate
     /// bundle, checked by the independent `autoq-certify` crate before the
-    /// verdict is reported.  Forces the v2 Submit frame.
+    /// verdict is reported.
     pub want_certificate: bool,
 }
 
@@ -277,7 +271,7 @@ pub struct DaemonStats {
     /// Entries in the verdict cache.
     pub cache_entries: u64,
     /// Jobs stopped by a budget or deadline (answered
-    /// [`Response::Exhausted`] or, for v1 submissions, a job error).
+    /// [`Response::Exhausted`]).
     pub jobs_exhausted: u64,
     /// Jobs whose engine run panicked (answered [`Response::JobError`];
     /// the worker survives).
@@ -368,13 +362,6 @@ const OP_CANCEL: u8 = 0x03;
 const OP_STATS: u8 = 0x04;
 const OP_PING: u8 = 0x05;
 const OP_SHUTDOWN: u8 = 0x06;
-/// Versioned Submit carrying a [`JobLimits`] block after the v1 body.  A
-/// separate opcode (rather than a version bump) keeps the protocol
-/// v1-compatible: unlimited jobs still encode as [`OP_SUBMIT`], and servers
-/// answer limit-carrying jobs with the richer [`Response::Exhausted`]
-/// frame only when the client proved (by using this opcode) it can decode
-/// it.
-const OP_SUBMIT_V2: u8 = 0x07;
 
 impl Request {
     /// Encodes the request as a frame payload.
@@ -387,15 +374,7 @@ impl Request {
                 enc.finish()
             }
             Request::Submit { client_job, job } => {
-                // Unlimited jobs stay on the v1 opcode so the encoding (and
-                // any v1 peer) is unchanged; limits and certificate requests
-                // ride the v2 opcode.
-                let opcode = if job.limits.is_unlimited() && !job.want_certificate {
-                    OP_SUBMIT
-                } else {
-                    OP_SUBMIT_V2
-                };
-                let mut enc = Encoder::with_opcode(opcode);
+                let mut enc = Encoder::with_opcode(OP_SUBMIT);
                 enc.put_varint(*client_job);
                 enc.put_str(&job.qasm);
                 job.pre.encode_into(&mut enc);
@@ -405,10 +384,8 @@ impl Request {
                     SpecMode::Inclusion => 1,
                 });
                 enc.put_u8(u8::from(job.want_witness));
-                if opcode == OP_SUBMIT_V2 {
-                    job.limits.encode_into(&mut enc);
-                    enc.put_u8(u8::from(job.want_certificate));
-                }
+                job.limits.encode_into(&mut enc);
+                enc.put_u8(u8::from(job.want_certificate));
                 enc.finish()
             }
             Request::Cancel { client_job } => {
@@ -435,7 +412,7 @@ impl Request {
                 magic: dec.get_u32()?,
                 version: dec.get_u32()?,
             },
-            opcode @ (OP_SUBMIT | OP_SUBMIT_V2) => {
+            OP_SUBMIT => {
                 let client_job = dec.get_varint()?;
                 let qasm = dec.get_str()?;
                 let pre = Spec::decode_from(&mut dec)?;
@@ -455,26 +432,16 @@ impl Request {
                         ))
                     }
                 };
-                let limits = if opcode == OP_SUBMIT_V2 {
-                    JobLimits::decode_from(&mut dec)?
-                } else {
-                    JobLimits::default()
-                };
-                // The certificate-flags byte trails the limits block; older
-                // v2 peers omit it, which decodes as "no certificate".
-                let want_certificate = if opcode == OP_SUBMIT_V2 && dec.remaining() > 0 {
-                    match dec.get_u8()? {
-                        0 => false,
-                        1 => true,
-                        other => {
-                            return Err(WireError::malformed(
-                                0,
-                                format!("unknown certificate flags {other:#04x}"),
-                            ))
-                        }
+                let limits = JobLimits::decode_from(&mut dec)?;
+                let want_certificate = match dec.get_u8()? {
+                    0 => false,
+                    1 => true,
+                    other => {
+                        return Err(WireError::malformed(
+                            0,
+                            format!("unknown certificate flags {other:#04x}"),
+                        ))
                     }
-                } else {
-                    false
                 };
                 Request::Submit {
                     client_job,
@@ -555,11 +522,9 @@ pub enum Response {
         /// Human-readable description.
         message: String,
     },
-    /// The job stopped on a resource budget or deadline — a typed
-    /// degradation outcome, only sent for jobs submitted with the versioned
-    /// (limit-carrying) Submit frame; v1 submissions get a
-    /// [`Response::JobError`] instead.  Job-scoped: the connection stays
-    /// usable.
+    /// The job stopped on a resource budget or deadline, its own or a
+    /// server ceiling — a typed degradation outcome.  Job-scoped: the
+    /// connection stays usable.
     Exhausted {
         /// Echo of the submission id.
         client_job: u64,
@@ -800,34 +765,19 @@ impl Response {
                 limit: dec.get_varint()?,
                 observed: dec.get_varint()?,
             },
-            OP_STATS_REPORT => {
-                let mut stats = DaemonStats {
-                    jobs_completed: dec.get_varint()?,
-                    cache_hits: dec.get_varint()?,
-                    cache_misses: dec.get_varint()?,
-                    rejected: dec.get_varint()?,
-                    queue_depth: dec.get_u32()?,
-                    workers: dec.get_u32()?,
-                    cache_entries: dec.get_varint()?,
-                    jobs_exhausted: 0,
-                    jobs_panicked: 0,
-                    verdicts_certified: 0,
-                    certificates_rejected: 0,
-                };
-                // The degradation counters were appended later; a report
-                // from an older daemon simply ends here, and both default
-                // to zero.  The certification counters were appended later
-                // still, so they get their own tolerance check.
-                if dec.remaining() > 0 {
-                    stats.jobs_exhausted = dec.get_varint()?;
-                    stats.jobs_panicked = dec.get_varint()?;
-                    if dec.remaining() > 0 {
-                        stats.verdicts_certified = dec.get_varint()?;
-                        stats.certificates_rejected = dec.get_varint()?;
-                    }
-                }
-                Response::StatsReport(stats)
-            }
+            OP_STATS_REPORT => Response::StatsReport(DaemonStats {
+                jobs_completed: dec.get_varint()?,
+                cache_hits: dec.get_varint()?,
+                cache_misses: dec.get_varint()?,
+                rejected: dec.get_varint()?,
+                queue_depth: dec.get_u32()?,
+                workers: dec.get_u32()?,
+                cache_entries: dec.get_varint()?,
+                jobs_exhausted: dec.get_varint()?,
+                jobs_panicked: dec.get_varint()?,
+                verdicts_certified: dec.get_varint()?,
+                certificates_rejected: dec.get_varint()?,
+            }),
             OP_PONG => Response::Pong,
             OP_SHUTTING_DOWN => Response::ShuttingDown,
             OP_ERROR => Response::Error {

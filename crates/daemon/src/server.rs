@@ -23,20 +23,17 @@
 //! ([`DaemonConfig::deadline_ceiling`],
 //! [`DaemonConfig::max_states_ceiling`]): the effective limit is the
 //! minimum of the two, and a ceiling applies even when the job requests
-//! nothing.  An exhausted job answers [`Response::Exhausted`] (or a
-//! [`Response::JobError`] for v1 submissions that could not decode it) and
+//! nothing.  The engine checks the deadline and the budgets at the same
+//! checkpoints as the cancel flag ([`VerifyEngine`]'s contract), so a job
+//! stops within one gate boundary of tripping either.  Every budget stop,
+//! the job's own or a ceiling's, answers [`Response::Exhausted`] and
 //! counts in [`DaemonStats::jobs_exhausted`].  An explicit cancel request,
 //! a client disconnect, or a failed progress write raises the job's cancel
 //! flag, and the engine abandons the job at the next gate boundary.
 //!
 //! Engine runs execute inside `catch_unwind`: a panicking job answers
 //! `JobError`, the worker thread survives, and
-//! [`DaemonStats::jobs_panicked`] counts it.  A *watchdog* thread scans
-//! running jobs and hard-cancels any that overstay their deadline by more
-//! than [`DaemonConfig::watchdog_grace`] — the backstop for engines that
-//! check cancellation but not the deadline.  (A run that polls neither
-//! cannot be stopped short of killing the process; the watchdog narrows
-//! the unrecoverable set to exactly those.)
+//! [`DaemonStats::jobs_panicked`] counts it.
 //!
 //! # Persistence
 //!
@@ -78,7 +75,7 @@ use std::time::{Duration, Instant};
 
 use autoq_circuit::digest::circuit_digest;
 use autoq_circuit::qasm::parse_qasm;
-use autoq_core::{CancelFlag, Interrupt, Resource, StopReason};
+use autoq_core::{CancelFlag, Interrupt, StopReason};
 use autoq_treeaut::arena;
 use autoq_treeaut::format::tree_to_binary;
 
@@ -112,10 +109,6 @@ pub struct DaemonConfig {
     pub max_states_ceiling: Option<u64>,
     /// Journaled verdicts between full cache snapshots.
     pub snapshot_every: u64,
-    /// How often the watchdog scans running jobs.
-    pub watchdog_interval: Duration,
-    /// Grace past a job's deadline before the watchdog hard-cancels it.
-    pub watchdog_grace: Duration,
     /// Sweep the tree nodes each job interned once it is done (see the
     /// module docs).  Reclamation is process-wide, so it is off by
     /// default: only a daemon that owns its process may turn it on, never
@@ -133,8 +126,6 @@ impl Default for DaemonConfig {
             deadline_ceiling: None,
             max_states_ceiling: None,
             snapshot_every: 256,
-            watchdog_interval: Duration::from_millis(20),
-            watchdog_grace: Duration::from_millis(100),
             reclaim_arena: false,
         }
     }
@@ -191,17 +182,8 @@ struct QueuedJob {
     deadline: Option<Duration>,
     /// Effective (ceiling-clamped) peak-state budget.
     max_states: Option<u64>,
-    /// Whether the client used the limit-carrying Submit frame and can
-    /// therefore decode a typed [`Response::Exhausted`].
-    limited: bool,
     writer: Arc<ConnWriter>,
     jobs: Arc<Mutex<HashMap<u64, CancelFlag>>>,
-}
-
-/// A watchdog registry entry: when to hard-cancel, and how.
-struct WatchEntry {
-    kill_at: Instant,
-    cancel: CancelFlag,
 }
 
 /// Journal bookkeeping, under one lock so concurrent workers cannot
@@ -222,9 +204,6 @@ struct Shared {
     persist_state: Mutex<PersistState>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_signal: Condvar,
-    watchdog: Mutex<HashMap<u64, WatchEntry>>,
-    watchdog_signal: Condvar,
-    next_watch_token: AtomicU64,
     shutting_down: AtomicBool,
     jobs_completed: AtomicU64,
     jobs_exhausted: AtomicU64,
@@ -260,7 +239,7 @@ impl Shared {
     fn adaptive_retry_ms(&self) -> u32 {
         let base = self.config.retry_after_ms.max(1);
         let depth = lock(&self.queue).len() as u32;
-        let workers = self.config.workers.max(1) as u32;
+        let workers = self.config.workers as u32;
         let scale = (depth / workers).max(1);
         base.saturating_mul(scale).min(base.saturating_mul(10))
     }
@@ -312,8 +291,8 @@ impl Shared {
         }
     }
 
-    /// Raises the shutdown flag, wakes every worker and the watchdog,
-    /// cancels every in-flight job and unblocks every connection read.
+    /// Raises the shutdown flag, wakes every worker, cancels every
+    /// in-flight job and unblocks every connection read.
     fn begin_shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -326,7 +305,6 @@ impl Shared {
             }
         }
         self.queue_signal.notify_all();
-        self.watchdog_signal.notify_all();
         for (_, stream) in lock(&self.conns).iter() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
@@ -340,7 +318,6 @@ pub struct DaemonHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -367,9 +344,6 @@ impl DaemonHandle {
     pub fn join(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        if let Some(watchdog) = self.watchdog.take() {
-            let _ = watchdog.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -398,6 +372,12 @@ pub fn serve(
 ) -> std::io::Result<DaemonHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
+    // At least one worker runs; the stored config (and so the stats and
+    // the retry hint) counts the threads actually spawned.
+    let config = DaemonConfig {
+        workers: config.workers.max(1),
+        ..config
+    };
 
     let cache = match store.as_ref().map(|s| (s.load(), s)) {
         Some((Ok(Some(bytes)), store)) => {
@@ -446,9 +426,6 @@ pub fn serve(
         }),
         queue: Mutex::new(VecDeque::new()),
         queue_signal: Condvar::new(),
-        watchdog: Mutex::new(HashMap::new()),
-        watchdog_signal: Condvar::new(),
-        next_watch_token: AtomicU64::new(0),
         shutting_down: AtomicBool::new(false),
         jobs_completed: AtomicU64::new(0),
         jobs_exhausted: AtomicU64::new(0),
@@ -461,7 +438,7 @@ pub fn serve(
     });
 
     let mut workers = Vec::with_capacity(config.workers);
-    for index in 0..config.workers.max(1) {
+    for index in 0..config.workers {
         let shared = Arc::clone(&shared);
         workers.push(
             std::thread::Builder::new()
@@ -470,14 +447,6 @@ pub fn serve(
                 .expect("spawn worker"),
         );
     }
-
-    let watchdog = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("autoq-watchdog".into())
-            .spawn(move || watchdog_loop(&shared))
-            .expect("spawn watchdog")
-    };
 
     let conn_threads = Arc::new(Mutex::new(Vec::new()));
     let accept = {
@@ -493,34 +462,9 @@ pub fn serve(
         addr,
         shared,
         accept: Some(accept),
-        watchdog: Some(watchdog),
         workers,
         conn_threads,
     })
-}
-
-/// Scans running jobs and hard-cancels any past its deadline plus the
-/// configured grace.  This is the backstop for engine runs that poll
-/// cancellation but not the clock; it turns "deadline ignored" into
-/// "cancelled at the next gate boundary".
-fn watchdog_loop(shared: &Shared) {
-    let mut registry = lock(&shared.watchdog);
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        for entry in registry.values() {
-            if now >= entry.kill_at {
-                entry.cancel.cancel();
-            }
-        }
-        registry = shared
-            .watchdog_signal
-            .wait_timeout(registry, shared.config.watchdog_interval)
-            .unwrap_or_else(|poison| poison.into_inner())
-            .0;
-    }
 }
 
 fn accept_loop(
@@ -776,7 +720,6 @@ fn handle_submit(
             cancel,
             deadline,
             max_states,
-            limited: !job.limits.is_unlimited(),
             writer: Arc::clone(writer),
             jobs: Arc::clone(jobs),
         });
@@ -829,7 +772,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         cancel,
         deadline,
         max_states,
-        limited,
         writer,
         jobs,
     } = job;
@@ -849,7 +791,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
 
     // The budget clock starts here, not at submission: queue wait is the
     // daemon's fault, not the job's.
-    let started = Instant::now();
     let mut interrupt = Interrupt::from_flag(cancel.clone());
     if let Some(budget) = deadline {
         interrupt = interrupt.with_deadline(budget);
@@ -857,17 +798,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     if let Some(budget) = max_states {
         interrupt = interrupt.with_max_states(budget);
     }
-    let watch_token = deadline.map(|budget| {
-        let token = shared.next_watch_token.fetch_add(1, Ordering::Relaxed);
-        lock(&shared.watchdog).insert(
-            token,
-            WatchEntry {
-                kill_at: started + budget + shared.config.watchdog_grace,
-                cancel: cancel.clone(),
-            },
-        );
-        token
-    });
 
     // Throttled progress streaming; a failed write means the client is
     // gone, which cancels the job at the next gate boundary.
@@ -921,10 +851,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         let _ = arena::try_reclaim(shared.arena_floor, &[]);
     }
 
-    if let Some(token) = watch_token {
-        lock(&shared.watchdog).remove(&token);
-    }
-
     match result {
         Err(payload) => {
             shared.jobs_panicked.fetch_add(1, Ordering::Relaxed);
@@ -946,50 +872,25 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 message: format!("soundness violation: {message}"),
             });
         }
-        Ok(Err(EngineError::Interrupted(interrupted))) => {
-            // A watchdog hard-cancel surfaces as `Cancelled` even though
-            // the real cause was the deadline; attribute it correctly.
-            let reason = match (interrupted.reason, deadline) {
-                (StopReason::Cancelled, Some(budget)) if interrupt.deadline_elapsed() => {
-                    StopReason::Exhausted {
-                        resource: Resource::WallClock,
-                        limit: budget.as_millis() as u64,
-                        observed: started.elapsed().as_millis() as u64,
-                    }
-                }
-                (reason, _) => reason,
-            };
-            match reason {
-                StopReason::Cancelled => finish(&Response::JobError {
+        Ok(Err(EngineError::Interrupted(interrupted))) => match interrupted.reason {
+            StopReason::Cancelled => finish(&Response::JobError {
+                client_job,
+                message: "job cancelled".into(),
+            }),
+            StopReason::Exhausted {
+                resource,
+                limit,
+                observed,
+            } => {
+                shared.jobs_exhausted.fetch_add(1, Ordering::Relaxed);
+                finish(&Response::Exhausted {
                     client_job,
-                    message: "job cancelled".into(),
-                }),
-                StopReason::Exhausted {
                     resource,
                     limit,
                     observed,
-                } => {
-                    shared.jobs_exhausted.fetch_add(1, Ordering::Relaxed);
-                    if limited {
-                        finish(&Response::Exhausted {
-                            client_job,
-                            resource,
-                            limit,
-                            observed,
-                        });
-                    } else {
-                        // The client spoke v1; it cannot decode Exhausted.
-                        finish(&Response::JobError {
-                            client_job,
-                            message: format!(
-                                "job exhausted its {resource} budget \
-                                 (limit {limit}, observed {observed})"
-                            ),
-                        });
-                    }
-                }
+                });
             }
-        }
+        },
         Ok(Ok(cached)) => {
             if cached.holds && cached.certificate.is_some() {
                 shared.verdicts_certified.fetch_add(1, Ordering::Relaxed);

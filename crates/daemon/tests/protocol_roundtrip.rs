@@ -14,6 +14,7 @@ use autoq_daemon::proto::{
     MAGIC, PROTOCOL_VERSION,
 };
 use autoq_daemon::server::{serve, DaemonConfig};
+use autoq_daemon::WireError;
 use proptest::prelude::*;
 
 fn sample_job() -> JobRequest {
@@ -197,101 +198,118 @@ fn every_response_variant_round_trips() {
 }
 
 #[test]
-fn stats_report_from_an_older_daemon_decodes_with_zero_degradation_counters() {
-    // A v1-era StatsReport ends after cache_entries; the degradation
-    // counters were appended later, and the certification counters later
-    // still.  Encoding zeros appends exactly four zero varint bytes, so
-    // stripping reconstructs each generation of the frame.
-    let stats = DaemonStats {
-        jobs_completed: 4,
-        cache_hits: 3,
-        cache_misses: 2,
-        rejected: 1,
-        queue_depth: 5,
-        workers: 2,
-        cache_entries: 6,
-        jobs_exhausted: 0,
-        jobs_panicked: 0,
-        verdicts_certified: 0,
-        certificates_rejected: 0,
+fn every_submit_encodes_under_the_one_submit_opcode() {
+    let limits = JobLimits {
+        deadline_ms: Some(10),
+        max_states: Some(300),
     };
-    let full = Response::StatsReport(stats.clone()).encode();
-    // Mid-era frame: degradation counters present, certification absent.
-    let mid = &full[..full.len() - 2];
-    // V1-era frame: neither pair present.
-    let old = &full[..full.len() - 4];
-    for frame in [mid, old] {
-        match Response::decode(frame).unwrap() {
-            Response::StatsReport(decoded) => assert_eq!(decoded, stats),
-            other => panic!("unexpected response {other:?}"),
-        }
+    let jobs = [
+        sample_job(),
+        JobRequest {
+            limits,
+            ..sample_job()
+        },
+        JobRequest {
+            want_certificate: true,
+            ..sample_job()
+        },
+        JobRequest {
+            limits,
+            want_certificate: true,
+            ..sample_job()
+        },
+    ];
+    for (client_job, job) in (0..).zip(jobs) {
+        let submit = Request::Submit { client_job, job };
+        let frame = submit.encode();
+        assert_eq!(frame[0], 0x02, "{submit:?}");
+        assert_eq!(Request::decode(&frame).unwrap(), submit);
+    }
+}
+
+fn assert_malformed(decoded: Result<impl std::fmt::Debug, WireError>, what: &str) {
+    assert!(
+        matches!(decoded, Err(WireError::Malformed { .. })),
+        "{what}: {decoded:?}"
+    );
+}
+
+#[test]
+fn retired_opcodes_and_short_frames_are_malformed() {
+    // A plain Submit ends with the limits flags byte (0) and the
+    // certificate byte (0); a deadline adds a u32 after the flags byte.
+    let plain = Request::Submit {
+        client_job: 5,
+        job: sample_job(),
+    }
+    .encode();
+    assert_eq!(plain[plain.len() - 2..], [0, 0]);
+    let limited = Request::Submit {
+        client_job: 5,
+        job: JobRequest {
+            limits: JobLimits {
+                deadline_ms: Some(10),
+                max_states: None,
+            },
+            ..sample_job()
+        },
+    }
+    .encode();
+
+    let mut retired = plain.clone();
+    retired[0] = 0x07;
+    assert_malformed(Request::decode(&retired), "opcode 0x07");
+    assert_malformed(
+        Request::decode(&plain[..plain.len() - 2]),
+        "Submit without its limits block",
+    );
+    assert_malformed(
+        Request::decode(&limited[..limited.len() - 3]),
+        "Submit cut inside its deadline",
+    );
+    assert_malformed(
+        Request::decode(&plain[..plain.len() - 1]),
+        "Submit without its certificate byte",
+    );
+    let mut bad_certificate = plain;
+    *bad_certificate.last_mut().unwrap() = 2;
+    assert_malformed(
+        Request::decode(&bad_certificate),
+        "unknown certificate flags",
+    );
+
+    // Each counter of this report encodes as one varint byte.
+    let stats = Response::StatsReport(DaemonStats {
+        jobs_completed: 4,
+        workers: 2,
+        ..DaemonStats::default()
+    })
+    .encode();
+    for missing in [1, 2, 4] {
+        assert_malformed(
+            Response::decode(&stats[..stats.len() - missing]),
+            &format!("StatsReport missing {missing} counters"),
+        );
     }
 }
 
 #[test]
-fn unlimited_jobs_encode_as_v1_submit_frames() {
-    // Byte-for-byte v1 compatibility: a job with no limits must produce
-    // the exact same frame as before limits existed (opcode 0x02, no
-    // limits block), so old servers keep accepting new clients.
-    let submit = Request::Submit {
-        client_job: 3,
-        job: sample_job(),
-    };
-    let frame = submit.encode();
-    assert_eq!(frame[0], 0x02, "unlimited Submit must keep the v1 opcode");
-    // And a limit-carrying job must NOT use the v1 opcode.
-    let limited = Request::Submit {
-        client_job: 3,
-        job: JobRequest {
-            limits: JobLimits {
-                deadline_ms: Some(10),
-                max_states: None,
-            },
-            ..sample_job()
-        },
-    };
-    assert_eq!(limited.encode()[0], 0x07, "limits ride the v2 opcode");
-}
-
-#[test]
-fn certificate_requests_ride_the_v2_submit_frame() {
-    // An unlimited job that wants a certificate cannot use the v1 opcode
-    // (there is nowhere to put the flag), and it round-trips.
-    let submit = Request::Submit {
-        client_job: 5,
-        job: JobRequest {
-            want_certificate: true,
-            ..sample_job()
-        },
-    };
-    let frame = submit.encode();
-    assert_eq!(frame[0], 0x07, "certificate requests ride the v2 opcode");
-    assert_eq!(Request::decode(&frame).unwrap(), submit);
-
-    // The certificate-flags byte trails the limits block; a v2 frame from
-    // an older peer simply ends after the limits, which decodes as "no
-    // certificate".  Our encoder always writes the byte, so stripping the
-    // trailing zero from a no-certificate v2 frame reconstructs the old
-    // encoding.
-    let old_style = Request::Submit {
-        client_job: 5,
-        job: JobRequest {
-            limits: JobLimits {
-                deadline_ms: Some(10),
-                max_states: None,
-            },
-            ..sample_job()
-        },
-    };
-    let full = old_style.encode();
-    assert_eq!(*full.last().unwrap(), 0, "trailing byte is the cert flag");
-    let stripped = &full[..full.len() - 1];
-    assert_eq!(Request::decode(stripped).unwrap(), old_style);
-
-    // Unknown bits in the certificate-flags byte are rejected.
-    let mut bad = full;
-    *bad.last_mut().unwrap() = 2;
-    assert!(Request::decode(&bad).is_err());
+fn a_version_1_hello_is_refused_with_version_mismatch() {
+    let daemon = serve(
+        "127.0.0.1:0",
+        DaemonConfig::default(),
+        Arc::new(MockEngine::holding()),
+        None,
+    )
+    .unwrap();
+    match Client::connect_with_hello(daemon.addr(), MAGIC, 1) {
+        Err(WireError::Malformed { message, .. }) => {
+            assert!(message.contains("VersionMismatch"), "{message}")
+        }
+        other => panic!("expected a refused handshake, got {:?}", other.err()),
+    }
+    daemon.shutdown();
+    daemon.join();
 }
 
 #[test]
@@ -380,6 +398,24 @@ fn full_protocol_exchange_against_the_mock_engine() {
     assert_eq!(stats.cache_entries, 1);
 
     client.shutdown().unwrap();
+    daemon.join();
+}
+
+/// `workers: 0` still spawns one worker, and the stats say so.
+#[test]
+fn stats_count_the_worker_threads_actually_spawned() {
+    let config = DaemonConfig {
+        workers: 0,
+        ..DaemonConfig::default()
+    };
+    let daemon = serve("127.0.0.1:0", config, Arc::new(MockEngine::holding()), None).unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    assert!(matches!(
+        client.verify(sample_job()).unwrap(),
+        JobOutcome::Verdict { cached: false, .. }
+    ));
+    assert_eq!(client.stats().unwrap().workers, 1);
+    daemon.shutdown();
     daemon.join();
 }
 

@@ -45,9 +45,7 @@
 //! ```
 
 mod dense;
-mod equivalence;
 mod sparse;
 
 pub use dense::DenseState;
-pub use equivalence::{simulate_on_inputs, states_equal, SimulationBackend};
 pub use sparse::SparseState;
