@@ -511,14 +511,38 @@ impl TreeAutomaton {
                 return Err(format!("root {root} out of range"));
             }
         }
-        let all = vec![true; self.num_states as usize];
-        if self
-            .bottom_up_order(&TransitionIndex::build(self), &all)
-            .is_none()
-        {
+        if !self.is_acyclic() {
             return Err("transitions form a cycle".into());
         }
         Ok(())
+    }
+
+    /// Whether no state lies on a cycle: Kahn's algorithm over the child
+    /// slots of every transition orders all states bottom-up.
+    fn is_acyclic(&self) -> bool {
+        let index = TransitionIndex::build(self);
+        // `pending[q]` counts the child slots of q's transitions whose
+        // child is not yet ordered.
+        let mut pending = vec![0u32; self.num_states as usize];
+        for t in &self.internal {
+            pending[t.parent.index()] += 2;
+        }
+        let mut ready: Vec<StateId> = (0..self.num_states)
+            .map(StateId::new)
+            .filter(|q| pending[q.index()] == 0)
+            .collect();
+        let mut ordered = 0;
+        while let Some(state) = ready.pop() {
+            ordered += 1;
+            for &position in index.occurrences_as_child(state) {
+                let parent = self.internal[position as usize].parent;
+                pending[parent.index()] -= 1;
+                if pending[parent.index()] == 0 {
+                    ready.push(parent);
+                }
+            }
+        }
+        ordered == self.num_states
     }
 }
 

@@ -58,6 +58,23 @@ fn csr(num_keys: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec
 impl TransitionIndex {
     /// Indexes the automaton's current transitions.
     pub fn build(automaton: &TreeAutomaton) -> Self {
+        let mut index = Self::by_parent(automaton);
+        (index.child_order, index.child_starts) = csr(
+            automaton.num_states as usize,
+            automaton
+                .internal
+                .iter()
+                .enumerate()
+                .flat_map(|(i, t)| [(t.left.raw(), i as u32), (t.right.raw(), i as u32)]),
+        );
+        index
+    }
+
+    /// Builds only the two parent-keyed tables, for walks that go from
+    /// parents to children and never ask for a state's occurrences as a
+    /// child (on this index [`TransitionIndex::occurrences_as_child`] is
+    /// empty).
+    pub(crate) fn by_parent(automaton: &TreeAutomaton) -> Self {
         let n = automaton.num_states as usize;
         let (internal_order, internal_starts) = csr(
             n,
@@ -66,14 +83,6 @@ impl TransitionIndex {
                 .iter()
                 .enumerate()
                 .map(|(i, t)| (t.parent.raw(), i as u32)),
-        );
-        let (child_order, child_starts) = csr(
-            n,
-            automaton
-                .internal
-                .iter()
-                .enumerate()
-                .flat_map(|(i, t)| [(t.left.raw(), i as u32), (t.right.raw(), i as u32)]),
         );
         let (leaf_order, leaf_starts) = csr(
             n,
@@ -86,8 +95,8 @@ impl TransitionIndex {
         TransitionIndex {
             internal_order,
             internal_starts,
-            child_order,
-            child_starts,
+            child_order: Vec::new(),
+            child_starts: Vec::new(),
             leaf_order,
             leaf_starts,
         }

@@ -12,22 +12,34 @@
 //! Both run after every gate of the engine's hot loop, so they are built for
 //! speed.  Trimming is two worklist passes over the adjacency index
 //! (O(states + transitions)).  Merging exploits that every automaton here is
-//! acyclic: one pass over the live states in bottom-up (Kahn) order gives
-//! each state a class from a hash-cons table keyed on its sorted
-//! `(symbol, left-class, right-class)` tuples and leaf amplitude ids.  The
-//! children's classes are final by the time a parent is keyed, so this one
-//! pass reaches the merge fixpoint directly, in O(states + transitions)
-//! hash-table operations.  Both reductions end in the same rewrite, which
-//! numbers the surviving states (each class's smallest member) in ascending
-//! order and keeps the first of any duplicate transitions.
+//! acyclic: one iterative post-order walk from the roots, over the
+//! parent-keyed tables only, closes each state after its children and gives
+//! it a class there — unproductive if no transition has two productive
+//! children and it has no leaf, else the class of its sorted,
+//! deduplicated `(symbol, left-class, right-class)` tuples and leaf
+//! amplitude ids.  The children's classes are final by then, so this one
+//! walk reaches the merge fixpoint directly.  The keys are built in two
+//! reused buffers and interned into one flat tuple pool and one flat
+//! amplitude pool, so the walk allocates nothing per state, and ids no root
+//! reaches (the swap ladder leaves many) are never visited.  Trim's
+//! top-down accessibility pass runs only if some visited state turned out
+//! unproductive.  The output numbers each class at its smallest live member
+//! and keeps the transitions in input order, the first of any duplicates:
+//! a class key lists its class's distinct transitions, so a transition is
+//! kept only if its slot in the key is not yet taken.
 //!
-//! A cyclic automaton (never produced by this crate or `autoq-core`, and
-//! rejected by [`TreeAutomaton::validate`]) falls back to the deliberately
-//! naive [`TreeAutomaton::reduce_reference`], which is also the property
-//! tests' oracle for the fast path.
+//! A walk that meets a cycle through transitions with two productive
+//! children (never produced by this crate or `autoq-core`, and rejected by
+//! [`TreeAutomaton::validate`]) falls back to the deliberately naive
+//! [`TreeAutomaton::reduce_reference`], which is also the property tests'
+//! oracle for the fast path.  A cycle closed through a dead child is no
+//! cycle of the trimmed automaton, and stays on the fast path.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
+use autoq_amplitude::hash::{FixedHasher, FixedMap};
 use autoq_amplitude::{resolve, Algebraic};
 
 use crate::{
@@ -37,9 +49,67 @@ use crate::{
 /// State-map entry of a state the rewrite drops.
 const DROPPED: u32 = u32::MAX;
 
-/// A state's merge key: its sorted, deduplicated `(symbol, left-class,
-/// right-class)` tuples and its sorted leaf amplitude ids.
-type MergeKey = (Vec<(InternalSymbol, u32, u32)>, Vec<u32>);
+/// `reduce`'s class of a state the walk has not reached (or that is not
+/// live).  Every value below [`UNPRODUCTIVE`] is a class.
+const UNSEEN: u32 = u32::MAX;
+/// Class of a state on the walk's stack.
+const OPEN: u32 = u32::MAX - 1;
+/// Class of a closed state that derives no tree.
+const UNPRODUCTIVE: u32 = u32::MAX - 2;
+
+/// The hash-cons table of `reduce`'s classes.  Class `c`'s key is
+/// `tuples[starts[c].0..starts[c + 1].0]` and `amps[starts[c].1..starts[c +
+/// 1].1]`, both sorted and deduplicated.
+#[derive(Default)]
+struct Classes {
+    tuples: Vec<(InternalSymbol, u32, u32)>,
+    amps: Vec<u32>,
+    starts: Vec<(usize, usize)>,
+    /// The newest class with each key hash; `older[c]` is the next older
+    /// class with `c`'s hash, or `DROPPED`.
+    newest: FixedMap<u64, u32>,
+    older: Vec<u32>,
+    /// The key being built, reused for every state.
+    key_tuples: Vec<(InternalSymbol, u32, u32)>,
+    key_amps: Vec<u32>,
+}
+
+impl Classes {
+    /// Class `class`'s key: its ranges in `tuples` and in `amps`.
+    fn key(&self, class: u32) -> (Range<usize>, Range<usize>) {
+        let (start, end) = (self.starts[class as usize], self.starts[class as usize + 1]);
+        (start.0..end.0, start.1..end.1)
+    }
+
+    /// The class of the key in `key_tuples`/`key_amps`, new if no class has
+    /// that key yet.
+    fn intern_key(&mut self) -> u32 {
+        self.key_tuples.sort_unstable();
+        self.key_tuples.dedup();
+        self.key_amps.sort_unstable();
+        self.key_amps.dedup();
+        let mut hasher = FixedHasher::default();
+        self.key_tuples.hash(&mut hasher);
+        self.key_amps.hash(&mut hasher);
+        let hash = hasher.finish();
+        let newest = self.newest.get(&hash).copied().unwrap_or(DROPPED);
+        let mut class = newest;
+        while class != DROPPED {
+            let (tuples, amps) = self.key(class);
+            if self.tuples[tuples] == self.key_tuples[..] && self.amps[amps] == self.key_amps[..] {
+                return class;
+            }
+            class = self.older[class as usize];
+        }
+        let class = self.older.len() as u32;
+        self.older.push(newest);
+        self.newest.insert(hash, class);
+        self.tuples.extend_from_slice(&self.key_tuples);
+        self.amps.extend_from_slice(&self.key_amps);
+        self.starts.push((self.tuples.len(), self.amps.len()));
+        class
+    }
+}
 
 impl TreeAutomaton {
     /// Removes useless states and transitions (non-productive or
@@ -65,63 +135,168 @@ impl TreeAutomaton {
     /// the fixpoint, which is a sound under-approximation of bottom-up
     /// bisimulation.
     pub fn reduce(&self) -> TreeAutomaton {
-        let index = TransitionIndex::build(self);
-        let live = self.live_states(&index);
-        let Some(order) = self.bottom_up_order(&index, &live) else {
-            return self.reduce_reference();
+        let reduced = self
+            .reduce_fast()
+            .unwrap_or_else(|| self.reduce_reference());
+        // Trimming drops every dead state and repeated transition, in
+        // O(states + transitions), so a reduced automaton is its own trim.
+        debug_assert!(
+            reduced.trim() == reduced,
+            "reduce left a dead state or a repeated transition"
+        );
+        reduced
+    }
+
+    /// The one-walk reduction of the [module docs](self); `None` if the walk
+    /// meets a cycle through transitions with two productive children.
+    fn reduce_fast(&self) -> Option<TreeAutomaton> {
+        let index = TransitionIndex::by_parent(self);
+        let mut class = vec![UNSEEN; self.num_states as usize];
+        let mut classes = Classes {
+            starts: vec![(0, 0)],
+            newest: FixedMap::with_capacity_and_hasher(
+                self.internal.len() + self.leaves.len(),
+                Default::default(),
+            ),
+            ..Classes::default()
         };
-        let mut class = vec![DROPPED; live.len()];
-        let mut classes: HashMap<MergeKey, u32> = HashMap::with_capacity(order.len());
-        for q in order {
-            let mut tuples: Vec<(InternalSymbol, u32, u32)> = index
-                .internal_of(q)
-                .iter()
-                .map(|&position| &self.internal[position as usize])
-                .filter(|t| live[t.left.index()] && live[t.right.index()])
-                .map(|t| (t.symbol, class[t.left.index()], class[t.right.index()]))
-                .collect();
-            tuples.sort_unstable();
-            tuples.dedup();
-            let mut amps: Vec<u32> = index
-                .leaves_of(q)
-                .iter()
-                .map(|&position| self.leaves[position as usize].amp.raw())
-                .collect();
-            amps.sort_unstable();
-            amps.dedup();
-            let next = classes.len() as u32;
-            class[q.index()] = *classes.entry((tuples, amps)).or_insert(next);
+        // Post-order walk; a stack entry is a state and its next child slot
+        // (two per transition).  A child found open closes a cycle: its
+        // transition is kept in `back_edges` and sees that child as
+        // unproductive, which is exact unless both its children end up
+        // productive.
+        let mut stack: Vec<(StateId, usize)> = Vec::new();
+        let mut back_edges: Vec<u32> = Vec::new();
+        let mut some_unproductive = false;
+        for &root in &self.roots {
+            if class[root.index()] != UNSEEN {
+                continue;
+            }
+            class[root.index()] = OPEN;
+            stack.push((root, 0));
+            while let Some(&mut (q, ref mut slot)) = stack.last_mut() {
+                let positions = index.internal_of(q);
+                if let Some(&position) = positions.get(*slot / 2) {
+                    let t = &self.internal[position as usize];
+                    let child = if *slot % 2 == 0 { t.left } else { t.right };
+                    *slot += 1;
+                    match class[child.index()] {
+                        UNSEEN => {
+                            class[child.index()] = OPEN;
+                            stack.push((child, 0));
+                        }
+                        OPEN => back_edges.push(position),
+                        _ => {}
+                    }
+                    continue;
+                }
+                stack.pop();
+                classes.key_tuples.clear();
+                for &position in positions {
+                    let t = &self.internal[position as usize];
+                    let (left, right) = (class[t.left.index()], class[t.right.index()]);
+                    if left < UNPRODUCTIVE && right < UNPRODUCTIVE {
+                        classes.key_tuples.push((t.symbol, left, right));
+                    }
+                }
+                classes.key_amps.clear();
+                classes.key_amps.extend(
+                    index
+                        .leaves_of(q)
+                        .iter()
+                        .map(|&position| self.leaves[position as usize].amp.raw()),
+                );
+                class[q.index()] = if classes.key_tuples.is_empty() && classes.key_amps.is_empty() {
+                    some_unproductive = true;
+                    UNPRODUCTIVE
+                } else {
+                    classes.intern_key()
+                };
+            }
         }
-        // Each class is represented by its smallest member: scanning the
-        // states in ascending order meets every class first at that member.
-        let mut number = vec![DROPPED; classes.len()];
+        let productive = |q: StateId| class[q.index()] < UNPRODUCTIVE;
+        if back_edges.iter().any(|&position| {
+            let t = &self.internal[position as usize];
+            productive(t.left) && productive(t.right)
+        }) {
+            return None;
+        }
+        // With every visited state productive, every visited state is live.
+        let live = some_unproductive.then(|| self.accessible(&index, productive));
+        // Number each class at its smallest live member; forget the rest.
+        let mut number = vec![DROPPED; classes.older.len()];
         let mut count = 0;
-        let map: Vec<u32> = class
+        for (q, c) in class.iter_mut().enumerate() {
+            if live.as_ref().is_some_and(|live| !live[q]) {
+                *c = UNSEEN;
+            }
+            if *c < UNPRODUCTIVE && number[*c as usize] == DROPPED {
+                number[*c as usize] = count;
+                count += 1;
+            }
+        }
+        let mut result = TreeAutomaton::new(self.num_vars);
+        result.num_states = count;
+        let output = |c: u32| StateId::new(number[c as usize]);
+        result.roots = self
+            .roots
             .iter()
-            .map(|&c| {
-                if c == DROPPED {
-                    return DROPPED;
-                }
-                let id = &mut number[c as usize];
-                if *id == DROPPED {
-                    *id = count;
-                    count += 1;
-                }
-                *id
-            })
+            .map(|root| class[root.index()])
+            .filter(|&c| c < UNPRODUCTIVE)
+            .map(output)
             .collect();
-        self.rewrite(&map, count)
+        // A transition between live states is in its parent's class key;
+        // the first transition to reach a key slot takes it.
+        let mut taken = vec![false; classes.tuples.len()];
+        for t in &self.internal {
+            let (parent, left, right) = (
+                class[t.parent.index()],
+                class[t.left.index()],
+                class[t.right.index()],
+            );
+            if parent < UNPRODUCTIVE && left < UNPRODUCTIVE && right < UNPRODUCTIVE {
+                let (key, _) = classes.key(parent);
+                let slot = key.start
+                    + classes.tuples[key]
+                        .binary_search(&(t.symbol, left, right))
+                        .expect("a live transition is in its class key");
+                if !std::mem::replace(&mut taken[slot], true) {
+                    result.internal.push(InternalTransition {
+                        parent: output(parent),
+                        symbol: t.symbol,
+                        left: output(left),
+                        right: output(right),
+                    });
+                }
+            }
+        }
+        let mut taken = vec![false; classes.amps.len()];
+        for t in &self.leaves {
+            let parent = class[t.parent.index()];
+            if parent < UNPRODUCTIVE {
+                let (_, key) = classes.key(parent);
+                let slot = key.start
+                    + classes.amps[key]
+                        .binary_search(&t.amp.raw())
+                        .expect("a live leaf is in its class key");
+                if !std::mem::replace(&mut taken[slot], true) {
+                    result.leaves.push(LeafTransition {
+                        parent: output(parent),
+                        amp: t.amp,
+                    });
+                }
+            }
+        }
+        Some(result)
     }
 
     /// Marks the live states: productive (some tree derives from them) and
-    /// accessible (reachable from a root through transitions whose
-    /// children are all productive).
+    /// accessible.
     fn live_states(&self, index: &TransitionIndex) -> Vec<bool> {
-        let n = self.num_states as usize;
-        // 1. Productive states: worklist from the leaves upwards.  `need`
-        //    counts the not-yet-productive child slots of each transition;
-        //    a transition fires (marks its parent productive) at zero.
-        let mut productive = vec![false; n];
+        // Productive states: worklist from the leaves upwards.  `need`
+        // counts the not-yet-productive child slots of each transition; a
+        // transition fires (marks its parent productive) at zero.
+        let mut productive = vec![false; self.num_states as usize];
         let mut need: Vec<u8> = vec![2; self.internal.len()];
         let mut worklist: Vec<StateId> = Vec::new();
         for t in &self.leaves {
@@ -142,12 +317,22 @@ impl TreeAutomaton {
                 }
             }
         }
-        // 2. Accessible states: from the roots downwards, only through
-        //    transitions whose children are productive.  Every accessible
-        //    state is productive, so this marks exactly the live ones.
-        let mut accessible = vec![false; n];
+        self.accessible(index, |q| productive[q.index()])
+    }
+
+    /// Marks the states reachable from a productive root through
+    /// transitions whose children are all productive.  Every such state is
+    /// productive, so given the productive states this marks exactly the
+    /// live ones.  Reads only the parent-keyed table of `index`.
+    fn accessible(
+        &self,
+        index: &TransitionIndex,
+        productive: impl Fn(StateId) -> bool,
+    ) -> Vec<bool> {
+        let mut accessible = vec![false; self.num_states as usize];
+        let mut worklist: Vec<StateId> = Vec::new();
         for &root in &self.roots {
-            if productive[root.index()] && !accessible[root.index()] {
+            if productive(root) && !accessible[root.index()] {
                 accessible[root.index()] = true;
                 worklist.push(root);
             }
@@ -155,7 +340,7 @@ impl TreeAutomaton {
         while let Some(state) = worklist.pop() {
             for &position in index.internal_of(state) {
                 let t = &self.internal[position as usize];
-                if productive[t.left.index()] && productive[t.right.index()] {
+                if productive(t.left) && productive(t.right) {
                     for child in [t.left, t.right] {
                         if !accessible[child.index()] {
                             accessible[child.index()] = true;
@@ -166,43 +351,6 @@ impl TreeAutomaton {
             }
         }
         accessible
-    }
-
-    /// Orders the `live` states bottom-up with Kahn's algorithm: every state
-    /// comes after the children of all its transitions between live states.
-    /// Returns `None` if some live state lies on a cycle.
-    pub(crate) fn bottom_up_order(
-        &self,
-        index: &TransitionIndex,
-        live: &[bool],
-    ) -> Option<Vec<StateId>> {
-        let survives = |t: &InternalTransition| {
-            live[t.parent.index()] && live[t.left.index()] && live[t.right.index()]
-        };
-        // `pending[q]` counts the child slots of q's surviving transitions
-        // whose child is not yet ordered.
-        let mut pending = vec![0u32; live.len()];
-        for t in self.internal.iter().filter(|t| survives(t)) {
-            pending[t.parent.index()] += 2;
-        }
-        let mut order: Vec<StateId> = (0..live.len() as u32)
-            .map(StateId::new)
-            .filter(|q| live[q.index()] && pending[q.index()] == 0)
-            .collect();
-        let mut next = 0;
-        while let Some(&state) = order.get(next) {
-            next += 1;
-            for &position in index.occurrences_as_child(state) {
-                let t = &self.internal[position as usize];
-                if survives(t) {
-                    pending[t.parent.index()] -= 1;
-                    if pending[t.parent.index()] == 0 {
-                        order.push(t.parent);
-                    }
-                }
-            }
-        }
-        (order.len() == live.iter().filter(|&&l| l).count()).then_some(order)
     }
 
     /// Rewrites the automaton under a state map (`DROPPED` drops a state
@@ -326,7 +474,7 @@ impl TreeAutomaton {
 mod tests {
     use autoq_amplitude::Algebraic;
 
-    use crate::{InternalSymbol, Tree, TreeAutomaton};
+    use crate::{InternalSymbol, StateId, Tree, TreeAutomaton};
 
     fn all_basis(n: u32) -> TreeAutomaton {
         let trees: Vec<Tree> = (0..crate::basis::basis_count(n))
@@ -458,6 +606,57 @@ mod tests {
             _ => Algebraic::zero(),
         });
         assert!(!reduced.accepts(&wrong));
+    }
+
+    /// A one-variable automaton with two equal leaves and a root `q` with
+    /// `x0(leaf, leaf)`; returns it with `q` and the twin leaf.
+    fn leaf_pair_root() -> (TreeAutomaton, StateId, StateId) {
+        let mut automaton = TreeAutomaton::new(1);
+        let leaf = automaton.add_state();
+        automaton.add_leaf(leaf, Algebraic::one());
+        let twin = automaton.add_state();
+        automaton.add_leaf(twin, Algebraic::one());
+        let q = automaton.add_state();
+        automaton.add_internal(q, InternalSymbol::new(0), leaf, leaf);
+        automaton.add_root(q);
+        (automaton, q, twin)
+    }
+
+    #[test]
+    fn a_cycle_through_a_dead_child_stays_on_the_fast_path() {
+        let (mut automaton, q, _) = leaf_pair_root();
+        let dead = automaton.add_state();
+        automaton.add_internal(q, InternalSymbol::new(0), dead, q);
+        let fast = automaton.reduce_fast().expect("the cycle dies with `dead`");
+        assert_eq!(fast, automaton.reduce_reference());
+        assert_eq!(fast.state_count(), 2);
+    }
+
+    #[test]
+    fn ids_without_transitions_stay_on_the_fast_path() {
+        // The swap ladder's shape: every other id has no transition.
+        let mut automaton = TreeAutomaton::new(3);
+        let mut below = automaton.add_state();
+        automaton.add_leaf(below, Algebraic::one());
+        for var in (0..3).rev() {
+            automaton.add_state();
+            let q = automaton.add_state();
+            automaton.add_internal(q, InternalSymbol::new(var), below, below);
+            below = q;
+        }
+        automaton.add_root(below);
+        assert_eq!(automaton.state_count(), 7);
+        let fast = automaton.reduce_fast().expect("acyclic");
+        assert_eq!(fast, automaton.reduce_reference());
+        assert_eq!(fast.state_count(), 4);
+    }
+
+    #[test]
+    fn only_a_live_cycle_leaves_the_fast_path() {
+        let (mut automaton, q, twin) = leaf_pair_root();
+        automaton.add_internal(q, InternalSymbol::new(0), q, twin);
+        assert!(automaton.reduce_fast().is_none());
+        assert_eq!(automaton.reduce(), automaton.reduce_reference());
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! Cross-validation of the one-pass hash-consing reduction against the
+//! Cross-validation of the one-walk hash-consing reduction against the
 //! retained naive reference implementation
 //! (`TreeAutomaton::reduce_reference`), plus regression properties:
 //!
 //! * on random small automata — unions of trees with injected redundancy,
-//!   and layered automata with tags, dead states, duplicated copies and
-//!   *permuted* state ids and transition order, so bottom-up order is not
-//!   id order — `reduce` returns exactly the reference's automaton (same
-//!   states, roots and transition order), which accepts the original
-//!   language;
+//!   and layered automata with tags, dead states, ids with no transition,
+//!   repeated transitions, leaves on internal states, unproductive roots,
+//!   duplicated copies and *permuted* state ids and transition order, so
+//!   bottom-up order is not id order — `reduce` returns exactly the
+//!   reference's automaton (same states, roots and transition order), which
+//!   accepts the original language;
 //! * `reduce` is idempotent, to the automaton;
 //! * cyclic automata (which `validate` rejects) fall back to the reference.
 
 use std::collections::HashSet;
 
 use autoq_amplitude::Algebraic;
-use autoq_treeaut::{equivalence, InternalSymbol, StateId, Tag, Tree, TreeAutomaton};
+use autoq_treeaut::{
+    equivalence, InternalSymbol, LeafTransition, StateId, Tag, Tree, TreeAutomaton,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -78,7 +81,10 @@ fn permuted(automaton: &TreeAutomaton, rng: &mut StdRng) -> TreeAutomaton {
         result.add_internal(rename(t.parent), t.symbol, rename(t.left), rename(t.right));
     }
     for t in leaves {
-        result.add_leaf_id(rename(t.parent), t.amp);
+        result.leaves.push(LeafTransition {
+            parent: rename(t.parent),
+            amp: t.amp,
+        });
     }
     result
 }
@@ -87,7 +93,9 @@ fn permuted(automaton: &TreeAutomaton, rng: &mut StdRng) -> TreeAutomaton {
 /// then one layer per variable whose states take one to three transitions
 /// (some tagged) into the layer below.  Few distinct leaf values make many
 /// states equal; optional noise adds a non-productive child, an
-/// inaccessible state and a duplicated copy; the ids are then permuted.
+/// inaccessible state, a leaf on an internal state, an unproductive root,
+/// repeated transitions, ids with no transition and a duplicated copy; the
+/// ids are then permuted.
 fn layered_automaton(seed: u64) -> TreeAutomaton {
     let mut rng = StdRng::seed_from_u64(seed);
     let num_vars = rng.gen_range(1..=4u32);
@@ -99,6 +107,7 @@ fn layered_automaton(seed: u64) -> TreeAutomaton {
             q
         })
         .collect();
+    let mut internal_states = Vec::new();
     for var in (0..num_vars).rev() {
         let width = rng.gen_range(1..=4);
         let mut layer = Vec::with_capacity(width);
@@ -115,6 +124,7 @@ fn layered_automaton(seed: u64) -> TreeAutomaton {
             }
             layer.push(q);
         }
+        internal_states.extend_from_slice(&layer);
         below = layer;
     }
     for &q in &below {
@@ -133,6 +143,35 @@ fn layered_automaton(seed: u64) -> TreeAutomaton {
         // A productive state no root reaches.
         let orphan = automaton.add_state();
         automaton.add_leaf(orphan, Algebraic::one());
+    }
+    if rng.gen_bool(0.3) {
+        // A state with internal transitions and a leaf, so it derives trees
+        // of two heights.
+        let q = *internal_states.choose(&mut rng).unwrap();
+        automaton.add_leaf(q, Algebraic::from_int(rng.gen_range(0..3i64)));
+    }
+    if rng.gen_bool(0.3) {
+        // A root that derives nothing: its one transition has a child
+        // without transitions.
+        let root = automaton.add_state();
+        let dead = automaton.add_state();
+        let left = *below.choose(&mut rng).unwrap();
+        automaton.add_internal(root, InternalSymbol::new(0), left, dead);
+        automaton.add_root(root);
+    }
+    if rng.gen_bool(0.3) {
+        // Transitions listed twice, which the output lists once.
+        for _ in 0..rng.gen_range(1..=3) {
+            let t = automaton.internal.choose(&mut rng).unwrap().clone();
+            automaton.add_internal(t.parent, t.symbol, t.left, t.right);
+        }
+        // `add_leaf_id` ignores a repeated leaf, so push it directly.
+        let t = *automaton.leaves.choose(&mut rng).unwrap();
+        automaton.leaves.push(t);
+    }
+    if rng.gen_bool(0.3) {
+        // Ids with no transition, as the swap ladder leaves them.
+        automaton.add_states(rng.gen_range(1..=6));
     }
     if rng.gen_bool(0.5) {
         add_copy(&mut automaton);
