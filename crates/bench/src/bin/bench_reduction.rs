@@ -9,8 +9,9 @@
 //!
 //! * **micro** — `TreeAutomaton::reduce` on a duplicated-copies automaton
 //!   (the shape every primed-copy gate construction produces) and
-//!   `Engine::apply_gate` for one permutation (CNOT) and one composition
-//!   (H) gate on a 12-qubit all-basis set;
+//!   `Engine::apply_gate` for one permutation (CNOT) and two composition
+//!   gates (H on qubits 5 and 0, the second the longest ladder) on a
+//!   12-qubit all-basis set;
 //! * **rows** — the two previously slow Table 3 rows: the `increment8`
 //!   AutoQ hunt and the `cycle10` path-sum check — plus the `Interrupt`
 //!   governance overhead / budget-trip stop latencies (`exhaustion.*`);
@@ -101,6 +102,17 @@ fn main() {
         "micro.apply_gate_h_allbasis12",
         median_time(20, || {
             let _ = engine.apply_gate(&base, &Gate::H(5));
+        }),
+    );
+    // H on the top qubit climbs the longest ladder: 11 forward and 11
+    // backward passes per projection, against 6 for H(5).  Its time is
+    // nearly all the tagged product, which pairs ~11M states (~1 GB), so
+    // it takes the median of 3 runs, not 20.
+    record_secs(
+        &mut entries,
+        "micro.apply_gate_h0_allbasis12",
+        median_time(3, || {
+            let _ = engine.apply_gate(&base, &Gate::H(0));
         }),
     );
 

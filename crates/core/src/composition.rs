@@ -23,17 +23,26 @@
 //! * the working automaton is kept *bucketed by variable layer*
 //!   (`LadderState`): a swap pass rewrites exactly two layers — the moving
 //!   qubit layer and the one it swaps past — so each pass costs O(active
-//!   layers) instead of O(automaton), with matching pairs found by hash
-//!   join on `(parent, symbol)` rather than a quadratic child scan, and no
-//!   per-pass [`TreeAutomaton::dedup_transitions`] (internal transitions
-//!   are deduped with an integer-key set as they are emitted; leaves are
-//!   never touched, skipping the bigint-cloning leaf dedup entirely);
-//! * `(symbol, left, right)` singleton states are interned per pass (a
-//!   whole-ladder interner was implemented and proven inert: each pass's
-//!   probe keys are disjoint from every entry an earlier pass could have
-//!   left behind — see `intern_pass_state`), and a gate's two projections
-//!   of the same qubit share one forward ladder through the evaluation
-//!   context;
+//!   layers) instead of O(automaton);
+//! * each pass looks the child layer up through CSR tables over that
+//!   layer's own positions (`LayerIndex`): grouped by parent, and within
+//!   each group sorted by symbol for the backward pass, whose matching
+//!   pairs are found by binary search rather than a quadratic child scan.
+//!   No table is sized by the state count, since about half the ids a
+//!   ladder allocates end up with no transition;
+//! * there is no per-pass [`TreeAutomaton::dedup_transitions`]: the two
+//!   rebuilt layers are deduped as they are emitted through a fixed-hasher
+//!   set on a packed key, and leaves are never touched, skipping the
+//!   bigint-cloning leaf dedup entirely;
+//! * `(symbol, left, right)` singleton states are interned per pass on a
+//!   packed key (a whole-ladder interner was implemented and proven inert:
+//!   each pass's probe keys are disjoint from every entry an earlier pass
+//!   could have left behind — see `intern_pass_state`), and a gate's two
+//!   projections of the same qubit share one forward ladder through the
+//!   evaluation context, the second taking it without a copy;
+//! * the index, the interner, the dedup set and the layer vectors are
+//!   buffers of the ladder (`Ladder`), reused by each of its passes and
+//!   dropped with it, so a pass allocates only when a layer outgrows them;
 //! * between passes the intermediate automaton is *reduced in-ladder*
 //!   (tag-preservingly: tags live in the symbols, so states only merge when
 //!   their signatures agree on tags) whenever it grows past
@@ -136,9 +145,10 @@
 //! `basis_set_equivalence` suites).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::Range;
 
-use autoq_amplitude::hash::FixedMap;
+use autoq_amplitude::hash::{FixedMap, FixedSet};
 use autoq_amplitude::{intern, Algebraic, AmpId};
 use autoq_treeaut::{
     InternalSymbol, InternalTransition, LeafTransition, StateId, Tag, TransitionIndex,
@@ -209,10 +219,15 @@ pub struct FormulaPeak {
 struct EvalCtx<'a> {
     opts: &'a CompositionOptions,
     peak: FormulaPeak,
+    /// The formula being evaluated, if any: it says how many projections
+    /// of each qubit will ask for the qubit's forward ladder.
+    formula: Option<&'a UpdateExpr>,
     /// `T_{x_t}` and `T_{x̄_t}` of the same formula run the same forward
     /// ladder and differ only in the subtree copy and the way back, so the
-    /// forward-laddered automaton is computed once per qubit and shared.
-    forward_cache: HashMap<u32, LadderState>,
+    /// forward-laddered automaton is computed once per qubit and shared:
+    /// each entry holds it with the number of projections still to come,
+    /// and the last one takes it instead of cloning it.
+    forward_cache: FixedMap<u32, (LadderState, usize)>,
     /// The caller's interrupt, checked between swap-ladder passes so even a
     /// single blowing-up gate stops near its budget (`None` never stops).
     interrupt: Option<&'a Interrupt>,
@@ -222,11 +237,16 @@ struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    fn new(opts: &'a CompositionOptions, interrupt: Option<&'a Interrupt>) -> Self {
+    fn new(
+        opts: &'a CompositionOptions,
+        formula: Option<&'a UpdateExpr>,
+        interrupt: Option<&'a Interrupt>,
+    ) -> Self {
         EvalCtx {
             opts,
             peak: FormulaPeak::default(),
-            forward_cache: HashMap::new(),
+            formula,
+            forward_cache: FixedMap::default(),
             interrupt,
             stopped: None,
         }
@@ -299,7 +319,7 @@ pub fn apply_formula_in_place_interruptible(
         }
     }
     tag_in_place(automaton);
-    let mut ctx = EvalCtx::new(opts, interrupt);
+    let mut ctx = EvalCtx::new(opts, Some(formula), interrupt);
     let result = evaluate_term(formula, automaton, &mut ctx);
     if let Some(reason) = ctx.stopped {
         return Err(reason);
@@ -316,7 +336,12 @@ pub fn evaluate_with(
     tagged_source: &TreeAutomaton,
     opts: &CompositionOptions,
 ) -> TreeAutomaton {
-    evaluate_term(expr, tagged_source, &mut EvalCtx::new(opts, None)).into_owned()
+    evaluate_term(
+        expr,
+        tagged_source,
+        &mut EvalCtx::new(opts, Some(expr), None),
+    )
+    .into_owned()
 }
 
 /// Evaluates one term, borrowing the source automaton for `Source` leaves so
@@ -410,7 +435,7 @@ pub fn restrict_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: bool) {
     if seeds.is_empty() {
         return;
     }
-    let index = TransitionIndex::build(automaton);
+    let index = TransitionIndex::by_parent(automaton);
     let n = automaton.num_states as usize;
     // Downward closure of the seeds: the only part of the zeroed copy the
     // redirected transitions can reach.
@@ -551,7 +576,7 @@ pub fn project_with(
     bit: bool,
     opts: &CompositionOptions,
 ) -> TreeAutomaton {
-    project_in_ctx(automaton, qubit, bit, &mut EvalCtx::new(opts, None))
+    project_in_ctx(automaton, qubit, bit, &mut EvalCtx::new(opts, None, None))
 }
 
 fn project_in_ctx(
@@ -568,12 +593,20 @@ fn project_in_ctx(
     }
     let swaps = bottom - qubit;
     // Both projections of the same formula (`T_{x_t}` and `T_{x̄_t}`) run
-    // an identical forward ladder — compute it once per qubit and share.
-    if !ctx.forward_cache.contains_key(&qubit) {
-        let forward = forward_ladder(automaton, qubit, swaps, ctx);
-        ctx.forward_cache.insert(qubit, forward);
+    // an identical forward ladder — compute it once per qubit and share;
+    // the last projection takes the shared ladder instead of a copy.
+    let (mut state, uses) = match ctx.forward_cache.remove(&qubit) {
+        Some(entry) => entry,
+        None => {
+            let uses = ctx
+                .formula
+                .map_or(1, |formula| projections_of(formula, qubit));
+            (forward_ladder(automaton, qubit, swaps, ctx), uses)
+        }
+    };
+    if uses > 1 {
+        ctx.forward_cache.insert(qubit, (state.clone(), uses - 1));
     }
-    let mut state = ctx.forward_cache[&qubit].clone();
     state.subtree_copy(qubit, bit);
     let mut ladder = Ladder::new(ctx.opts, state.transition_count());
     // Backward pass `k` restores the displaced layer sitting directly
@@ -602,6 +635,20 @@ fn project_in_ctx(
         ctx.observe_states(state.num_states as usize);
     }
     state.into_automaton()
+}
+
+/// The number of projections of `qubit` in `expr`: each is evaluated once.
+fn projections_of(expr: &UpdateExpr, qubit: u32) -> usize {
+    match expr {
+        UpdateExpr::Source => 0,
+        UpdateExpr::Proj { qubit: q, .. } => usize::from(*q == qubit),
+        UpdateExpr::Restrict { inner, .. } | UpdateExpr::Scale { inner, .. } => {
+            projections_of(inner, qubit)
+        }
+        UpdateExpr::Combine { lhs, rhs, .. } => {
+            projections_of(lhs, qubit) + projections_of(rhs, qubit)
+        }
+    }
 }
 
 /// Runs the complete forward half of a projection ladder (shared between
@@ -679,39 +726,44 @@ pub fn subtree_copy_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: boo
 /// Per-pass singleton-state interner: maps a `(symbol, left, right)` key
 /// to a state whose *only* outgoing transition is `symbol(left, right)`,
 /// allocating a fresh state (and queueing its defining transition) on a
-/// miss.
+/// miss.  Every symbol one pass interns has the same variable (the moving
+/// qubit's going forward, the restored layer's going back), so the key is
+/// the tag and the two children packed into one word.
 ///
-/// One interner lives exactly as long as one swap pass.  A whole-ladder
-/// interner was implemented and proven inert for this pass structure:
-/// every forward-pass probe uses the moving qubit's variable, and each
-/// surviving entry with that variable is the parent of a qubit-layer
-/// transition the next pass rewrites (so it would have to be invalidated
-/// anyway); every backward-pass probe uses the restored layer's variable,
-/// which strictly decreases across the ladder and never matches an
-/// earlier pass's insertions.  Per-pass interning is therefore
+/// The entries live exactly as long as one swap pass: the map is cleared
+/// before every pass, and only its storage is kept for the next.  A
+/// whole-ladder interner was implemented and proven inert for this pass
+/// structure: every forward-pass probe uses the moving qubit's variable,
+/// and each surviving entry with that variable is the parent of a
+/// qubit-layer transition the next pass rewrites (so it would have to be
+/// invalidated anyway); every backward-pass probe uses the restored
+/// layer's variable, which strictly decreases across the ladder and never
+/// matches an earlier pass's insertions.  Per-pass interning is therefore
 /// behaviourally identical and carries no invalidation machinery.
 fn intern_pass_state(
-    interned: &mut HashMap<(InternalSymbol, StateId, StateId), StateId>,
+    interned: &mut FixedMap<(Tag, u64), StateId>,
     next_state: &mut u32,
     symbol: InternalSymbol,
     left: StateId,
     right: StateId,
-    new_transitions: &mut Vec<InternalTransition>,
+    defined: &mut Vec<InternalTransition>,
 ) -> StateId {
-    let key = (symbol, left, right);
-    if let Some(&state) = interned.get(&key) {
-        return state;
-    }
-    let state = StateId::new(*next_state);
-    *next_state += 1;
-    interned.insert(key, state);
-    new_transitions.push(InternalTransition {
-        parent: state,
-        symbol,
-        left,
-        right,
-    });
-    state
+    *interned
+        .entry((
+            symbol.tag,
+            u64::from(left.raw()) << 32 | u64::from(right.raw()),
+        ))
+        .or_insert_with(|| {
+            let state = StateId::new(*next_state);
+            *next_state += 1;
+            defined.push(InternalTransition {
+                parent: state,
+                symbol,
+                left,
+                right,
+            });
+            state
+        })
 }
 
 /// The working automaton of one projection ladder, bucketed by variable.
@@ -724,6 +776,7 @@ fn intern_pass_state(
 /// by construction (full binary trees of uniform height), which is what
 /// makes the bucketing lossless.
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct LadderState {
     num_vars: u32,
     num_states: u32,
@@ -777,13 +830,33 @@ impl LadderState {
     }
 }
 
-/// One projection's fused swap ladder: the in-ladder reduction policy and
-/// its growth baseline.
+/// One projection's fused swap ladder: the in-ladder reduction policy, its
+/// growth baseline, and the buffers its passes reuse.  The buffers live as
+/// long as the ladder (one forward or one backward half of a projection)
+/// and are sized by the active layers, never by the state count: about
+/// half the ids a ladder allocates end up with no transition.
 struct Ladder<'o> {
     opts: &'o CompositionOptions,
     /// Transition count at the ladder entry, updated to the reduced count
     /// after every in-ladder reduction.
     baseline: usize,
+    /// The by-parent lookup of the pass's child layer.
+    index: LayerIndex,
+    /// The pass's singleton-state interner ([`intern_pass_state`]).
+    interned: FixedMap<(Tag, u64), StateId>,
+    /// The dedup set of the layer being assembled ([`assemble_layer`]).
+    seen: FixedSet<(Tag, u128)>,
+    /// Which upper-layer transitions the pass rewrote.
+    rewritten: Vec<bool>,
+    /// Which child-layer transitions the pass consumed.
+    consumed: Vec<bool>,
+    /// The defining transitions of the states the pass interned; they join
+    /// the upper layer.
+    defined: Vec<InternalTransition>,
+    /// The rewritten upper transitions, one layer further down.
+    moved: Vec<InternalTransition>,
+    /// Layer vectors the previous pass emptied, reused for its outputs.
+    spare: Vec<Vec<InternalTransition>>,
 }
 
 impl<'o> Ladder<'o> {
@@ -791,6 +864,14 @@ impl<'o> Ladder<'o> {
         Ladder {
             opts,
             baseline: entry_transitions.max(1),
+            index: LayerIndex::default(),
+            interned: FixedMap::default(),
+            seen: FixedSet::default(),
+            rewritten: Vec::new(),
+            consumed: Vec::new(),
+            defined: Vec::new(),
+            moved: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -827,208 +908,287 @@ impl<'o> Ladder<'o> {
     fn forward_pass(&mut self, state: &mut LadderState, qubit: u32, child_var: u32) {
         let uppers = std::mem::take(&mut state.layers[qubit as usize]);
         let children = std::mem::take(&mut state.layers[child_var as usize]);
-        let mut interned: HashMap<(InternalSymbol, StateId, StateId), StateId> = HashMap::new();
-
-        // Child adjacency within the active child layer.
-        let mut by_parent: HashMap<StateId, Vec<u32>> = HashMap::with_capacity(children.len());
-        for (position, t) in children.iter().enumerate() {
-            by_parent.entry(t.parent).or_default().push(position as u32);
-        }
-
-        let mut removed_child = vec![false; children.len()];
-        let mut new_qubit: Vec<InternalTransition> = Vec::new();
-        let mut new_pairs: Vec<InternalTransition> = Vec::new();
-        let mut kept_uppers: Vec<InternalTransition> = Vec::new();
-
-        for upper in uppers {
+        self.begin_pass(uppers.len(), &children, false);
+        for (position, upper) in uppers.iter().enumerate() {
             let (Some(left_children), Some(right_children)) =
-                (by_parent.get(&upper.left), by_parent.get(&upper.right))
+                (self.index.of(upper.left), self.index.of(upper.right))
             else {
-                kept_uppers.push(upper);
                 continue;
             };
+            self.rewritten[position] = true;
             for &li in left_children {
+                let left_t = &children[li as usize];
                 for &ri in right_children {
-                    let left_t = &children[li as usize];
                     let right_t = &children[ri as usize];
-                    removed_child[li as usize] = true;
-                    removed_child[ri as usize] = true;
-                    let tag_left = single_tag(left_t.symbol.tag);
-                    let tag_right = single_tag(right_t.symbol.tag);
-                    let new_upper_symbol = InternalSymbol::new(left_t.symbol.var)
-                        .with_tag(Tag::Pair(tag_left, tag_right));
+                    self.consumed[li as usize] = true;
+                    self.consumed[ri as usize] = true;
+                    let tag = Tag::Pair(
+                        single_tag(left_t.symbol.tag),
+                        single_tag(right_t.symbol.tag),
+                    );
                     // q'_0 generates x_t^h(q00, q10); q'_1 generates
                     // x_t^h(q01, q11).
-                    let lower_symbol = upper.symbol;
                     let q0 = intern_pass_state(
-                        &mut interned,
+                        &mut self.interned,
                         &mut state.num_states,
-                        lower_symbol,
+                        upper.symbol,
                         left_t.left,
                         right_t.left,
-                        &mut new_qubit,
+                        &mut self.defined,
                     );
                     let q1 = intern_pass_state(
-                        &mut interned,
+                        &mut self.interned,
                         &mut state.num_states,
-                        lower_symbol,
+                        upper.symbol,
                         left_t.right,
                         right_t.right,
-                        &mut new_qubit,
+                        &mut self.defined,
                     );
-                    new_pairs.push(InternalTransition {
+                    self.moved.push(InternalTransition {
                         parent: upper.parent,
-                        symbol: new_upper_symbol,
+                        symbol: InternalSymbol::new(left_t.symbol.var).with_tag(tag),
                         left: q0,
                         right: q1,
                     });
                 }
             }
         }
-
-        assemble_layer(
-            &mut state.layers[qubit as usize],
-            kept_uppers,
-            None,
-            new_qubit,
-        );
-        assemble_layer(
-            &mut state.layers[child_var as usize],
-            children,
-            Some(&removed_child),
-            new_pairs,
-        );
+        self.end_pass(state, qubit, uppers, child_var, children);
     }
 
     /// One backward variable-order swap pass (Algorithm 8): restores the
     /// displaced `upper_var` layer (remembered in [`Tag::Pair`] tags)
-    /// sitting directly above the qubit\u2019s current position.
+    /// sitting directly above the qubit's current position.
     fn backward_pass(&mut self, state: &mut LadderState, qubit: u32, upper_var: u32) {
         let uppers = std::mem::take(&mut state.layers[upper_var as usize]);
         let children = std::mem::take(&mut state.layers[qubit as usize]);
-        let mut interned: HashMap<(InternalSymbol, StateId, StateId), StateId> = HashMap::new();
-
-        // A matching pair needs the left and right child transitions to
-        // carry the *same* tagged symbol, so pairs are found by hash join
-        // on (parent, symbol) instead of a quadratic |left| × |right| scan.
-        let mut by_parent: HashMap<StateId, Vec<u32>> = HashMap::with_capacity(children.len());
-        let mut by_parent_symbol: HashMap<(StateId, InternalSymbol), Vec<u32>> =
-            HashMap::with_capacity(children.len());
-        for (position, t) in children.iter().enumerate() {
-            by_parent.entry(t.parent).or_default().push(position as u32);
-            by_parent_symbol
-                .entry((t.parent, t.symbol))
-                .or_default()
-                .push(position as u32);
-        }
-
-        let mut removed_child = vec![false; children.len()];
-        let mut new_restored: Vec<InternalTransition> = Vec::new();
-        let mut new_lower: Vec<InternalTransition> = Vec::new();
-        let mut kept_uppers: Vec<InternalTransition> = Vec::new();
-
-        for upper in uppers {
-            // Only rewrite the Pair-tagged transitions; restored (Single)
-            // transitions of this variable are carried.
-            let (tag_left, tag_right) = match upper.symbol.tag {
-                Tag::Pair(i, j) => (i, j),
-                _ => {
-                    kept_uppers.push(upper);
-                    continue;
-                }
+        self.begin_pass(uppers.len(), &children, true);
+        for (position, upper) in uppers.iter().enumerate() {
+            // Only the Pair-tagged transitions are rewritten; restored
+            // (Single) transitions of this variable are carried.
+            let Tag::Pair(tag_left, tag_right) = upper.symbol.tag else {
+                continue;
             };
-            let mut handled = false;
-            if let Some(left_children) = by_parent.get(&upper.left) {
-                for &li in left_children {
-                    let left_t = &children[li as usize];
-                    let Some(right_matches) = by_parent_symbol.get(&(upper.right, left_t.symbol))
-                    else {
-                        continue;
-                    };
-                    for &ri in right_matches {
-                        let left_t = &children[li as usize];
-                        let right_t = &children[ri as usize];
-                        handled = true;
-                        removed_child[li as usize] = true;
-                        removed_child[ri as usize] = true;
-                        let restored_left_symbol =
-                            InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_left));
-                        let restored_right_symbol =
-                            InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_right));
-                        let lower_symbol = left_t.symbol;
-                        // q''_0 generates x_l^i(q00, q01); q''_1 generates
-                        // x_l^j(q10, q11).
-                        let q0 = intern_pass_state(
-                            &mut interned,
-                            &mut state.num_states,
-                            restored_left_symbol,
-                            left_t.left,
-                            right_t.left,
-                            &mut new_restored,
-                        );
-                        let q1 = intern_pass_state(
-                            &mut interned,
-                            &mut state.num_states,
-                            restored_right_symbol,
-                            left_t.right,
-                            right_t.right,
-                            &mut new_restored,
-                        );
-                        new_lower.push(InternalTransition {
-                            parent: upper.parent,
-                            symbol: lower_symbol,
-                            left: q0,
-                            right: q1,
-                        });
-                    }
+            let Some(left_children) = self.index.of(upper.left) else {
+                continue;
+            };
+            let restored_left =
+                InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_left));
+            let restored_right =
+                InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_right));
+            for &li in left_children {
+                let left_t = &children[li as usize];
+                // A matching pair needs both child transitions to carry the
+                // same tagged symbol.
+                for &ri in self.index.matching(&children, upper.right, left_t.symbol) {
+                    let right_t = &children[ri as usize];
+                    self.rewritten[position] = true;
+                    self.consumed[li as usize] = true;
+                    self.consumed[ri as usize] = true;
+                    // q''_0 generates x_l^i(q00, q01); q''_1 generates
+                    // x_l^j(q10, q11).
+                    let q0 = intern_pass_state(
+                        &mut self.interned,
+                        &mut state.num_states,
+                        restored_left,
+                        left_t.left,
+                        right_t.left,
+                        &mut self.defined,
+                    );
+                    let q1 = intern_pass_state(
+                        &mut self.interned,
+                        &mut state.num_states,
+                        restored_right,
+                        left_t.right,
+                        right_t.right,
+                        &mut self.defined,
+                    );
+                    self.moved.push(InternalTransition {
+                        parent: upper.parent,
+                        symbol: left_t.symbol,
+                        left: q0,
+                        right: q1,
+                    });
                 }
             }
-            if !handled {
-                kept_uppers.push(upper);
-            }
         }
+        self.end_pass(state, upper_var, uppers, qubit, children);
+    }
 
+    /// Clears the per-pass buffers and indexes the child layer (by parent,
+    /// and by parent and symbol when `by_symbol` is set).
+    fn begin_pass(&mut self, uppers: usize, children: &[InternalTransition], by_symbol: bool) {
+        self.index.build(children, by_symbol);
+        self.interned.clear();
+        self.rewritten.clear();
+        self.rewritten.resize(uppers, false);
+        self.consumed.clear();
+        self.consumed.resize(children.len(), false);
+        self.defined.clear();
+        self.moved.clear();
+    }
+
+    /// Rebuilds the two active layers: the upper one from its carried
+    /// transitions and the interned states' definitions, the child one from
+    /// its unconsumed transitions and the moved ones.  The emptied input
+    /// vectors become the next pass's output buffers.
+    fn end_pass(
+        &mut self,
+        state: &mut LadderState,
+        upper_var: u32,
+        uppers: Vec<InternalTransition>,
+        child_var: u32,
+        children: Vec<InternalTransition>,
+    ) {
+        // The interned states are fresh ids with one transition each, so
+        // their definitions duplicate nothing and skip the dedup set.
+        let mut upper_layer = self.spare.pop().unwrap_or_default();
         assemble_layer(
-            &mut state.layers[upper_var as usize],
-            kept_uppers,
-            None,
-            new_restored,
+            &mut self.seen,
+            &mut upper_layer,
+            &uppers,
+            &self.rewritten,
+            &[],
         );
+        upper_layer.extend_from_slice(&self.defined);
+        let mut child_layer = self.spare.pop().unwrap_or_default();
         assemble_layer(
-            &mut state.layers[qubit as usize],
-            children,
-            Some(&removed_child),
-            new_lower,
+            &mut self.seen,
+            &mut child_layer,
+            &children,
+            &self.consumed,
+            &self.moved,
         );
+        state.layers[upper_var as usize] = upper_layer;
+        state.layers[child_var as usize] = child_layer;
+        for mut emptied in [uppers, children] {
+            emptied.clear();
+            self.spare.push(emptied);
+        }
     }
 }
 
-/// Rebuilds one active layer bucket from its carried transitions (minus the
-/// removed ones) plus the pass's new transitions, deduped with an
-/// integer-key set as they are emitted.  Untouched buckets are never
-/// rebuilt, and leaves are never visited — the bigint-cloning leaf dedup of
+/// Rebuilds one active layer bucket into the empty `bucket`: the carried
+/// transitions not `dropped`, then the pass's new transitions, keeping the
+/// first of each set of duplicates.  All of a bucket's transitions share
+/// one variable, so the dedup key is the tag and the three states packed
+/// into one word.  Untouched buckets are never rebuilt, and leaves are
+/// never visited — the bigint-cloning leaf dedup of
 /// [`TreeAutomaton::dedup_transitions`] is skipped entirely.
 fn assemble_layer(
+    seen: &mut FixedSet<(Tag, u128)>,
     bucket: &mut Vec<InternalTransition>,
-    carried: Vec<InternalTransition>,
-    removed: Option<&[bool]>,
-    new_transitions: Vec<InternalTransition>,
+    carried: &[InternalTransition],
+    dropped: &[bool],
+    new_transitions: &[InternalTransition],
 ) {
-    let mut seen: HashSet<(StateId, InternalSymbol, StateId, StateId)> =
-        HashSet::with_capacity(carried.len() + new_transitions.len());
+    seen.clear();
     bucket.reserve(carried.len() + new_transitions.len());
-    for (position, t) in carried.into_iter().enumerate() {
-        if removed.is_some_and(|flags| flags[position]) {
-            continue;
-        }
-        if seen.insert((t.parent, t.symbol, t.left, t.right)) {
-            bucket.push(t);
+    let kept = carried
+        .iter()
+        .zip(dropped)
+        .filter(|(_, &dropped)| !dropped)
+        .map(|(t, _)| t);
+    for t in kept.chain(new_transitions) {
+        let states = u128::from(t.parent.raw()) << 64
+            | u128::from(t.left.raw()) << 32
+            | u128::from(t.right.raw());
+        if seen.insert((t.symbol.tag, states)) {
+            bucket.push(t.clone());
         }
     }
-    for t in new_transitions {
-        if seen.insert((t.parent, t.symbol, t.left, t.right)) {
-            bucket.push(t);
+}
+
+/// The by-parent lookup of one active layer: the layer's positions grouped
+/// by parent state in CSR layout.  The groups are found by bucketing the
+/// layer's own positions, so the tables are sized by the layer, never by
+/// the automaton's state count.
+#[derive(Default)]
+struct LayerIndex {
+    /// Each parent's group, numbered in order of first appearance.
+    group_of: FixedMap<u32, u32>,
+    /// `starts[g] .. starts[g + 1]` delimits group `g` in `order`.
+    starts: Vec<u32>,
+    /// Positions grouped by parent, ascending within each group.
+    order: Vec<u32>,
+    /// The same groups, each sorted by `(symbol, position)`: the
+    /// by-(parent, symbol) lookup of the backward pass.
+    by_symbol: Vec<u32>,
+    /// The group of each position (scratch while building).
+    group_at: Vec<u32>,
+}
+
+impl LayerIndex {
+    fn build(&mut self, layer: &[InternalTransition], by_symbol: bool) {
+        self.group_of.clear();
+        self.starts.clear();
+        self.group_at.clear();
+        for t in layer {
+            let next = self.starts.len() as u32;
+            let group = *self.group_of.entry(t.parent.raw()).or_insert(next);
+            if group == next {
+                self.starts.push(0);
+            }
+            self.starts[group as usize] += 1;
+            self.group_at.push(group);
         }
+        // Running sums turn the counts into group ends; filling each group
+        // from its end, last position first, leaves `starts[g]` at the
+        // group's start with its positions ascending.
+        let mut end = 0;
+        for count in &mut self.starts {
+            end += *count;
+            *count = end;
+        }
+        self.order.clear();
+        self.order.resize(layer.len(), 0);
+        for (position, &group) in self.group_at.iter().enumerate().rev() {
+            let cursor = &mut self.starts[group as usize];
+            *cursor -= 1;
+            self.order[*cursor as usize] = position as u32;
+        }
+        self.starts.push(layer.len() as u32);
+        if by_symbol {
+            self.by_symbol.clear();
+            self.by_symbol.extend_from_slice(&self.order);
+            for bounds in self.starts.windows(2) {
+                let group = &mut self.by_symbol[bounds[0] as usize..bounds[1] as usize];
+                if group.len() > 1 {
+                    group.sort_unstable_by_key(|&position| {
+                        (layer[position as usize].symbol, position)
+                    });
+                }
+            }
+        }
+    }
+
+    fn group(&self, state: StateId) -> Option<Range<usize>> {
+        let &group = self.group_of.get(&state.raw())?;
+        Some(self.starts[group as usize] as usize..self.starts[group as usize + 1] as usize)
+    }
+
+    /// The positions of `state`'s transitions in layer order, or `None` if
+    /// it has none in this layer.
+    fn of(&self, state: StateId) -> Option<&[u32]> {
+        self.group(state).map(|range| &self.order[range])
+    }
+
+    /// The positions of `state`'s transitions on `symbol`, in layer order
+    /// (the index must have been built `by_symbol`).
+    fn matching(
+        &self,
+        layer: &[InternalTransition],
+        state: StateId,
+        symbol: InternalSymbol,
+    ) -> &[u32] {
+        let Some(range) = self.group(state) else {
+            return &[];
+        };
+        let group = &self.by_symbol[range];
+        let start = group.partition_point(|&position| layer[position as usize].symbol < symbol);
+        let len =
+            group[start..].partition_point(|&position| layer[position as usize].symbol == symbol);
+        &group[start..start + len]
     }
 }
 
@@ -1250,8 +1410,8 @@ fn pair_product(
     a2: &TreeAutomaton,
     sign: CombineSign,
 ) -> (TreeAutomaton, bool) {
-    let index1 = TransitionIndex::build(a1);
-    let index2 = TransitionIndex::build(a2);
+    let index1 = TransitionIndex::by_parent(a1);
+    let index2 = TransitionIndex::by_parent(a2);
     let leaf_op = leaf_op(sign);
     let mut result = TreeAutomaton::new(a1.num_vars);
     let mut pair_state: FixedMap<(StateId, StateId), StateId> = FixedMap::default();
@@ -2193,6 +2353,9 @@ impl<'s, 'a> BasisRewrite<'s, 'a> {
             }));
     }
 }
+
+#[cfg(test)]
+mod pass_oracle;
 
 #[cfg(test)]
 mod tests {

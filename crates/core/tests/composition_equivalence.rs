@@ -16,6 +16,11 @@
 //! * tag structure survives in-ladder reduction: reducing a tagged
 //!   automaton never merges states whose signatures disagree on tags, and
 //!   never invents or drops tags.
+//!
+//! The projection and product properties also run 5,000 cases each in
+//! `#[ignore]`d tests, for release builds.  The exact, pass-by-pass
+//! comparison of the ladder with its earlier implementation is a unit test
+//! of the crate (`composition::pass_oracle`).
 
 use std::collections::HashSet;
 
@@ -170,6 +175,34 @@ fn check_products(expr: &UpdateExpr, tagged: &TreeAutomaton, opts: &CompositionO
     }
 }
 
+/// [`binary_op`] on the operands of every `Combine` of X, H, CNOT and
+/// Toffoli formulae over a random tagged set.
+fn check_trimmed_products(n: u32, mask: u64, seed: u32, gate_seed: u32, shape: u8) {
+    let tagged = random_tagged_set(n, mask, seed, shape);
+    let mut checked = 0;
+    for gate in product_gates(n, gate_seed) {
+        let formula = update_formula(&gate).expect("X, H, CNOT and Toffoli have formulae");
+        checked += check_products(&formula, &tagged, &aggressive_options());
+    }
+    assert!(checked > 0);
+}
+
+/// The fused projection of a random automaton against the reference
+/// ladder.
+fn check_fused_projection(n: u32, mask: u64, seed: u32, qubit_seed: u32, bit: bool, tagged: bool) {
+    let automaton = random_automaton(n, mask, seed, tagged);
+    let qubit = qubit_seed % n;
+    let fused = project_with(&automaton, qubit, bit, &aggressive_options());
+    let reference = project_reference(&automaton, qubit, bit);
+    // Tags are part of the symbols, so this compares the *tagged*
+    // languages — exactly what the downstream binary operation matches
+    // transitions on.
+    assert!(
+        equivalence(&fused, &reference).holds(),
+        "fused projection diverged (n = {n}, qubit = {qubit}, bit = {bit}, tagged = {tagged})"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
@@ -180,13 +213,38 @@ proptest! {
         gate_seed in any::<u32>(),
         shape in 0u8..3,
     ) {
-        let tagged = random_tagged_set(n, mask, seed, shape);
-        let mut checked = 0;
-        for gate in product_gates(n, gate_seed) {
-            let formula = update_formula(&gate).expect("X, H, CNOT and Toffoli have formulae");
-            checked += check_products(&formula, &tagged, &aggressive_options());
-        }
-        prop_assert!(checked > 0);
+        check_trimmed_products(n, mask, seed, gate_seed, shape);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5_000))]
+    /// The 5,000-case runs of the product and projection properties
+    /// (release builds: `cargo test --release -p autoq-core --test
+    /// composition_equivalence -- --include-ignored`).
+    #[test]
+    #[ignore]
+    fn trimmed_product_is_the_trim_of_the_reference_product_on_five_thousand_cases(
+        n in 2u32..=4,
+        mask in 0u64..255,
+        seed in any::<u32>(),
+        gate_seed in any::<u32>(),
+        shape in 0u8..3,
+    ) {
+        check_trimmed_products(n, mask, seed, gate_seed, shape);
+    }
+
+    #[test]
+    #[ignore]
+    fn fused_projection_matches_the_reference_ladder_on_five_thousand_cases(
+        n in 2u32..=4,
+        mask in 0u64..256,
+        seed in any::<u32>(),
+        qubit_seed in any::<u32>(),
+        bit_choice in 0u8..2,
+        tagged_choice in 0u8..2,
+    ) {
+        check_fused_projection(n, mask, seed, qubit_seed, bit_choice == 1, tagged_choice == 1);
     }
 }
 
@@ -201,19 +259,7 @@ proptest! {
         bit_choice in 0u8..2,
         tagged_choice in 0u8..2,
     ) {
-        let (bit, tagged) = (bit_choice == 1, tagged_choice == 1);
-        let automaton = random_automaton(n, mask, seed, tagged);
-        let qubit = qubit_seed % n;
-        let fused = project_with(&automaton, qubit, bit, &aggressive_options());
-        let reference = project_reference(&automaton, qubit, bit);
-        // Tags are part of the symbols, so this compares the *tagged*
-        // languages — exactly what the downstream binary operation matches
-        // transitions on.
-        prop_assert!(
-            equivalence(&fused, &reference).holds(),
-            "fused projection diverged (n = {}, qubit = {}, bit = {}, tagged = {})",
-            n, qubit, bit, tagged
-        );
+        check_fused_projection(n, mask, seed, qubit_seed, bit_choice == 1, tagged_choice == 1);
     }
 
     #[test]

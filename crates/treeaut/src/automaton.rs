@@ -4,6 +4,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
+use autoq_amplitude::hash::{FixedMap, FixedSet};
 use autoq_amplitude::{intern, Algebraic, AmpId};
 
 use crate::arena::{self, TreeNode};
@@ -408,7 +409,7 @@ impl TreeAutomaton {
     /// thousands of leaves over a handful of amplitudes resolves and maps
     /// each value a single time.
     pub fn map_leaves_in_place(&mut self, f: impl Fn(&Algebraic) -> Algebraic) {
-        let mut memo: HashMap<AmpId, AmpId> = HashMap::new();
+        let mut memo: FixedMap<AmpId, AmpId> = FixedMap::default();
         for leaf in &mut self.leaves {
             leaf.amp = *memo
                 .entry(leaf.amp)
@@ -439,15 +440,22 @@ impl TreeAutomaton {
         offset
     }
 
-    /// Removes duplicate transitions.
+    /// Removes duplicate transitions, keeping the first of each set of
+    /// duplicates where it stands.
     pub fn dedup_transitions(&mut self) {
-        let mut seen_internal: HashSet<(StateId, InternalSymbol, StateId, StateId)> =
-            HashSet::with_capacity(self.internal.len());
-        self.internal
-            .retain(|t| seen_internal.insert((t.parent, t.symbol, t.left, t.right)));
-        let mut seen_leaves: HashSet<(StateId, AmpId)> = HashSet::with_capacity(self.leaves.len());
-        self.leaves
-            .retain(|t| seen_leaves.insert((t.parent, t.amp)));
+        let mut seen_internal: FixedSet<(InternalSymbol, u128)> =
+            FixedSet::with_capacity_and_hasher(self.internal.len(), Default::default());
+        self.internal.retain(|t| {
+            let states = u128::from(t.parent.raw()) << 64
+                | u128::from(t.left.raw()) << 32
+                | u128::from(t.right.raw());
+            seen_internal.insert((t.symbol, states))
+        });
+        let mut seen_leaves: FixedSet<u64> =
+            FixedSet::with_capacity_and_hasher(self.leaves.len(), Default::default());
+        self.leaves.retain(|t| {
+            seen_leaves.insert(u64::from(t.parent.raw()) << 32 | u64::from(t.amp.raw()))
+        });
     }
 
     /// Returns a copy with every tag stripped from the internal symbols and

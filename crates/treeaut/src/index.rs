@@ -74,7 +74,7 @@ impl TransitionIndex {
     /// parents to children and never ask for a state's occurrences as a
     /// child (on this index [`TransitionIndex::occurrences_as_child`] is
     /// empty).
-    pub(crate) fn by_parent(automaton: &TreeAutomaton) -> Self {
+    pub fn by_parent(automaton: &TreeAutomaton) -> Self {
         let n = automaton.num_states as usize;
         let (internal_order, internal_starts) = csr(
             n,
