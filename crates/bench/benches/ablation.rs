@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for the design choices called out in
+//! `docs/ARCHITECTURE.md`:
 //!
 //! * Hybrid vs Composition gate encoding (the paper's §7.1 claim that Hybrid
 //!   is consistently faster),

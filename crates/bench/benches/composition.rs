@@ -13,7 +13,7 @@
 //! worst case rather than the implementation.
 
 use autoq_circuit::{Circuit, Gate};
-use autoq_core::composition::{project_reference, project_with, tag, CompositionOptions};
+use autoq_core::composition::{project_reference, project_with, tag};
 use autoq_core::{Engine, StateSet};
 use autoq_treeaut::{Tree, TreeAutomaton};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -36,9 +36,8 @@ fn bench_projection(c: &mut Criterion) {
     group.sample_size(10);
     for depth in [1u32, 8, 32, 64] {
         let tagged = tagged_basis_union(depth);
-        let fused = CompositionOptions::default();
         group.bench_function(format!("fused-depth{depth}"), |b| {
-            b.iter(|| black_box(project_with(&tagged, 0, false, &fused)))
+            b.iter(|| black_box(project_with(&tagged, 0, false)))
         });
         group.bench_function(format!("reference-depth{depth}"), |b| {
             b.iter(|| black_box(project_reference(&tagged, 0, false)))

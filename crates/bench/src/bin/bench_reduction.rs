@@ -117,11 +117,8 @@ fn main() {
     );
 
     // Leaf-amplitude fast path: interning cost cold (first-ever values)
-    // vs warm (pure hit path) on 10k distinct irreducible amplitudes, the
-    // process-wide hit rate over one composition-encoded gate, and the
-    // pre-interning baselines of the keys this PR targets (measured at the
-    // parent commit on the same runner) so the before/after comparison
-    // lives in one file.
+    // vs warm (pure hit path) on 10k distinct irreducible amplitudes, and
+    // the process-wide hit rate over one composition-encoded gate.
     let fresh: Vec<Algebraic> = (0..10_000)
         .map(|i| Algebraic::from_components(2 * i + 1, 0, 0, 0, 1))
         .collect();
@@ -155,13 +152,6 @@ fn main() {
         "leaf.table_distinct".to_string(),
         stats_after.distinct.to_string(),
     ));
-    for (key, before) in [
-        ("leaf.before.micro.apply_gate_h_allbasis12", "0.011238"),
-        ("leaf.before.row.increment8_autoq_hunt", "8.181628"),
-        ("leaf.before.paper.random70_autoq_hunt", "22.653514"),
-    ] {
-        entries.push((key.to_string(), before.to_string()));
-    }
 
     // Rows: the previously slow Table 3 entries, with the canonical
     // `table3` seeds so the numbers are directly comparable.

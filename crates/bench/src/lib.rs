@@ -14,6 +14,9 @@
 pub mod table2;
 pub mod table3;
 
+#[cfg(test)]
+mod answers;
+
 use std::time::{Duration, Instant};
 
 /// Runs a closure and returns its result together with the wall-clock time.

@@ -225,6 +225,18 @@ fn grover_all_workload(m: u32, iterations: Option<u32>) -> VerificationWorkload 
     }
 }
 
+/// The twelve workloads of the `table2` bin at its default sizes, in its
+/// row order: BV 8/12/16/20, Grover-Sing 2/3, MCToffoli 3–6, Grover-All
+/// 2/3.
+pub fn table2_workloads() -> Vec<VerificationWorkload> {
+    let mut workloads: Vec<VerificationWorkload> = Vec::new();
+    workloads.extend([8u32, 12, 16, 20].map(bv_workload));
+    workloads.extend([2u32, 3].map(|m| grover_single_workload(m, None)));
+    workloads.extend([3u32, 4, 5, 6].map(mc_toffoli_workload));
+    workloads.extend([2u32, 3].map(|m| grover_all_workload(m, None)));
+    workloads
+}
+
 /// The Bernstein–Vazirani row for a hidden string of length `n`.
 pub fn bv_row(n: u32) -> Table2Row {
     let w = bv_workload(n);
@@ -303,18 +315,12 @@ pub fn run_policy_sweep() -> Vec<PolicySweepRow> {
     /// Interleaved repetitions per policy; the median is recorded.
     const SWEEP_ROUNDS: usize = 3;
 
-    let mut workloads: Vec<VerificationWorkload> = Vec::new();
-    workloads.extend([8u32, 12, 16, 20].map(bv_workload));
-    workloads.extend([2u32, 3].map(|m| grover_single_workload(m, None)));
-    workloads.extend([3u32, 4, 5, 6].map(mc_toffoli_workload));
-    workloads.extend([2u32, 3].map(|m| grover_all_workload(m, None)));
-
     let median = |mut samples: Vec<Duration>| -> Duration {
         samples.sort();
         samples[samples.len() / 2]
     };
 
-    workloads
+    table2_workloads()
         .into_iter()
         .map(|w| {
             let eager = Engine::hybrid().with_reduction(ReductionPolicy::AfterEachGate);
@@ -382,14 +388,8 @@ pub fn run_certify_sweep() -> Vec<CertifySweepRow> {
     use autoq_treeaut::format::{certificates_from_binary, certificates_to_binary};
     use autoq_treeaut::{inclusion_with_certificate, CertifiedInclusionResult};
 
-    let mut workloads: Vec<VerificationWorkload> = Vec::new();
-    workloads.extend([8u32, 12, 16, 20].map(bv_workload));
-    workloads.extend([2u32, 3].map(|m| grover_single_workload(m, None)));
-    workloads.extend([3u32, 4, 5, 6].map(mc_toffoli_workload));
-    workloads.extend([2u32, 3].map(|m| grover_all_workload(m, None)));
-
     let engine = Engine::hybrid();
-    workloads
+    table2_workloads()
         .into_iter()
         .map(|w| {
             let (outcome, verify) = timed(|| {

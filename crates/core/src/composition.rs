@@ -18,7 +18,7 @@
 //! swap passes, one subtree copy, and `n − 1 − t` backward passes — up to
 //! `2(n − 1)` whole-automaton rebuilds for a single term at the paper's
 //! 70-qubit width.  [`project_with`] therefore drives the ladder through a
-//! fused pipeline ([`CompositionOptions`]):
+//! fused pipeline:
 //!
 //! * the working automaton is kept *bucketed by variable layer*
 //!   (`LadderState`): a swap pass rewrites exactly two layers — the moving
@@ -42,12 +42,12 @@
 //!   evaluation context, the second taking it without a copy;
 //! * the index, the interner, the dedup set and the layer vectors are
 //!   buffers of the ladder (`Ladder`), reused by each of its passes and
-//!   dropped with it, so a pass allocates only when a layer outgrows them;
-//! * between passes the intermediate automaton is *reduced in-ladder*
-//!   (tag-preservingly: tags live in the symbols, so states only merge when
-//!   their signatures agree on tags) whenever it grows past
-//!   `ladder_growth_factor ×` the size at the last reduction — the safety
-//!   valve bounding intermediate blowup.
+//!   dropped with it, so a pass allocates only when a layer outgrows them.
+//!
+//! The passes run back to back, as in Algorithms 7–8: nothing is reduced
+//! inside a ladder.  The engine reduces after the gate, as its
+//! `ReductionPolicy` decides.  What bounds a ladder that blows up is the
+//! interrupt, whose size budgets are checked between every two passes.
 //!
 //! The evaluator is plain sequential code: a `Combine` evaluates its left
 //! term, then its right one, on one `&mut` evaluation context holding the
@@ -159,16 +159,9 @@ use crate::formula::{CombineSign, ScaleFactor, UpdateExpr};
 use crate::interrupt::{Interrupt, StopReason};
 
 /// Tuning of the composition-encoded gate pipeline.  The engine derives
-/// the effective options from its kind and reduction policy via
-/// `Engine::composition_options`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the effective options from its kind via `Engine::composition_options`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompositionOptions {
-    /// In-ladder reduction: between swap passes, reduce the intermediate
-    /// automaton once its transition count exceeds this factor times the
-    /// count at the ladder entry (or at the previous in-ladder reduction).
-    /// `None` disables in-ladder reduction (the `ReductionPolicy::Never`
-    /// ablation setting).
-    pub ladder_growth_factor: Option<u32>,
     /// Take the two fast paths ahead of the ladder: a hash-consed DAG when
     /// the input holds one quantum state, then a guess-and-verify rewrite
     /// when the input is a set of phased basis states and the gate permutes
@@ -177,15 +170,6 @@ pub struct CompositionOptions {
     /// gate; `Engine::composition_options` turns it on for
     /// `EngineKind::Hybrid` only.
     pub hybrid_fast_paths: bool,
-}
-
-impl Default for CompositionOptions {
-    fn default() -> Self {
-        CompositionOptions {
-            ladder_growth_factor: Some(2),
-            hybrid_fast_paths: false,
-        }
-    }
 }
 
 /// The number of OS threads the composition evaluator uses: always `1`.
@@ -202,22 +186,21 @@ pub fn default_eval_threads() -> usize {
 /// merged into the engine's `ApplyStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FormulaPeak {
-    /// Largest state count: binary-operation products as built, dead pairs
-    /// included (what the gate allocated, before the trim drops them), and
-    /// post-reduction ladder snapshots (mid-pass allocation counts would
-    /// also include the swap ladder's orphaned state ids).
+    /// Largest state count: the binary-operation products as built, dead
+    /// pairs included (what the gate allocated, before the trim drops
+    /// them), the DAG nodes the one-state path built, or the basis path's
+    /// output.  The swap ladder reports no state count: its allocation
+    /// count includes the ids its passes orphan, which the next trim drops.
     pub states: usize,
     /// Largest transition count anywhere, including between swap passes.
     pub transitions: usize,
 }
 
-/// The state of one formula evaluation: the options, the peak-size
-/// watermarks (so the engine's `ApplyStats` stays honest about in-ladder
-/// peaks), the per-qubit forward-ladder cache shared by a gate's two
-/// projections, and the interrupt with the reason it stopped the
-/// evaluation, if it did.
+/// The state of one formula evaluation: the peak-size watermarks (so the
+/// engine's `ApplyStats` sees the sizes reached inside the gate), the
+/// per-qubit forward-ladder cache shared by a gate's two projections, and
+/// the interrupt with the reason it stopped the evaluation, if it did.
 struct EvalCtx<'a> {
-    opts: &'a CompositionOptions,
     peak: FormulaPeak,
     /// The formula being evaluated, if any: it says how many projections
     /// of each qubit will ask for the qubit's forward ladder.
@@ -237,13 +220,8 @@ struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    fn new(
-        opts: &'a CompositionOptions,
-        formula: Option<&'a UpdateExpr>,
-        interrupt: Option<&'a Interrupt>,
-    ) -> Self {
+    fn new(formula: Option<&'a UpdateExpr>, interrupt: Option<&'a Interrupt>) -> Self {
         EvalCtx {
-            opts,
             peak: FormulaPeak::default(),
             formula,
             forward_cache: FixedMap::default(),
@@ -319,7 +297,7 @@ pub fn apply_formula_in_place_interruptible(
         }
     }
     tag_in_place(automaton);
-    let mut ctx = EvalCtx::new(opts, Some(formula), interrupt);
+    let mut ctx = EvalCtx::new(Some(formula), interrupt);
     let result = evaluate_term(formula, automaton, &mut ctx);
     if let Some(reason) = ctx.stopped {
         return Err(reason);
@@ -331,17 +309,8 @@ pub fn apply_formula_in_place_interruptible(
 }
 
 /// Evaluates an update-formula term over a tagged source automaton.
-pub fn evaluate_with(
-    expr: &UpdateExpr,
-    tagged_source: &TreeAutomaton,
-    opts: &CompositionOptions,
-) -> TreeAutomaton {
-    evaluate_term(
-        expr,
-        tagged_source,
-        &mut EvalCtx::new(opts, Some(expr), None),
-    )
-    .into_owned()
+pub fn evaluate_with(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeAutomaton {
+    evaluate_term(expr, tagged_source, &mut EvalCtx::new(Some(expr), None)).into_owned()
 }
 
 /// Evaluates one term, borrowing the source automaton for `Source` leaves so
@@ -567,16 +536,10 @@ fn leaf_op(sign: CombineSign) -> intern::LeafOp {
 /// its `1`-subtree; `T_{x̄_t}` is symmetric.  For qubits above the leaf
 /// layer the variable is first moved to the bottom with forward swaps,
 /// copied there, and moved back — indexed swap passes with per-pass state
-/// interning and in-ladder reduction (see the module docs).
-/// Cross-validated against [`project_reference`] by the
-/// `composition_equivalence` property tests.
-pub fn project_with(
-    automaton: &TreeAutomaton,
-    qubit: u32,
-    bit: bool,
-    opts: &CompositionOptions,
-) -> TreeAutomaton {
-    project_in_ctx(automaton, qubit, bit, &mut EvalCtx::new(opts, None, None))
+/// interning (see the module docs).  Cross-validated against
+/// [`project_reference`] by the `composition_equivalence` property tests.
+pub fn project_with(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomaton {
+    project_in_ctx(automaton, qubit, bit, &mut EvalCtx::new(None, None))
 }
 
 fn project_in_ctx(
@@ -608,7 +571,7 @@ fn project_in_ctx(
         ctx.forward_cache.insert(qubit, (state.clone(), uses - 1));
     }
     state.subtree_copy(qubit, bit);
-    let mut ladder = Ladder::new(ctx.opts, state.transition_count());
+    let mut ladder = Ladder::default();
     // Backward pass `k` restores the displaced layer sitting directly
     // above the qubit's current position: variable `bottom`, then
     // `bottom − 1`, …, down to `qubit + 1`.
@@ -619,20 +582,8 @@ fn project_in_ctx(
         if ctx.checkpoint(state.num_states as usize, state.transition_count()) {
             return state.into_automaton();
         }
-        if ladder.maybe_reduce(&mut state) {
-            ctx.observe_states(state.num_states as usize);
-        }
         ladder.backward_pass(&mut state, qubit, bottom - k + 1);
         ctx.observe_transitions(state.transition_count());
-    }
-    // One final check so the binary combination downstream works on a
-    // reduced operand rather than the last pass's raw output.  The states
-    // watermark is only recorded at post-reduction snapshots, where the
-    // allocation count is the *live* count — between passes it also
-    // includes states the swaps orphaned (the next trim drops them), which
-    // would overstate the peak the states column reports.
-    if ladder.maybe_reduce(&mut state) {
-        ctx.observe_states(state.num_states as usize);
     }
     state.into_automaton()
 }
@@ -660,7 +611,7 @@ fn forward_ladder(
     ctx: &mut EvalCtx<'_>,
 ) -> LadderState {
     let mut state = LadderState::from_automaton(automaton);
-    let mut ladder = Ladder::new(ctx.opts, state.transition_count());
+    let mut ladder = Ladder::default();
     // Forward pass `k` swaps the qubit layer below the layer at variable
     // `qubit + k`.
     for k in 1..=swaps {
@@ -668,25 +619,17 @@ fn forward_ladder(
         if ctx.checkpoint(state.num_states as usize, state.transition_count()) {
             return state;
         }
-        if k > 1 && ladder.maybe_reduce(&mut state) {
-            ctx.observe_states(state.num_states as usize);
-        }
         ladder.forward_pass(&mut state, qubit, qubit + k);
         ctx.observe_transitions(state.transition_count());
-    }
-    // Reduce the shared result once if it outgrew the ladder, instead of
-    // letting both consumers clone the raw output.
-    if ladder.maybe_reduce(&mut state) {
-        ctx.observe_states(state.num_states as usize);
     }
     state
 }
 
 /// Reference implementation of [`project_with`]: the unfused ladder of
-/// per-pass-deduped [`forward_swap`]/[`backward_swap`] rebuilds, with no
-/// in-ladder reduction and no cross-pass interning.  Retained as the oracle
-/// the property tests compare the fused pipeline against; not used on the
-/// hot path.
+/// per-pass-deduped [`forward_swap`]/[`backward_swap`] whole-automaton
+/// rebuilds, with no layer buckets and no reused buffers.  Retained as the
+/// oracle the property tests compare the fused pipeline against; not used
+/// on the hot path.
 #[doc(hidden)]
 pub fn project_reference(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomaton {
     let bottom = automaton.num_vars - 1;
@@ -830,16 +773,13 @@ impl LadderState {
     }
 }
 
-/// One projection's fused swap ladder: the in-ladder reduction policy, its
-/// growth baseline, and the buffers its passes reuse.  The buffers live as
-/// long as the ladder (one forward or one backward half of a projection)
-/// and are sized by the active layers, never by the state count: about
-/// half the ids a ladder allocates end up with no transition.
-struct Ladder<'o> {
-    opts: &'o CompositionOptions,
-    /// Transition count at the ladder entry, updated to the reduced count
-    /// after every in-ladder reduction.
-    baseline: usize,
+/// The buffers one projection's fused swap ladder reuses across its
+/// passes.  They live as long as the ladder (one forward or one backward
+/// half of a projection) and are sized by the active layers, never by the
+/// state count: about half the ids a ladder allocates end up with no
+/// transition.
+#[derive(Default)]
+struct Ladder {
     /// The by-parent lookup of the pass's child layer.
     index: LayerIndex,
     /// The pass's singleton-state interner ([`intern_pass_state`]).
@@ -859,48 +799,7 @@ struct Ladder<'o> {
     spare: Vec<Vec<InternalTransition>>,
 }
 
-impl<'o> Ladder<'o> {
-    fn new(opts: &'o CompositionOptions, entry_transitions: usize) -> Self {
-        Ladder {
-            opts,
-            baseline: entry_transitions.max(1),
-            index: LayerIndex::default(),
-            interned: FixedMap::default(),
-            seen: FixedSet::default(),
-            rewritten: Vec::new(),
-            consumed: Vec::new(),
-            defined: Vec::new(),
-            moved: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    /// Reduces the working automaton (trim + tag-preserving successor
-    /// merging — tags live in the symbols, so states only merge when their
-    /// signatures agree on tags) if it outgrew the configured factor over
-    /// the baseline.  Returns `true` when a reduction actually ran, so
-    /// callers can record the post-reduction live size.
-    fn maybe_reduce(&mut self, state: &mut LadderState) -> bool {
-        let Some(factor) = self.opts.ladder_growth_factor else {
-            return false;
-        };
-        if state.transition_count() <= (factor as usize).max(1) * self.baseline {
-            return false;
-        }
-        let placeholder = LadderState {
-            num_vars: 0,
-            num_states: 0,
-            roots: std::collections::BTreeSet::new(),
-            layers: Vec::new(),
-            leaves: Vec::new(),
-        };
-        let flat = std::mem::replace(state, placeholder).into_automaton();
-        let reduced = flat.reduce();
-        *state = LadderState::from_automaton(&reduced);
-        self.baseline = state.transition_count().max(1);
-        true
-    }
-
+impl Ladder {
     /// One forward variable-order swap pass (Algorithm 7): pushes the
     /// `x_qubit` layer below the `child_var` layer, remembering the
     /// displaced layer's tags in a [`Tag::Pair`].  Touches exactly the two
@@ -2464,7 +2363,7 @@ mod tests {
             }
         });
         let tagged = tag(&singleton(&tree));
-        let projected = project_with(&tagged, 0, true, &CompositionOptions::default()).untagged();
+        let projected = project_with(&tagged, 0, true).untagged();
         let states = state_of(&projected);
         assert_eq!(states.len(), 1);
         assert_eq!(states[0][&0], Algebraic::i());
@@ -2477,9 +2376,7 @@ mod tests {
         let tree = Tree::from_fn(2, |b| Algebraic::from_int(b as i64 + 1));
         let tagged = tag(&singleton(&tree));
         // T_{x̄_0}: fix qubit 0 to 0 → amplitudes (1, 2, 1, 2).
-        let projected = project_with(&tagged, 0, false, &CompositionOptions::default())
-            .untagged()
-            .reduce();
+        let projected = project_with(&tagged, 0, false).untagged().reduce();
         let states = state_of(&projected);
         assert_eq!(states.len(), 1);
         assert_eq!(states[0][&0b00], Algebraic::from_int(1));
@@ -2487,9 +2384,7 @@ mod tests {
         assert_eq!(states[0][&0b10], Algebraic::from_int(1));
         assert_eq!(states[0][&0b11], Algebraic::from_int(2));
         // T_{x_0}: fix qubit 0 to 1 → amplitudes (3, 4, 3, 4).
-        let projected = project_with(&tagged, 0, true, &CompositionOptions::default())
-            .untagged()
-            .reduce();
+        let projected = project_with(&tagged, 0, true).untagged().reduce();
         let states = state_of(&projected);
         assert_eq!(states[0][&0b00], Algebraic::from_int(3));
         assert_eq!(states[0][&0b01], Algebraic::from_int(4));
@@ -2497,21 +2392,16 @@ mod tests {
 
     #[test]
     fn fused_projection_matches_the_reference_ladder() {
-        // Multi-tree tagged automaton, every qubit/bit at 3 qubits, with the
-        // in-ladder reduction forced on every pass (growth factor 1).
+        // Multi-tree tagged automaton, every qubit/bit at 3 qubits.
         let trees = vec![
             Tree::from_fn(3, |b| Algebraic::from_int((b % 3) as i64)),
             Tree::basis_state(3, 5),
             Tree::basis_state(3, 2),
         ];
         let tagged = tag(&TreeAutomaton::from_trees(3, &trees));
-        let opts = CompositionOptions {
-            ladder_growth_factor: Some(1),
-            ..CompositionOptions::default()
-        };
         for qubit in 0..3 {
             for bit in [false, true] {
-                let fused = project_with(&tagged, qubit, bit, &opts);
+                let fused = project_with(&tagged, qubit, bit);
                 let reference = project_reference(&tagged, qubit, bit);
                 assert!(
                     equivalence(&fused, &reference).holds(),
@@ -2649,10 +2539,9 @@ mod tests {
             panic!("a CNOT formula is a Combine");
         };
         let tagged = tag(&input);
-        let opts = CompositionOptions::default();
         let untrimmed = binary_op_reference(
-            &evaluate_with(lhs, &tagged, &opts),
-            &evaluate_with(rhs, &tagged, &opts),
+            &evaluate_with(lhs, &tagged),
+            &evaluate_with(rhs, &tagged),
             *sign,
         );
         assert!(

@@ -15,7 +15,7 @@ use autoq_treeaut::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{project_with, single_tag, tag, CompositionOptions, Ladder, LadderState};
+use super::{project_with, single_tag, tag, Ladder, LadderState};
 use crate::formula::CombineSign;
 use crate::{Engine, StateSet};
 use autoq_amplitude::Algebraic;
@@ -533,77 +533,61 @@ fn check_case(seed: u64) {
     let qubit = rng.gen_range(0..bottom);
     let bit = rng.gen_bool(0.5);
     let swaps = bottom - qubit;
-    for growth in [Some(1), None] {
-        let opts = CompositionOptions {
-            ladder_growth_factor: growth,
-            ..CompositionOptions::default()
-        };
-        let context = format!("seed {seed}, growth {growth:?}, qubit {qubit}");
-        let mut new = LadderState::from_automaton(&input);
-        let mut old = new.clone();
-        let mut ladder = Ladder::new(&opts, new.transition_count());
-        let mut reducer = Ladder::new(&opts, old.transition_count());
-        for k in 1..=swaps {
-            if k > 1 {
-                ladder.maybe_reduce(&mut new);
-                reducer.maybe_reduce(&mut old);
-            }
-            ladder.forward_pass(&mut new, qubit, qubit + k);
-            forward_pass(&mut old, qubit, qubit + k);
-            assert_eq!(new, old, "{context}, forward pass {k}");
+    let context = format!("seed {seed}, qubit {qubit}");
+    let mut new = LadderState::from_automaton(&input);
+    let mut old = new.clone();
+    let mut ladder = Ladder::default();
+    for k in 1..=swaps {
+        ladder.forward_pass(&mut new, qubit, qubit + k);
+        forward_pass(&mut old, qubit, qubit + k);
+        assert_eq!(new, old, "{context}, forward pass {k}");
+    }
+    new.subtree_copy(qubit, bit);
+    old.subtree_copy(qubit, bit);
+    let mut ladder = Ladder::default();
+    for k in 1..=swaps {
+        ladder.backward_pass(&mut new, qubit, bottom - k + 1);
+        backward_pass(&mut old, qubit, bottom - k + 1);
+        assert_eq!(new, old, "{context}, backward pass {k}");
+    }
+    for extra in 0..3 {
+        let upper = rng.gen_range(0..bottom);
+        let lower = rng.gen_range(upper + 1..=bottom);
+        if rng.gen_bool(0.5) {
+            ladder.forward_pass(&mut new, upper, lower);
+            forward_pass(&mut old, upper, lower);
+        } else {
+            ladder.backward_pass(&mut new, lower, upper);
+            backward_pass(&mut old, lower, upper);
         }
-        ladder.maybe_reduce(&mut new);
-        reducer.maybe_reduce(&mut old);
-        new.subtree_copy(qubit, bit);
-        old.subtree_copy(qubit, bit);
-        let mut ladder = Ladder::new(&opts, new.transition_count());
-        let mut reducer = Ladder::new(&opts, old.transition_count());
-        for k in 1..=swaps {
-            ladder.maybe_reduce(&mut new);
-            reducer.maybe_reduce(&mut old);
-            ladder.backward_pass(&mut new, qubit, bottom - k + 1);
-            backward_pass(&mut old, qubit, bottom - k + 1);
-            assert_eq!(new, old, "{context}, backward pass {k}");
-        }
-        for extra in 0..3 {
-            let upper = rng.gen_range(0..bottom);
-            let lower = rng.gen_range(upper + 1..=bottom);
-            if rng.gen_bool(0.5) {
-                ladder.forward_pass(&mut new, upper, lower);
-                forward_pass(&mut old, upper, lower);
-            } else {
-                ladder.backward_pass(&mut new, lower, upper);
-                backward_pass(&mut old, lower, upper);
-            }
-            assert_eq!(new, old, "{context}, extra pass {extra}");
-        }
+        assert_eq!(new, old, "{context}, extra pass {extra}");
+    }
 
-        let projections = [false, true].map(|bit| project_with(&input, qubit, bit, &opts));
-        let operands = [&input, &projections[0], &projections[1]];
-        for (a, b) in [(0, 1), (1, 2), (2, 0), (1, 1)] {
-            // Without in-ladder reduction a noisy input's projection can
-            // reach tens of thousands of transitions, and the product of
-            // two such grows with the product of their sizes.
-            if operands[a].transition_count() * operands[b].transition_count() > PRODUCT_LIMIT {
-                continue;
-            }
-            for sign in [CombineSign::Plus, CombineSign::Minus] {
-                assert_eq!(
-                    super::pair_product(operands[a], operands[b], sign),
-                    pair_product(operands[a], operands[b], sign),
-                    "{context}, product of operands {a} and {b}"
-                );
-            }
+    let projections = [false, true].map(|bit| project_with(&input, qubit, bit));
+    let operands = [&input, &projections[0], &projections[1]];
+    for (a, b) in [(0, 1), (1, 2), (2, 0), (1, 1)] {
+        // A noisy input's projection can reach tens of thousands of
+        // transitions, and the product of two such grows with the product
+        // of their sizes.
+        if operands[a].transition_count() * operands[b].transition_count() > PRODUCT_LIMIT {
+            continue;
         }
-        for (index, operand) in operands.into_iter().enumerate() {
-            for restricted in 0..=bottom {
-                for bit in [false, true] {
-                    let mut new = operand.clone();
-                    let mut old = operand.clone();
-                    super::restrict_in_place(&mut new, restricted, bit);
-                    restrict_in_place(&mut old, restricted, bit);
-                    assert_eq!(new, old, "{context}, restriction of operand {index}");
-                }
+        for sign in [CombineSign::Plus, CombineSign::Minus] {
+            assert_eq!(
+                super::pair_product(operands[a], operands[b], sign),
+                pair_product(operands[a], operands[b], sign),
+                "{context}, product of operands {a} and {b}"
+            );
+        }
+    }
+    for (index, operand) in operands.into_iter().enumerate() {
+        for restricted in 0..=bottom {
+            for bit in [false, true] {
+                let mut new = operand.clone();
+                let mut old = operand.clone();
+                super::restrict_in_place(&mut new, restricted, bit);
+                restrict_in_place(&mut old, restricted, bit);
+                assert_eq!(new, old, "{context}, restriction of operand {index}");
             }
         }
     }

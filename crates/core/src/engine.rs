@@ -67,14 +67,14 @@ impl Default for ReductionPolicy {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ApplyStats {
     /// Largest automaton state count observed after any primitive gate
-    /// (before the following reduction) *or* inside a composition gate's
-    /// swap ladder — with in-ladder reduction the intermediate automata can
-    /// peak higher than any post-gate snapshot, so the ladder reports its
-    /// own watermark.
+    /// (before the following reduction) *or* inside a composition gate:
+    /// its binary-operation products as built, the DAG nodes of the
+    /// one-state path, or the basis path's output (see
+    /// `composition::FormulaPeak`).
     pub peak_states: usize,
     /// Largest automaton transition count observed after any primitive gate
-    /// *or* between the swap passes of a composition gate's ladder (the
-    /// same in-gate watermark as [`ApplyStats::peak_states`]).
+    /// *or* inside a composition gate, between the passes of its swap
+    /// ladders included.
     pub peak_transitions: usize,
     /// Number of reduction passes that actually ran.
     pub reductions: usize,
@@ -153,12 +153,12 @@ impl Engine {
     /// the Table 2 reduction-policy sweep (the `sweep.*` entries of
     /// `BENCH_reduction.json`, regenerated by `bench_reduction` as the
     /// median of interleaved runs) shows `Adaptive { growth_factor: 2 }`
-    /// at-or-faster than [`ReductionPolicy::AfterEachGate`] on **every**
-    /// row — including the BV family, where an earlier (pre-fused-ladder)
-    /// sweep had it ~20% slower at BV16 and kept the eager default.  With
-    /// the fused composition ladder doing its own in-ladder reduction, the
-    /// post-`H` automata the adaptive policy leaves unreduced no longer
-    /// snowball, and the saved reduction passes win on every family.
+    /// faster than [`ReductionPolicy::AfterEachGate`] on nearly every row
+    /// and no row slower beyond the sweep's noise — including the BV
+    /// family, where an earlier (pre-fused-ladder) sweep had it ~20% slower
+    /// at BV16 and kept the eager default.  Every composition-encoded gate
+    /// is still reduced after, so only the cheap permutation gates skip a
+    /// reduction, and the saved reduction passes win on every family.
     /// Revert to `AfterEachGate` only if a future sweep shows a regressing
     /// row; callers can always pin a policy via [`Engine::with_reduction`].
     pub fn hybrid() -> Self {
@@ -182,9 +182,6 @@ impl Engine {
     }
 
     /// The composition-pipeline options of this engine:
-    /// [`ReductionPolicy::Never`] also disables the in-ladder reduction
-    /// (the ablation benchmarks measure the unreduced pipeline), every other
-    /// policy keeps the default in-ladder reduction; and
     /// [`EngineKind::Hybrid`] takes the fast paths ahead of the ladder —
     /// one-state inputs on a hash-consed DAG, then CNOTs and Toffolis on
     /// sets of phased basis states by guess-and-verify — while
@@ -192,10 +189,6 @@ impl Engine {
     /// (see `composition`'s *The one-state path* and *The basis path*).
     pub fn composition_options(&self) -> CompositionOptions {
         CompositionOptions {
-            ladder_growth_factor: match self.reduction {
-                ReductionPolicy::Never => None,
-                _ => CompositionOptions::default().ladder_growth_factor,
-            },
             hybrid_fast_paths: self.kind == EngineKind::Hybrid,
         }
     }
@@ -273,10 +266,9 @@ impl Engine {
     /// Applies a primitive (already decomposed) gate to the working
     /// automaton; returns `true` if the composition-based encoding was used.
     /// Composition gates also report the peak automaton size reached
-    /// *inside* their swap ladders into `stats` — with in-ladder reduction
-    /// the post-gate automaton no longer witnesses the true peak — and
-    /// check the interrupt between ladder passes, so even a single
-    /// blowing-up gate stops near its budget.
+    /// *inside* the gate into `stats` — the tagged products and ladders
+    /// outgrow the gate's output — and check the interrupt between ladder
+    /// passes, so even a single blowing-up gate stops near its budget.
     fn apply_primitive_in_place(
         &self,
         automaton: &mut TreeAutomaton,

@@ -42,7 +42,6 @@ type AmplitudeMap = BTreeMap<u128, Algebraic>;
 fn fast_options() -> CompositionOptions {
     CompositionOptions {
         hybrid_fast_paths: true,
-        ..CompositionOptions::default()
     }
 }
 

@@ -2,9 +2,9 @@
 //! reference swap ladder:
 //!
 //! * on random automata (tagged and untagged, varying qubit depth), the
-//!   fused [`project_with`] — indexed swap passes, ladder-wide interning,
-//!   in-ladder reduction — accepts exactly the same (tagged) language as
-//!   the unfused [`project_reference`] ladder;
+//!   fused [`project_with`] — layer-bucketed swap passes with per-pass
+//!   interning — accepts exactly the same (tagged) language as the unfused
+//!   [`project_reference`] ladder;
 //! * a reference recursive formula evaluator built from the same unfused
 //!   pieces and the untrimmed [`binary_op_reference`] product agrees with
 //!   the fused [`evaluate_with`];
@@ -13,9 +13,9 @@
 //!   [`binary_op`] (the paper's product, trimmed only when it holds a dead
 //!   pair) accepts the reference product's tagged language and is exactly
 //!   its trim: every state reachable and productive;
-//! * tag structure survives in-ladder reduction: reducing a tagged
-//!   automaton never merges states whose signatures disagree on tags, and
-//!   never invents or drops tags.
+//! * tag structure survives reduction: reducing a tagged automaton never
+//!   merges states whose signatures disagree on tags, and never invents or
+//!   drops tags.
 //!
 //! The projection and product properties also run 5,000 cases each in
 //! `#[ignore]`d tests, for release builds.  The exact, pass-by-pass
@@ -78,16 +78,6 @@ fn random_tagged_set(n: u32, mask: u64, seed: u32, shape: u8) -> TreeAutomaton {
     tag(superposed.automaton())
 }
 
-/// The fused options under test: growth factor 1 forces an in-ladder
-/// reduction at every opportunity, so the property exercises reduction
-/// interleaved with every swap pass, not just the pass mechanics.
-fn aggressive_options() -> CompositionOptions {
-    CompositionOptions {
-        ladder_growth_factor: Some(1),
-        ..CompositionOptions::default()
-    }
-}
-
 /// Reference recursive evaluator: the pre-fusion semantics, term by term,
 /// with the unfused projection ladder and owned operands everywhere.
 fn evaluate_reference(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeAutomaton {
@@ -147,15 +137,15 @@ fn product_gates(n: u32, seed: u32) -> Vec<Gate> {
 
 /// Checks [`binary_op`] against the trim of [`binary_op_reference`] on the
 /// operands of every `Combine` node of `expr`; returns how many it checked.
-fn check_products(expr: &UpdateExpr, tagged: &TreeAutomaton, opts: &CompositionOptions) -> usize {
+fn check_products(expr: &UpdateExpr, tagged: &TreeAutomaton) -> usize {
     match expr {
         UpdateExpr::Source | UpdateExpr::Proj { .. } => 0,
         UpdateExpr::Restrict { inner, .. } | UpdateExpr::Scale { inner, .. } => {
-            check_products(inner, tagged, opts)
+            check_products(inner, tagged)
         }
         UpdateExpr::Combine { sign, lhs, rhs } => {
-            let a = evaluate_with(lhs, tagged, opts);
-            let b = evaluate_with(rhs, tagged, opts);
+            let a = evaluate_with(lhs, tagged);
+            let b = evaluate_with(rhs, tagged);
             let trimmed = binary_op(&a, &b, *sign);
             let reference = binary_op_reference(&a, &b, *sign);
             assert!(
@@ -170,7 +160,7 @@ fn check_products(expr: &UpdateExpr, tagged: &TreeAutomaton, opts: &CompositionO
                 trimmed.state_count(),
                 "every state of the trimmed product is reachable and productive"
             );
-            1 + check_products(lhs, tagged, opts) + check_products(rhs, tagged, opts)
+            1 + check_products(lhs, tagged) + check_products(rhs, tagged)
         }
     }
 }
@@ -182,7 +172,7 @@ fn check_trimmed_products(n: u32, mask: u64, seed: u32, gate_seed: u32, shape: u
     let mut checked = 0;
     for gate in product_gates(n, gate_seed) {
         let formula = update_formula(&gate).expect("X, H, CNOT and Toffoli have formulae");
-        checked += check_products(&formula, &tagged, &aggressive_options());
+        checked += check_products(&formula, &tagged);
     }
     assert!(checked > 0);
 }
@@ -192,7 +182,7 @@ fn check_trimmed_products(n: u32, mask: u64, seed: u32, gate_seed: u32, shape: u
 fn check_fused_projection(n: u32, mask: u64, seed: u32, qubit_seed: u32, bit: bool, tagged: bool) {
     let automaton = random_automaton(n, mask, seed, tagged);
     let qubit = qubit_seed % n;
-    let fused = project_with(&automaton, qubit, bit, &aggressive_options());
+    let fused = project_with(&automaton, qubit, bit);
     let reference = project_reference(&automaton, qubit, bit);
     // Tags are part of the symbols, so this compares the *tagged*
     // languages — exactly what the downstream binary operation matches
@@ -277,7 +267,7 @@ proptest! {
             _ => Gate::RyPi2(target),
         };
         let formula = update_formula(&gate).expect("superposing gates have formulae");
-        let fused = evaluate_with(&formula, &tagged, &aggressive_options());
+        let fused = evaluate_with(&formula, &tagged);
         let reference = evaluate_reference(&formula, &tagged);
         prop_assert!(
             equivalence(&fused.untagged(), &reference.untagged()).holds(),
@@ -286,13 +276,13 @@ proptest! {
     }
 
     #[test]
-    fn in_ladder_reduction_preserves_tag_structure(
+    fn reduction_preserves_tag_structure(
         n in 2u32..=4,
         mask in 0u64..256,
         seed in any::<u32>(),
     ) {
-        // Reduce a tagged automaton with injected redundancy (the shape the
-        // in-ladder reduction sees mid-swap): the tagged language must be
+        // Reduce a tagged automaton with injected redundancy (`reduce` is
+        // public and accepts tagged automata): the tagged language must be
         // unchanged and no tag may appear that the input did not carry.
         let mut automaton = random_automaton(n, mask, seed, true);
         let copy = automaton.clone();
@@ -316,9 +306,9 @@ proptest! {
     }
 }
 
-/// Pins the tag-preservation contract the fused ladder relies on: two
+/// Pins the tag-preservation contract of `reduce` on tagged automata: two
 /// states that are identical *except for their tags* must never be merged
-/// by the reduction (tags live in the symbols, so their signatures differ).
+/// (tags live in the symbols, so their signatures differ).
 #[test]
 fn reduction_never_merges_across_tags() {
     let mut automaton = TreeAutomaton::new(1);
@@ -349,25 +339,16 @@ fn reduction_never_merges_across_tags() {
 }
 
 /// The composition options are re-exported at the crate root and default
-/// to in-ladder reduction at growth factor 2, which every engine but the
-/// `Never` ablation uses, with the paper's ladder for every gate.  Only
-/// the Hybrid engine derives the one-state and basis fast paths; the evaluator is
-/// sequential.
+/// to the paper's ladder for every gate.  Only the Hybrid engine derives
+/// the one-state and basis fast paths, whatever its reduction policy; the
+/// evaluator is sequential.
 #[test]
 fn composition_options_default_and_reexport() {
     let options: ReexportedOptions = CompositionOptions::default();
-    assert_eq!(options.ladder_growth_factor, Some(2));
     assert!(!options.hybrid_fast_paths);
-    assert_eq!(
-        Engine::hybrid().composition_options(),
-        CompositionOptions {
-            hybrid_fast_paths: true,
-            ..options
-        }
-    );
+    assert!(Engine::hybrid().composition_options().hybrid_fast_paths);
     assert_eq!(Engine::composition().composition_options(), options);
     let never = Engine::hybrid().with_reduction(autoq_core::ReductionPolicy::Never);
-    assert_eq!(never.composition_options().ladder_growth_factor, None);
     assert!(never.composition_options().hybrid_fast_paths);
     let composition_never =
         Engine::composition().with_reduction(autoq_core::ReductionPolicy::Never);

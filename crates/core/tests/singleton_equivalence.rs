@@ -38,7 +38,6 @@ type AmplitudeMap = BTreeMap<u128, Algebraic>;
 fn dag_options() -> CompositionOptions {
     CompositionOptions {
         hybrid_fast_paths: true,
-        ..CompositionOptions::default()
     }
 }
 
@@ -201,9 +200,7 @@ fn check_against_the_ladder(input: &TreeAutomaton, gate: &Gate, context: &str) -
         let mut dag = current.clone();
         let peak = apply_formula_in_place_interruptible(&mut dag, &formula, &dag_options(), None)
             .expect("no interrupt");
-        let ladder = evaluate_with(&formula, &tag(&current), &CompositionOptions::default())
-            .untagged()
-            .reduce();
+        let ladder = evaluate_with(&formula, &tag(&current)).untagged().reduce();
         assert!(
             equivalence(&dag, &ladder).holds(),
             "{context}: the one-state path and the ladder disagree on {primitive:?}"
@@ -374,7 +371,7 @@ fn the_swap_ladders_dead_state_ids_take_the_ladder() {
     let mut rng = StdRng::seed_from_u64(7);
     let amplitudes = random_state(4, &mut rng);
     let tagged = tag(&state_automaton(4, &amplitudes));
-    let projected = project_with(&tagged, 0, true, &CompositionOptions::default()).untagged();
+    let projected = project_with(&tagged, 0, true).untagged();
     let index = TransitionIndex::build(&projected);
     let dead = (0..projected.num_states)
         .map(autoq_treeaut::StateId::new)
