@@ -8,10 +8,11 @@
 //! bench-smoke job emits a comparable baseline on every run:
 //!
 //! * **micro** — `TreeAutomaton::reduce` on a duplicated-copies automaton
-//!   (the shape every primed-copy gate construction produces) and
+//!   (the shape every primed-copy gate construction produces),
 //!   `Engine::apply_gate` for one permutation (CNOT) and two composition
 //!   gates (H on qubits 5 and 0, the second the longest ladder) on a
-//!   12-qubit all-basis set;
+//!   12-qubit all-basis set, the fused projection ladder against its
+//!   reference at depth 64, and witness extraction at 35 and 70 qubits;
 //! * **rows** — the two previously slow Table 3 rows: the `increment8`
 //!   AutoQ hunt and the `cycle10` path-sum check — plus the `Interrupt`
 //!   governance overhead / budget-trip stop latencies (`exhaustion.*`);
@@ -30,10 +31,12 @@ use autoq_bench::timed;
 use autoq_circuit::generators::{carry_lookahead_like, increment_circuit};
 use autoq_circuit::mutation::inject_random_gate;
 use autoq_circuit::Gate;
+use autoq_core::composition::{project_reference, project_with, tag_in_place};
 use autoq_core::{
     Engine, HuntJob, HuntPool, Interrupt, Resource, RunOptions, StateSet, StopReason,
 };
 use autoq_equivcheck::pathsum;
+use autoq_treeaut::{basis, inclusion, InclusionResult, Tree, TreeAutomaton};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -115,6 +118,55 @@ fn main() {
             let _ = engine.apply_gate(&base, &Gate::H(0));
         }),
     );
+
+    // Micro: one projection through a depth-64 swap ladder, fused against
+    // the unfused reference ladder it is tested against.  The input is a
+    // tagged union of four basis states: linear-size with bounded
+    // branching, so the cost scales with the depth, not with 2^depth (wide
+    // sets make every tag distinct and time the encoding's worst case).
+    let mut tagged =
+        TreeAutomaton::from_trees(65, &[0u128, 1, 3, 6].map(|b| Tree::basis_state(65, b)));
+    tag_in_place(&mut tagged);
+    record_secs(
+        &mut entries,
+        "micro.project_fused_depth64",
+        median_time(20, || {
+            let _ = project_with(&tagged, 0, false);
+        }),
+    );
+    record_secs(
+        &mut entries,
+        "micro.project_reference_depth64",
+        median_time(20, || {
+            let _ = project_reference(&tagged, 0, false);
+        }),
+    );
+
+    // Micro: the inclusion counterexample of two basis states against one
+    // at the paper's Table 3 widths.  With DAG-shared trees the witness is
+    // linear in the qubit count (a boxed 35-qubit witness would unfold to
+    // 2^36 nodes).
+    for n in [35u32, 70] {
+        let p = 1u128 << (n - 1);
+        let a = TreeAutomaton::from_trees(
+            n,
+            &[
+                Tree::basis_state(n, p),
+                Tree::basis_state(n, basis::index_mask(n)),
+            ],
+        );
+        let b = TreeAutomaton::from_tree(&Tree::basis_state(n, p));
+        record_secs(
+            &mut entries,
+            &format!("micro.witness_extraction_{n}q"),
+            median_time(20, || match inclusion(&a, &b) {
+                InclusionResult::Counterexample(witness) => {
+                    assert!(witness.node_count() <= 2 * n as usize + 1);
+                }
+                InclusionResult::Included => unreachable!("inclusion must fail"),
+            }),
+        );
+    }
 
     // Leaf-amplitude fast path: interning cost cold (first-ever values)
     // vs warm (pure hit path) on 10k distinct irreducible amplitudes, and

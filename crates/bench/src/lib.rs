@@ -2,10 +2,11 @@
 //!
 //! The binaries `table2` and `table3` print Markdown tables mirroring the
 //! paper's Table 2 (verification against pre/post-conditions) and Table 3
-//! (bug finding); the Criterion benches reuse the same row runners on small
-//! parameters.  `table3 --paper` appends the paper's 35-qubit regime
-//! (AutoQ-only: the baselines do not terminate at that scale), where
-//! DAG-shared witness trees keep extraction and confirmation in seconds.
+//! (bug finding); `bench_reduction` reuses the same row runners and writes
+//! the per-layer baseline `BENCH_reduction.json`.  `table3 --paper` appends
+//! the paper's 35-qubit regime (AutoQ-only: the baselines do not terminate
+//! at that scale), where DAG-shared witness trees keep extraction and
+//! confirmation in seconds.
 //!
 //! *Pipeline position*: bigint → amplitude → {treeaut, circuit} →
 //! simulator → {equivcheck, core} → **bench** — the terminal evaluation
@@ -26,11 +27,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (value, start.elapsed())
 }
 
-/// Formats a duration in seconds with millisecond resolution.
-pub fn fmt_duration(duration: Duration) -> String {
-    format!("{:.3}s", duration.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,6 +36,5 @@ mod tests {
         let (value, duration) = timed(|| (0..1000).sum::<u64>());
         assert_eq!(value, 499500);
         assert!(duration.as_secs() < 5);
-        assert!(fmt_duration(duration).ends_with('s'));
     }
 }

@@ -304,16 +304,17 @@ pub struct PolicySweepRow {
 /// `Engine::hybrid()` default to adaptive reduction.  `bench_reduction`
 /// records these rows in `BENCH_reduction.json`.
 ///
-/// Each policy is timed over `SWEEP_ROUNDS` *interleaved* repetitions
-/// (eager, adaptive, eager, adaptive, …) and the per-policy **median** is
-/// reported, so one-off allocator/arena warm-up and scheduler noise do not
-/// bias the recorded comparison towards whichever policy happens to run
-/// second.
+/// Each policy is timed over `SWEEP_ROUNDS` *interleaved* rounds, and the
+/// policy that runs first alternates from round to round (eager then
+/// adaptive, adaptive then eager, …); the per-policy **median** is
+/// reported, so allocator/arena warm-up and scheduler noise do not bias the
+/// recorded comparison towards either policy.  Each verification takes
+/// well under a millisecond, so the medians need many rounds to be steady.
 pub fn run_policy_sweep() -> Vec<PolicySweepRow> {
     use autoq_core::{verify, ReductionPolicy};
 
-    /// Interleaved repetitions per policy; the median is recorded.
-    const SWEEP_ROUNDS: usize = 3;
+    /// Interleaved rounds per policy; the median is recorded.
+    const SWEEP_ROUNDS: usize = 21;
 
     let median = |mut samples: Vec<Duration>| -> Duration {
         samples.sort();
@@ -329,11 +330,17 @@ pub fn run_policy_sweep() -> Vec<PolicySweepRow> {
             let mut eager_samples = Vec::with_capacity(SWEEP_ROUNDS);
             let mut adaptive_samples = Vec::with_capacity(SWEEP_ROUNDS);
             let mut both_verified = true;
-            for _ in 0..SWEEP_ROUNDS {
-                let (eager_outcome, eager_time) =
-                    timed(|| verify(&eager, &w.pre, &w.circuit, &w.post, SpecMode::Equality));
-                let (adaptive_outcome, adaptive_time) =
-                    timed(|| verify(&adaptive, &w.pre, &w.circuit, &w.post, SpecMode::Equality));
+            let run = |engine: &Engine| {
+                timed(|| verify(engine, &w.pre, &w.circuit, &w.post, SpecMode::Equality))
+            };
+            for round in 0..SWEEP_ROUNDS {
+                let ((eager_outcome, eager_time), (adaptive_outcome, adaptive_time)) =
+                    if round % 2 == 0 {
+                        (run(&eager), run(&adaptive))
+                    } else {
+                        let adaptive_run = run(&adaptive);
+                        (run(&eager), adaptive_run)
+                    };
                 eager_samples.push(eager_time);
                 adaptive_samples.push(adaptive_time);
                 both_verified &= eager_outcome.holds() && adaptive_outcome.holds();

@@ -51,12 +51,12 @@
 //!
 //! The evaluator is plain sequential code: a `Combine` evaluates its left
 //! term, then its right one, on one `&mut` evaluation context holding the
-//! peak watermarks, the shared forward ladders and the interrupt's stop
-//! reason.  (Evaluating the two terms on scoped threads measured slower on
-//! every workload: the second projection of a qubit waits for the first's
-//! forward ladder anyway.)  The unfused ladder is retained as
-//! [`project_reference`] and cross-validated by the
-//! `composition_equivalence` property tests.
+//! peak watermarks, the shared forward ladders and the interrupt; a tripped
+//! checkpoint returns its `Err` through every caller.  (Evaluating the two
+//! terms on scoped threads measured slower on every workload: the second
+//! projection of a qubit waits for the first's forward ladder anyway.)  The
+//! unfused ladder is retained as [`project_reference`] and cross-validated
+//! by the `composition_equivalence` property tests.
 //!
 //! # The trimmed product
 //!
@@ -199,7 +199,7 @@ pub struct FormulaPeak {
 /// The state of one formula evaluation: the peak-size watermarks (so the
 /// engine's `ApplyStats` sees the sizes reached inside the gate), the
 /// per-qubit forward-ladder cache shared by a gate's two projections, and
-/// the interrupt with the reason it stopped the evaluation, if it did.
+/// the interrupt checked between ladder passes.
 struct EvalCtx<'a> {
     peak: FormulaPeak,
     /// The formula being evaluated, if any: it says how many projections
@@ -214,9 +214,6 @@ struct EvalCtx<'a> {
     /// The caller's interrupt, checked between swap-ladder passes so even a
     /// single blowing-up gate stops near its budget (`None` never stops).
     interrupt: Option<&'a Interrupt>,
-    /// The reason of the first tripped checkpoint; once set, every loop
-    /// unwinds with a partial (discarded) result.
-    stopped: Option<StopReason>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -226,7 +223,6 @@ impl<'a> EvalCtx<'a> {
             formula,
             forward_cache: FixedMap::default(),
             interrupt,
-            stopped: None,
         }
     }
 
@@ -238,16 +234,13 @@ impl<'a> EvalCtx<'a> {
         self.peak.transitions = self.peak.transitions.max(transitions);
     }
 
-    /// Checks the interrupt against the current in-ladder sizes; returns
-    /// `true` when the evaluation should unwind.  The first tripped check
-    /// records the reason; later checkpoints only observe it.
-    fn checkpoint(&mut self, states: usize, transitions: usize) -> bool {
-        if self.stopped.is_none() {
-            if let Some(interrupt) = self.interrupt {
-                self.stopped = interrupt.check_sizes(states, transitions).err();
-            }
+    /// Checks the interrupt against the current in-ladder sizes; `Err`
+    /// unwinds the whole evaluation.
+    fn checkpoint(&self, states: usize, transitions: usize) -> Result<(), StopReason> {
+        match self.interrupt {
+            Some(interrupt) => interrupt.check_sizes(states, transitions),
+            None => Ok(()),
         }
-        self.stopped.is_some()
     }
 }
 
@@ -259,12 +252,13 @@ impl<'a> EvalCtx<'a> {
 /// `ApplyStats`.
 ///
 /// `interrupt` is checked between the swap-ladder passes of every
-/// projection (and before every binary combination), so even a single
-/// blowing-up composition gate stops near its budget instead of finishing
-/// an arbitrarily large construction.  On `Err` the automaton is left in an
-/// unspecified partial (tagged) state and must be discarded — the engine
-/// throws away its whole working automaton when a gate is interrupted, so
-/// nothing downstream observes it.  With `None` it never fails.
+/// projection, so even a single blowing-up composition gate stops near its
+/// budget instead of finishing an arbitrarily large construction; the
+/// first tripped check ends the evaluation.  On `Err` the automaton is
+/// left in an unspecified partial (tagged) state and must be discarded —
+/// the engine throws away its whole working automaton when a gate is
+/// interrupted, so nothing downstream observes it.  With `None` it never
+/// fails.
 ///
 /// With [`CompositionOptions::hybrid_fast_paths`] set, two inputs skip the
 /// ladder.  One that [`is_single_state_dag`] accepts runs the formula on a
@@ -298,11 +292,7 @@ pub fn apply_formula_in_place_interruptible(
     }
     tag_in_place(automaton);
     let mut ctx = EvalCtx::new(Some(formula), interrupt);
-    let result = evaluate_term(formula, automaton, &mut ctx);
-    if let Some(reason) = ctx.stopped {
-        return Err(reason);
-    }
-    let mut result = result.into_owned();
+    let mut result = evaluate_term(formula, automaton, &mut ctx)?.into_owned();
     result.untag_in_place();
     *automaton = result;
     Ok(ctx.peak)
@@ -310,7 +300,9 @@ pub fn apply_formula_in_place_interruptible(
 
 /// Evaluates an update-formula term over a tagged source automaton.
 pub fn evaluate_with(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeAutomaton {
-    evaluate_term(expr, tagged_source, &mut EvalCtx::new(Some(expr), None)).into_owned()
+    evaluate_term(expr, tagged_source, &mut EvalCtx::new(Some(expr), None))
+        .expect("an evaluation without an interrupt cannot stop")
+        .into_owned()
 }
 
 /// Evaluates one term, borrowing the source automaton for `Source` leaves so
@@ -321,31 +313,25 @@ fn evaluate_term<'a>(
     expr: &UpdateExpr,
     tagged_source: &'a TreeAutomaton,
     ctx: &mut EvalCtx<'_>,
-) -> Cow<'a, TreeAutomaton> {
-    match expr {
+) -> Result<Cow<'a, TreeAutomaton>, StopReason> {
+    Ok(match expr {
         UpdateExpr::Source => Cow::Borrowed(tagged_source),
         UpdateExpr::Proj { qubit, bit } => {
-            Cow::Owned(project_in_ctx(tagged_source, *qubit, *bit, ctx))
+            Cow::Owned(project_in_ctx(tagged_source, *qubit, *bit, ctx)?)
         }
         UpdateExpr::Restrict { qubit, bit, inner } => {
-            let mut automaton = evaluate_term(inner, tagged_source, ctx).into_owned();
+            let mut automaton = evaluate_term(inner, tagged_source, ctx)?.into_owned();
             restrict_in_place(&mut automaton, *qubit, *bit);
             Cow::Owned(automaton)
         }
         UpdateExpr::Scale { factor, inner } => {
-            let mut automaton = evaluate_term(inner, tagged_source, ctx).into_owned();
+            let mut automaton = evaluate_term(inner, tagged_source, ctx)?.into_owned();
             multiply_in_place(&mut automaton, *factor);
             Cow::Owned(automaton)
         }
         UpdateExpr::Combine { sign, lhs, rhs } => {
-            let a = evaluate_term(lhs, tagged_source, ctx);
-            let b = evaluate_term(rhs, tagged_source, ctx);
-            // An interrupted evaluation skips the (product-sized) binary
-            // combination: the result is discarded anyway, so hand back the
-            // source unchanged instead of paying for a doomed product.
-            if ctx.stopped.is_some() {
-                return Cow::Borrowed(tagged_source);
-            }
+            let a = evaluate_term(lhs, tagged_source, ctx)?;
+            let b = evaluate_term(rhs, tagged_source, ctx)?;
             // The peak counts the product as built, dead pairs included:
             // that is what the gate allocated.
             let (product, dead) = pair_product(&a, &b, *sign);
@@ -353,19 +339,12 @@ fn evaluate_term<'a>(
             ctx.observe_transitions(product.transition_count());
             Cow::Owned(if dead { product.trim() } else { product })
         }
-    }
+    })
 }
 
-/// The tagging procedure (Algorithm 3): gives every internal transition a
-/// unique tag so that every accepted tree has a unique "shape identity".
-pub fn tag(automaton: &TreeAutomaton) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    tag_in_place(&mut result);
-    result
-}
-
-/// In-place variant of [`tag`]: rewrites the symbols without copying the
-/// automaton (one full copy saved per composition-encoded gate).
+/// The tagging procedure (Algorithm 3), in place: gives every internal
+/// transition a unique tag so that every accepted tree has a unique "shape
+/// identity".  Rewrites the symbols without copying the automaton.
 pub fn tag_in_place(automaton: &mut TreeAutomaton) {
     for (index, transition) in automaton.internal.iter_mut().enumerate() {
         transition.symbol = transition
@@ -375,16 +354,9 @@ pub fn tag_in_place(automaton: &mut TreeAutomaton) {
     }
 }
 
-/// The restriction operation (Algorithm 4): `B_{x_t}·T` (`bit = true`) keeps
-/// the amplitudes on branches where qubit `t` is `1` and zeroes the others;
-/// `B̄_{x_t}·T` (`bit = false`) is symmetric.
-pub fn restrict(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    restrict_in_place(&mut result, qubit, bit);
-    result
-}
-
-/// In-place variant of [`restrict`].
+/// The restriction operation (Algorithm 4), in place: `B_{x_t}·T`
+/// (`bit = true`) keeps the amplitudes on branches where qubit `t` is `1`
+/// and zeroes the others; `B̄_{x_t}·T` (`bit = false`) is symmetric.
 ///
 /// Only the states actually reachable from the redirected children are
 /// imported as the primed zeroed copy (structure and tags identical on that
@@ -503,14 +475,7 @@ pub fn restrict_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: bool) {
 }
 
 /// The multiplication operation (Algorithm 5, generalised to all scalar
-/// factors appearing in Table 1): rewrites every leaf value.
-pub fn multiply(automaton: &TreeAutomaton, factor: ScaleFactor) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    multiply_in_place(&mut result, factor);
-    result
-}
-
-/// In-place variant of [`multiply`].
+/// factors appearing in Table 1), in place: rewrites every leaf value.
 pub fn multiply_in_place(automaton: &mut TreeAutomaton, factor: ScaleFactor) {
     automaton.map_leaves_in_place(|value| scale_value(value, factor));
 }
@@ -540,6 +505,7 @@ fn leaf_op(sign: CombineSign) -> intern::LeafOp {
 /// [`project_reference`] by the `composition_equivalence` property tests.
 pub fn project_with(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomaton {
     project_in_ctx(automaton, qubit, bit, &mut EvalCtx::new(None, None))
+        .expect("a projection without an interrupt cannot stop")
 }
 
 fn project_in_ctx(
@@ -547,12 +513,12 @@ fn project_in_ctx(
     qubit: u32,
     bit: bool,
     ctx: &mut EvalCtx<'_>,
-) -> TreeAutomaton {
+) -> Result<TreeAutomaton, StopReason> {
     let bottom = automaton.num_vars - 1;
     if qubit == bottom {
         let mut result = automaton.clone();
         subtree_copy_in_place(&mut result, qubit, bit);
-        return result;
+        return Ok(result);
     }
     let swaps = bottom - qubit;
     // Both projections of the same formula (`T_{x_t}` and `T_{x̄_t}`) run
@@ -564,7 +530,7 @@ fn project_in_ctx(
             let uses = ctx
                 .formula
                 .map_or(1, |formula| projections_of(formula, qubit));
-            (forward_ladder(automaton, qubit, swaps, ctx), uses)
+            (forward_ladder(automaton, qubit, swaps, ctx)?, uses)
         }
     };
     if uses > 1 {
@@ -577,15 +543,12 @@ fn project_in_ctx(
     // `bottom − 1`, …, down to `qubit + 1`.
     for k in 1..=swaps {
         // Between passes is the in-gate interrupt checkpoint: a ladder that
-        // outgrows its budget abandons the remaining passes (the partial
-        // state is discarded by the interrupted caller).
-        if ctx.checkpoint(state.num_states as usize, state.transition_count()) {
-            return state.into_automaton();
-        }
+        // outgrows its budget abandons the remaining passes.
+        ctx.checkpoint(state.num_states as usize, state.transition_count())?;
         ladder.backward_pass(&mut state, qubit, bottom - k + 1);
         ctx.observe_transitions(state.transition_count());
     }
-    state.into_automaton()
+    Ok(state.into_automaton())
 }
 
 /// The number of projections of `qubit` in `expr`: each is evaluated once.
@@ -609,20 +572,18 @@ fn forward_ladder(
     qubit: u32,
     swaps: u32,
     ctx: &mut EvalCtx<'_>,
-) -> LadderState {
+) -> Result<LadderState, StopReason> {
     let mut state = LadderState::from_automaton(automaton);
     let mut ladder = Ladder::default();
     // Forward pass `k` swaps the qubit layer below the layer at variable
     // `qubit + k`.
     for k in 1..=swaps {
         // Same per-pass interrupt checkpoint as the backward ladder.
-        if ctx.checkpoint(state.num_states as usize, state.transition_count()) {
-            return state;
-        }
+        ctx.checkpoint(state.num_states as usize, state.transition_count())?;
         ladder.forward_pass(&mut state, qubit, qubit + k);
         ctx.observe_transitions(state.transition_count());
     }
-    state
+    Ok(state)
 }
 
 /// Reference implementation of [`project_with`]: the unfused ladder of
@@ -2268,6 +2229,24 @@ mod tests {
 
     fn singleton(tree: &Tree) -> TreeAutomaton {
         TreeAutomaton::from_tree(tree)
+    }
+
+    fn tag(automaton: &TreeAutomaton) -> TreeAutomaton {
+        let mut tagged = automaton.clone();
+        tag_in_place(&mut tagged);
+        tagged
+    }
+
+    fn restrict(automaton: &TreeAutomaton, qubit: u32, bit: bool) -> TreeAutomaton {
+        let mut restricted = automaton.clone();
+        restrict_in_place(&mut restricted, qubit, bit);
+        restricted
+    }
+
+    fn multiply(automaton: &TreeAutomaton, factor: ScaleFactor) -> TreeAutomaton {
+        let mut scaled = automaton.clone();
+        multiply_in_place(&mut scaled, factor);
+        scaled
     }
 
     /// Applies `formula` with the default options and no interrupt.

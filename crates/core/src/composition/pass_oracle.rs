@@ -15,7 +15,7 @@ use autoq_treeaut::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{project_with, single_tag, tag, Ladder, LadderState};
+use super::{project_with, single_tag, tag_in_place, Ladder, LadderState};
 use crate::formula::CombineSign;
 use crate::{Engine, StateSet};
 use autoq_amplitude::Algebraic;
@@ -476,11 +476,10 @@ fn random_input(rng: &mut StdRng) -> TreeAutomaton {
                 .clone()
         }
     };
-    let mut automaton = if rng.gen_bool(0.9) {
-        tag(&automaton)
-    } else {
-        automaton
-    };
+    let mut automaton = automaton;
+    if rng.gen_bool(0.9) {
+        tag_in_place(&mut automaton);
+    }
     let transitions = automaton.internal.len();
     if transitions == 0 {
         return automaton;

@@ -31,7 +31,8 @@ pub enum ReductionPolicy {
     /// small at a modest cost).  Multi-primitive gates (`SWAP`, Fredkin)
     /// reduce once per gate, not once per primitive.
     AfterEachGate,
-    /// Never reduce (used by the ablation benchmarks).
+    /// Never reduce.  The reduction-policy tests run it next to the other
+    /// two policies, which must accept the same states.
     Never,
     /// Reduce after every composition-encoded gate (those genuinely grow the
     /// automaton), but after the cheap permutation-encoded gates only once
@@ -44,7 +45,9 @@ pub enum ReductionPolicy {
     Adaptive {
         /// Growth multiplier over the last post-reduction transition count
         /// that triggers a reduction after a permutation-encoded gate.  `2`
-        /// is a good default (see the `ablation` bench); `1` reduces after
+        /// is the default (the `sweep.*` entries of `BENCH_reduction.json`
+        /// time it against [`ReductionPolicy::AfterEachGate`], and the
+        /// policy tests pin its answers to the eager ones); `1` reduces after
         /// any permutation gate that grew the automaton at all (still
         /// skipping the no-growth ones, e.g. `X`, which
         /// [`ReductionPolicy::AfterEachGate`] would reduce after too).

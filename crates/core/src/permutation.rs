@@ -73,19 +73,23 @@ pub fn apply_in_place(automaton: &mut TreeAutomaton, gate: &Gate) {
             scale_children_in_place(automaton, t, &(-&Algebraic::i()), &Algebraic::i());
         }
         Gate::Cnot { control, target } => {
-            controlled_graft_in_place(automaton, control, |inner| swap_children(inner, target));
+            controlled_graft_in_place(automaton, control, |inner| {
+                swap_children_in_place(inner, target)
+            });
         }
         Gate::Cz { control, target } => {
             let (c, t) = (control.min(target), control.max(target));
             controlled_graft_in_place(automaton, c, |inner| {
-                scale_children(inner, t, &Algebraic::one(), &(-&Algebraic::one()))
+                scale_children_in_place(inner, t, &Algebraic::one(), &(-&Algebraic::one()))
             });
         }
         Gate::Toffoli { controls, target } => {
             let c_low = controls[0].min(controls[1]);
             let c_high = controls[0].max(controls[1]);
             controlled_graft_in_place(automaton, c_low, |inner| {
-                controlled_graft(inner, c_high, |inner2| swap_children(inner2, target))
+                controlled_graft_in_place(inner, c_high, |inner2| {
+                    swap_children_in_place(inner2, target)
+                })
             });
         }
         _ => unreachable!("supports() rejected the gate"),
@@ -93,14 +97,7 @@ pub fn apply_in_place(automaton: &mut TreeAutomaton, gate: &Gate) {
 }
 
 /// Swaps the left and right children of every `x_t` transition
-/// (the `X_t` construction of Theorem 5.1).
-pub fn swap_children(automaton: &TreeAutomaton, qubit: u32) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    swap_children_in_place(&mut result, qubit);
-    result
-}
-
-/// In-place variant of [`swap_children`].
+/// (the `X_t` construction of Theorem 5.1), in place.
 pub fn swap_children_in_place(automaton: &mut TreeAutomaton, qubit: u32) {
     for transition in automaton.internal.iter_mut() {
         if transition.symbol.var == qubit {
@@ -110,19 +107,8 @@ pub fn swap_children_in_place(automaton: &mut TreeAutomaton, qubit: u32) {
 }
 
 /// Scales the `0`-subtree of every `x_t` node by `scale_left` and the
-/// `1`-subtree by `scale_right` (Algorithm 1 generalised to both scalars).
-pub fn scale_children(
-    automaton: &TreeAutomaton,
-    qubit: u32,
-    scale_left: &Algebraic,
-    scale_right: &Algebraic,
-) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    scale_children_in_place(&mut result, qubit, scale_left, scale_right);
-    result
-}
-
-/// In-place variant of [`scale_children`].
+/// `1`-subtree by `scale_right` (Algorithm 1 generalised to both scalars),
+/// in place.
 pub fn scale_children_in_place(
     automaton: &mut TreeAutomaton,
     qubit: u32,
@@ -150,29 +136,20 @@ pub fn scale_children_in_place(
     }
 }
 
-/// Grafts the transformed automaton under the `1`-branch of every `x_c`
-/// transition (Algorithm 2): the result behaves like the original automaton
-/// when the control qubit is `0` and like `inner(automaton)` when it is `1`.
+/// Grafts a transformed copy of the automaton under the `1`-branch of every
+/// `x_c` transition (Algorithm 2), in place: the result behaves like the
+/// original automaton when the control qubit is `0` and like the copy after
+/// `inner` when it is `1`.
 ///
 /// Correct only when every qubit touched by `inner` lies strictly below `c`
 /// in the variable order.
-pub fn controlled_graft(
-    automaton: &TreeAutomaton,
-    control: u32,
-    inner: impl Fn(&TreeAutomaton) -> TreeAutomaton,
-) -> TreeAutomaton {
-    let mut result = automaton.clone();
-    controlled_graft_in_place(&mut result, control, inner);
-    result
-}
-
-/// In-place variant of [`controlled_graft`].
 pub fn controlled_graft_in_place(
     automaton: &mut TreeAutomaton,
     control: u32,
-    inner: impl Fn(&TreeAutomaton) -> TreeAutomaton,
+    inner: impl FnOnce(&mut TreeAutomaton),
 ) {
-    let transformed = inner(automaton);
+    let mut transformed = automaton.clone();
+    inner(&mut transformed);
     let original_count = automaton.internal.len();
     let offset = automaton.import_disjoint(&transformed);
     for transition in automaton.internal.iter_mut().take(original_count) {

@@ -27,14 +27,21 @@ use std::collections::HashSet;
 use autoq_amplitude::Algebraic;
 use autoq_circuit::Gate;
 use autoq_core::composition::{
-    self, binary_op, binary_op_reference, evaluate_with, multiply, project_reference, project_with,
-    restrict, tag, CompositionOptions,
+    self, binary_op, binary_op_reference, evaluate_with, multiply_in_place, project_reference,
+    project_with, restrict_in_place, tag_in_place, CompositionOptions,
 };
 use autoq_core::formula::{update_formula, UpdateExpr};
 use autoq_core::CompositionOptions as ReexportedOptions;
 use autoq_core::{Engine, StateSet};
 use autoq_treeaut::{basis, equivalence, Tag, Tree, TreeAutomaton};
 use proptest::prelude::*;
+
+/// A tagged copy of `automaton`.
+fn tag(automaton: &TreeAutomaton) -> TreeAutomaton {
+    let mut tagged = automaton.clone();
+    tag_in_place(&mut tagged);
+    tagged
+}
 
 /// Builds a random small automaton: the basis states selected by `mask`
 /// plus one superposition tree derived from `seed`, optionally tagged (the
@@ -85,10 +92,14 @@ fn evaluate_reference(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeA
         UpdateExpr::Source => tagged_source.clone(),
         UpdateExpr::Proj { qubit, bit } => project_reference(tagged_source, *qubit, *bit),
         UpdateExpr::Restrict { qubit, bit, inner } => {
-            restrict(&evaluate_reference(inner, tagged_source), *qubit, *bit)
+            let mut restricted = evaluate_reference(inner, tagged_source);
+            restrict_in_place(&mut restricted, *qubit, *bit);
+            restricted
         }
         UpdateExpr::Scale { factor, inner } => {
-            multiply(&evaluate_reference(inner, tagged_source), *factor)
+            let mut scaled = evaluate_reference(inner, tagged_source);
+            multiply_in_place(&mut scaled, *factor);
+            scaled
         }
         UpdateExpr::Combine { sign, lhs, rhs } => binary_op_reference(
             &evaluate_reference(lhs, tagged_source),

@@ -11,6 +11,8 @@ use autoq_circuit::generators::{
 use autoq_circuit::mutation::insert_gate;
 use autoq_circuit::Circuit;
 use autoq_circuit::Gate;
+use autoq_core::composition::apply_formula_in_place_interruptible;
+use autoq_core::formula::update_formula;
 use autoq_core::{
     verify_with, BugHunter, CertifyPolicy, Engine, HuntJob, HuntPool, Interrupt, Resource,
     RunOptions, SpecMode, StateSet, StopReason, VerifyError,
@@ -155,6 +157,57 @@ fn composition_engine_checks_inside_single_gates() {
         )
         .expect_err("a one-state budget must stop a composition run");
     assert!(matches!(err.reason, StopReason::Exhausted { .. }));
+}
+
+/// A single composition gate whose input and output fit a transition
+/// budget, but whose swap ladder outgrows it, stops between two ladder
+/// passes.  Checked only between gates, the same run would stop after the
+/// gate, reporting at least the gate's whole in-gate peak.
+#[test]
+fn composition_ladder_stops_between_passes() {
+    let n = 8;
+    let input = StateSet::basis_state(n, 0);
+    let gate = Gate::H(0);
+    let engine = Engine::composition();
+    let mut unbounded = input.automaton().clone();
+    let peak = apply_formula_in_place_interruptible(
+        &mut unbounded,
+        &update_formula(&gate).expect("H has an update formula"),
+        &engine.composition_options(),
+        None,
+    )
+    .expect("no interrupt, so the gate cannot stop early");
+    let output = engine.apply_gate(&input, &gate);
+    let cap = input.transition_count().max(output.transition_count()) as u64;
+    assert!(
+        peak.transitions as u64 > cap,
+        "the gate must outgrow its input and output"
+    );
+    let circuit = Circuit::from_gates(n, [gate]).expect("well-formed circuit");
+    let err = engine
+        .run(
+            &input,
+            &circuit,
+            governed(&Interrupt::new().with_max_transitions(cap)),
+        )
+        .expect_err("the ladder outgrows the budget");
+    match err.reason {
+        StopReason::Exhausted {
+            resource: Resource::Transitions,
+            limit,
+            observed,
+        } => {
+            assert_eq!(limit, cap);
+            assert!(
+                observed < peak.transitions as u64,
+                "observed {observed} must be below the in-gate peak {}: the run \
+                 stops between ladder passes, not after the gate",
+                peak.transitions
+            );
+        }
+        other => panic!("expected a transitions stop, got {other:?}"),
+    }
+    assert_eq!(err.partial_stats.gates_applied, 0);
 }
 
 #[test]

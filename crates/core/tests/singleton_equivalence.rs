@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 use autoq_amplitude::Algebraic;
 use autoq_circuit::{Circuit, Gate};
 use autoq_core::composition::{
-    apply_formula_in_place_interruptible, evaluate_with, is_single_state_dag, project_with, tag,
-    CompositionOptions,
+    apply_formula_in_place_interruptible, evaluate_with, is_single_state_dag, project_with,
+    tag_in_place, CompositionOptions,
 };
 use autoq_core::formula::update_formula;
 use autoq_core::{Engine, Interrupt, ReductionPolicy, Resource, RunOptions, StateSet, StopReason};
@@ -186,6 +186,13 @@ fn dense_map(n: u32, amplitudes: &[Algebraic], circuit: &Circuit) -> AmplitudeMa
     let mut state = DenseState::from_amplitudes(n, amplitudes.to_vec());
     state.apply_circuit(circuit);
     state.to_amplitude_map()
+}
+
+/// A tagged copy of `automaton`.
+fn tag(automaton: &TreeAutomaton) -> TreeAutomaton {
+    let mut tagged = automaton.clone();
+    tag_in_place(&mut tagged);
+    tagged
 }
 
 /// Every primitive of `gate` through the one-state path and through the
