@@ -1,19 +1,18 @@
 //! A small fixed std-only hasher for integer-keyed hot-path maps.
 //!
 //! `std`'s default `SipHash` is keyed per process to resist hash flooding.
-//! The workspace's hot maps are keyed by basis indices, amplitudes and
+//! The workspace's hot maps are keyed by amplitudes, interned ids and
 //! automaton state ids of circuits under analysis, never by untrusted
 //! input, and on them hashing dominates once the surrounding arithmetic is
 //! cheap.  [`FixedHasher`] folds each word in with one 64×64→128-bit
 //! multiply whose halves are XORed, so every input bit reaches the low bits
 //! `HashMap` indexes its buckets by.
 //!
-//! Measured on a 2-core VM: confirming the `random35` bug-hunt witness with
-//! the sparse simulator, back when it was pulled back through the 207-gate
-//! dagger circuit, took 0.6 s with it and 4.0 s with `SipHash`; the
-//! increment8 hunt row (hunt and confirmation) took ~1.1 s with it and
-//! ~1.75 s with `SipHash` keying the state-pair maps of its tagged
-//! products.
+//! Measured on a 2-core VM: the increment8 hunt row (hunt and
+//! confirmation) took ~1.1 s with it and ~1.75 s with `SipHash` keying the
+//! state-pair maps of its tagged products.  The sparse simulator no longer
+//! hashes basis indices at all: its states are sorted runs, and each gate
+//! is one merge pass over them.
 //!
 //! # Examples
 //!

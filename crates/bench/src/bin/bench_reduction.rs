@@ -57,8 +57,10 @@ fn main() {
         .unwrap_or_else(|| "BENCH_reduction.json".to_string());
 
     let mut entries: Vec<(String, String)> = Vec::new();
+    /// Seconds to the nanosecond, so sub-millisecond keys keep their
+    /// significant digits.
     fn record_secs(entries: &mut Vec<(String, String)>, key: &str, duration: Duration) {
-        let value = format!("{:.6}", duration.as_secs_f64());
+        let value = format!("{:.9}", duration.as_secs_f64());
         println!("{key}: {value}s");
         entries.push((key.to_string(), value));
     }

@@ -8,9 +8,10 @@
 //!
 //! * [`DenseState`] — a `2ⁿ`-element state vector; the work-horse oracle for
 //!   tests and small-to-medium circuits.
-//! * [`SparseState`] — a hash map from the basis indices of non-zero
-//!   amplitudes into a table holding each distinct amplitude once, so a
-//!   gate computes its exact arithmetic once per distinct amplitude (or
+//! * [`SparseState`] — the basis indices of the non-zero amplitudes in
+//!   ascending order, each pointing into a table holding each distinct
+//!   amplitude once, so a gate is one sequential pass over the entries and
+//!   computes its exact arithmetic once per distinct amplitude (or
 //!   amplitude pair), not once per entry; adequate for circuits that keep
 //!   states sparse (reversible circuits, BV, …) even at 128 qubits.
 //!   [`SparseState::from_tree`] converts a DAG-shared witness tree straight

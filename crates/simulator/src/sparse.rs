@@ -1,7 +1,9 @@
 //! Sparse state-vector simulation for wide but sparse states.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use autoq_amplitude::hash::FixedMap;
 use autoq_amplitude::{intern, Algebraic, AmpId};
@@ -16,7 +18,8 @@ const ZERO: u32 = u32::MAX;
 /// A memo slot not computed yet.
 const UNSET: u32 = u32::MAX - 1;
 
-/// A sparse quantum state: a map from basis indices to non-zero amplitudes.
+/// A sparse quantum state: the basis indices of its non-zero amplitudes,
+/// in ascending order, each with its amplitude.
 ///
 /// Unlike [`DenseState`](crate::DenseState), the sparse simulator scales to
 /// up to 128 qubits (basis states are `u128` indices) as long as the number
@@ -27,34 +30,43 @@ const UNSET: u32 = u32::MAX - 1;
 ///
 /// # Representation
 ///
-/// Circuit states hold few distinct amplitudes even when their support is
-/// large (a 35-qubit witness with 262,144 non-zero entries holds 96), so
-/// the state stores each distinct amplitude once: a hash map sends every
-/// basis index to a `u32` index into a table of distinct non-zero
-/// [`Algebraic`] values.  A gate computes its exact arithmetic once per
-/// distinct input and memoises the result for the rest of that gate:
+/// The entries are two parallel vectors sorted by basis index: the
+/// indices, strictly ascending, and for each a `u32` index into a table of
+/// distinct non-zero [`Algebraic`] values.  Circuit states hold few
+/// distinct amplitudes even when their support is large (a 35-qubit
+/// witness with 262,144 non-zero entries holds 96), so each is stored
+/// once, and a gate computes its exact arithmetic once per distinct input
+/// and memoises the result for the rest of that gate.  Every gate is one
+/// sequential pass that keeps the indices sorted; no basis index is ever
+/// hashed.  For a gate on the bit `m`, the entries sharing the bits above
+/// `m` are contiguous (a *block*), and within a block those with `m` clear
+/// come before those with `m` set, each run ordered by the bits below `m`:
 ///
-/// * permutation gates (`X`, `CNOT`, `SWAP`, Toffoli, Fredkin) rewrite keys
-///   and leave the table alone;
+/// * superposing gates (`H`, `Rx(π/2)`, `Ry(π/2)`) merge-join a block's
+///   two runs on the bits below `m` to pair each `b` with `b|m`, compute
+///   each distinct `(amplitude₀, amplitude₁)` pair once, and emit the
+///   block's outputs with `m` clear, then those with `m` set;
+/// * conditional bit flips (`X`, the flip of `Y`, `CNOT`, Toffoli) build
+///   each new run of a block as the merge of the old run's entries that
+///   stay and the other run's entries that flip, whether the controls sit
+///   above or below the target; `SWAP` and Fredkin are three such flips.
+///   Flips leave the values and the table alone;
 /// * phase gates (`Z`, `S`, `S†`, `T`, `T†`, `CZ`, and `Y` before its bit
-///   flip) compute each `(phase, amplitude)` product once;
-/// * superposing gates (`H`, `Rx(π/2)`, `Ry(π/2)`) visit every `b`/`b|mask`
-///   pair once and compute each `(amplitude₀, amplitude₁)` pair once.
+///   flip) rewrite the value indices in place, computing each
+///   `(phase, amplitude)` product once.
 ///
 /// **Memory bound.**  The memo lives for one gate, and the table is rebuilt
 /// from the values the gate's output actually uses, so every table value
 /// is used by some entry and the table is never larger than the support.
 /// A T-heavy circuit whose amplitudes all differ therefore costs at most
-/// one table value per entry, not an ever-growing table.
+/// one table value per entry, not an ever-growing table.  An entry costs
+/// 20 bytes, and a gate holds its input and its output at once.
 ///
-/// **Hasher.**  Basis indices are hashed by the workspace's fixed std-only
-/// [`FixedHasher`](autoq_amplitude::hash::FixedHasher) instead of
-/// `SipHash`: the keys are basis indices of circuits under test, not
-/// adversarial input, and hashing dominates once the arithmetic is
-/// memoised.  When confirmation still pulled the `random35` bug-hunt
-/// witness (262,144 entries) back through the 207-gate dagger circuit, the
-/// whole confirmation took 0.6 s with it and 4.0 s with `SipHash` on a
-/// 2-core VM.
+/// **Cost.**  Each gate reads its input in order and appends its output in
+/// order, so it runs at memory speed: pulling the `random35` bug-hunt
+/// witness (262,144 entries) back through its circuit takes 0.012–0.016 s
+/// on a 2-core VM, where probing a hash map of the basis indices, one
+/// cache miss after another, took 0.08–0.15 s.
 ///
 /// # Inverses
 ///
@@ -62,10 +74,10 @@ const UNSET: u32 = u32::MAX - 1;
 /// [`SparseState::try_apply_inverse`] pulls a state back through a circuit
 /// by walking the circuit's forward schedule backwards.  Pulling `U|b⟩`
 /// back that way passes exactly the forward run's intermediate states, so
-/// it costs about what the forward run costs: random35's witness pulls
-/// back in 0.12–0.15 s against 0.09–0.11 s for the forward run, where the
-/// dagger circuit (each `Rx(π/2)`/`Ry(π/2)` spelled as seven gates, under
-/// its own schedule) took ~0.8–0.9 s on the same 2-core VM.
+/// it costs about what the forward run costs, gate for gate, since every
+/// kernel is linear in the entries it reads and writes.  The dagger
+/// circuit (each `Rx(π/2)`/`Ry(π/2)` spelled as seven gates, under its own
+/// schedule) passes far more entries.
 ///
 /// # Examples
 ///
@@ -86,8 +98,10 @@ const UNSET: u32 = u32::MAX - 1;
 #[derive(Clone)]
 pub struct SparseState {
     num_qubits: u32,
-    /// Basis index → index into `values` of its (non-zero) amplitude.
-    entries: FixedMap<u128, u32>,
+    /// The basis indices of the non-zero amplitudes, strictly ascending.
+    keys: Vec<u128>,
+    /// `vals[i]` is the index into `values` of the amplitude of `keys[i]`.
+    vals: Vec<u32>,
     /// The distinct non-zero amplitudes, each used by at least one entry.
     values: Vec<Algebraic>,
 }
@@ -123,20 +137,25 @@ impl SparseState {
             "sparse simulation limited to {} qubits",
             basis::MAX_QUBITS
         );
-        let mut table = Table::default();
-        let mut map = FixedMap::default();
-        for (basis, amp) in entries {
-            basis::assert_in_range(num_qubits, basis);
-            let previous = map.insert(basis, table.intern(amp));
-            assert!(previous.is_none(), "basis index {basis} repeated");
+        let mut listed: Vec<(u128, Algebraic)> = entries
+            .into_iter()
+            .inspect(|&(basis, _)| basis::assert_in_range(num_qubits, basis))
+            .collect();
+        listed.sort_unstable_by_key(|&(basis, _)| basis);
+        if let Some(pair) = listed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            panic!("basis index {} repeated", pair[0].0);
         }
-        map.retain(|_, value| *value != ZERO);
-        let state = SparseState {
-            num_qubits,
-            entries: map,
-            values: table.into_values(),
-        };
-        debug_assert!(state.table_is_tight());
+        let mut table = Table::default();
+        let mut state = SparseState::empty(num_qubits, listed.len());
+        for (basis, amp) in listed {
+            let value = table.intern(amp);
+            if value != ZERO {
+                state.keys.push(basis);
+                state.vals.push(value);
+            }
+        }
+        state.values = table.into_values();
+        debug_assert!(state.invariants_hold());
         state
     }
 
@@ -147,17 +166,17 @@ impl SparseState {
     ///
     /// The conversion enumerates only the tree's non-zero amplitudes
     /// ([`Tree::for_each_nonzero`]), so a 35-qubit basis-state witness
-    /// costs a handful of map entries, not `2^35` leaves.  Entries go
-    /// straight into the state's map, and each distinct leaf amplitude is
-    /// resolved from its interned id once: random35's 262,144-entry witness
-    /// converts in ~0.04 s on a 2-core VM, where going through
-    /// [`Tree::to_amplitude_map`] took ~0.2 s.
+    /// costs a handful of entries, not `2^35` leaves.  That walk lists them
+    /// in ascending basis order, so they are appended as they come, with no
+    /// map and no sort, and each distinct leaf amplitude is resolved from
+    /// its interned id once: random35's 262,144-entry witness converts in
+    /// 0.012–0.013 s on a 2-core VM, most of it the DAG walk.
     ///
     /// # Panics
     ///
     /// Panics if the witness support exceeds
     /// [`SparseState::MAX_TREE_SUPPORT`] non-zero amplitudes (materialising
-    /// it as a map would defeat the sparse representation); check
+    /// it entry by entry would defeat the sparse representation); check
     /// `tree.support_size()` against that constant first to degrade
     /// gracefully instead.
     ///
@@ -182,28 +201,36 @@ impl SparseState {
             "sparse simulation limited to {} qubits",
             basis::MAX_QUBITS
         );
-        let mut entries = FixedMap::with_capacity_and_hasher(support as usize, Default::default());
+        let mut state = SparseState::empty(num_qubits, support as usize);
         // Interned ids are canonical, so distinct ids are distinct non-zero
         // values: each is resolved once and the table comes out tight.
         let mut slots: FixedMap<AmpId, u32> = FixedMap::default();
-        let mut values = Vec::new();
         tree.for_each_nonzero(|basis, amp| {
             basis::assert_in_range(num_qubits, basis);
-            let next = u32::try_from(values.len()).expect("amplitude table overflow");
+            assert!(
+                state.keys.last().map_or(true, |&last| last < basis),
+                "basis index {basis} repeated or out of order"
+            );
+            let next = u32::try_from(state.values.len()).expect("amplitude table overflow");
             let value = *slots.entry(amp).or_insert_with(|| {
-                values.push(intern::resolve(amp));
+                state.values.push(intern::resolve(amp));
                 next
             });
-            let previous = entries.insert(basis, value);
-            assert!(previous.is_none(), "basis index {basis} repeated");
+            state.keys.push(basis);
+            state.vals.push(value);
         });
-        let state = SparseState {
-            num_qubits,
-            entries,
-            values,
-        };
-        debug_assert!(state.table_is_tight());
+        debug_assert!(state.invariants_hold());
         state
+    }
+
+    /// A state with no entries yet, room for `capacity`, and no table.
+    fn empty(num_qubits: u32, capacity: usize) -> Self {
+        SparseState {
+            num_qubits,
+            keys: Vec::with_capacity(capacity),
+            vals: Vec::with_capacity(capacity),
+            values: Vec::new(),
+        }
     }
 
     /// Number of qubits.
@@ -213,22 +240,22 @@ impl SparseState {
 
     /// Number of non-zero amplitudes.
     pub fn support_size(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// The amplitude of `|basis⟩` (zero if absent).
     pub fn amplitude(&self, basis: u128) -> Algebraic {
-        self.entries
-            .get(&basis)
-            .map_or_else(Algebraic::zero, |&value| {
-                self.values[value as usize].clone()
-            })
+        self.keys.binary_search(&basis).map_or_else(
+            |_| Algebraic::zero(),
+            |at| self.values[self.vals[at] as usize].clone(),
+        )
     }
 
     /// The non-zero amplitudes, ordered by basis index.
     pub fn to_amplitude_map(&self) -> BTreeMap<u128, Algebraic> {
-        self.entries
+        self.keys
             .iter()
+            .zip(&self.vals)
             .map(|(&basis, &value)| (basis, self.values[value as usize].clone()))
             .collect()
     }
@@ -239,12 +266,13 @@ impl SparseState {
     /// all differ clones nothing.
     pub fn into_amplitude_map(self) -> BTreeMap<u128, Algebraic> {
         let mut uses = vec![0u32; self.values.len()];
-        for &value in self.entries.values() {
+        for &value in &self.vals {
             uses[value as usize] += 1;
         }
         let mut values = self.values;
-        self.entries
+        self.keys
             .into_iter()
+            .zip(self.vals)
             .map(|(basis, value)| {
                 let value = value as usize;
                 uses[value] -= 1;
@@ -260,8 +288,8 @@ impl SparseState {
 
     /// Total squared norm (should be 1).
     pub fn total_probability(&self) -> f64 {
-        self.entries
-            .values()
+        self.vals
+            .iter()
             .map(|&value| self.values[value as usize].norm_sqr())
             .sum()
     }
@@ -280,16 +308,13 @@ impl SparseState {
             assert!(q < self.num_qubits, "gate qubit {q} out of range");
         }
         match *gate {
-            Gate::X(q) => {
-                let mask = self.mask(q);
-                self.permute(|b| b ^ mask);
-            }
+            Gate::X(q) => self.flip(self.mask(q), 0),
             Gate::Y(q) => {
                 // |0⟩ → i|1⟩ and |1⟩ → −i|0⟩: the phase by the source bit,
                 // then the flip.
                 let mask = self.mask(q);
                 self.phase([2, 6], |b| usize::from(b & mask != 0));
-                self.permute(|b| b ^ mask);
+                self.flip(mask, 0);
             }
             Gate::Z(q) => self.phase_if_set(self.mask(q), 4),
             Gate::S(q) => self.phase_if_set(self.mask(q), 2),
@@ -309,29 +334,22 @@ impl SparseState {
             Gate::RyPi2(q) => self.superpose(self.mask(q), |v0, v1| {
                 ((v0 - v1).div_sqrt2(), (v0 + v1).div_sqrt2())
             }),
-            Gate::Cnot { control, target } => {
-                let (c, t) = (self.mask(control), self.mask(target));
-                self.permute(|b| if b & c != 0 { b ^ t } else { b });
-            }
+            Gate::Cnot { control, target } => self.flip(self.mask(target), self.mask(control)),
             Gate::Cz { control, target } => {
                 self.phase_if_set(self.mask(control) | self.mask(target), 4)
             }
-            Gate::Swap(a, b) => {
-                let (ma, mb) = (self.mask(a), self.mask(b));
-                self.permute(|x| swap_bits(x, ma, mb));
-            }
-            Gate::Toffoli { controls, target } => {
-                let c = self.mask(controls[0]) | self.mask(controls[1]);
-                let t = self.mask(target);
-                self.permute(|b| if b & c == c { b ^ t } else { b });
-            }
-            Gate::Fredkin { control, targets } => {
-                let c = self.mask(control);
-                let (ma, mb) = (self.mask(targets[0]), self.mask(targets[1]));
-                self.permute(|x| if x & c != 0 { swap_bits(x, ma, mb) } else { x });
-            }
+            Gate::Swap(a, b) => self.swap(self.mask(a), self.mask(b), 0),
+            Gate::Toffoli { controls, target } => self.flip(
+                self.mask(target),
+                self.mask(controls[0]) | self.mask(controls[1]),
+            ),
+            Gate::Fredkin { control, targets } => self.swap(
+                self.mask(targets[0]),
+                self.mask(targets[1]),
+                self.mask(control),
+            ),
         }
-        debug_assert!(self.table_is_tight());
+        debug_assert!(self.invariants_hold());
     }
 
     /// Applies the exact inverse of one gate in place, as one gate:
@@ -354,25 +372,70 @@ impl SparseState {
                     let i = Algebraic::i();
                     ((v0 + &(v1 * &i)).div_sqrt2(), (&(v0 * &i) + v1).div_sqrt2())
                 });
-                debug_assert!(self.table_is_tight());
+                debug_assert!(self.invariants_hold());
             }
             Gate::RyPi2(q) => {
                 assert!(q < self.num_qubits, "gate qubit {q} out of range");
                 self.superpose(self.mask(q), |v0, v1| {
                     ((v0 + v1).div_sqrt2(), (v1 - v0).div_sqrt2())
                 });
-                debug_assert!(self.table_is_tight());
+                debug_assert!(self.invariants_hold());
             }
             _ => self.apply_gate(gate),
         }
     }
 
-    /// Sends each `|b⟩` to `|to(b)⟩` (`to` must be a bijection): keys are
-    /// rewritten, amplitudes and the table stay.
-    fn permute(&mut self, to: impl Fn(u128) -> u128) {
-        let mut next = FixedMap::with_capacity_and_hasher(self.entries.len(), Default::default());
-        next.extend(self.entries.drain().map(|(b, value)| (to(b), value)));
-        self.entries = next;
+    /// Flips the `target` bit of every `|b⟩` that has all `controls` bits
+    /// set (`controls` excludes `target`): amplitudes and the table stay.
+    ///
+    /// Flipping `target` moves an entry between the two runs of its block,
+    /// and keeps its bits below `target` and its controls, so each new run
+    /// is the merge of the old run's entries that do not fire with the
+    /// other run's entries that do.
+    fn flip(&mut self, target: u128, controls: u128) {
+        let fires = |b: u128| b & controls == controls;
+        let mut next = SparseState::empty(self.num_qubits, self.keys.len());
+        let (keys, vals) = (&self.keys, &self.vals);
+        let mut merge = |stay: Range<usize>, moved: Range<usize>| {
+            let (mut i, mut j) = (stay.start, moved.start);
+            loop {
+                while i < stay.end && fires(keys[i]) {
+                    i += 1;
+                }
+                while j < moved.end && !fires(keys[j]) {
+                    j += 1;
+                }
+                let take_stay = match (i < stay.end, j < moved.end) {
+                    (true, true) => keys[i] < keys[j] ^ target,
+                    (true, false) => true,
+                    (false, true) => false,
+                    (false, false) => break,
+                };
+                if take_stay {
+                    next.keys.push(keys[i]);
+                    next.vals.push(vals[i]);
+                    i += 1;
+                } else {
+                    next.keys.push(keys[j] ^ target);
+                    next.vals.push(vals[j]);
+                    j += 1;
+                }
+            }
+        };
+        for_each_block(keys, target, |clear, set| {
+            merge(clear.clone(), set.clone());
+            merge(set, clear);
+        });
+        self.keys = next.keys;
+        self.vals = next.vals;
+    }
+
+    /// Exchanges the bits `a` and `b` of every `|x⟩` that has all
+    /// `controls` bits set, as three conditional flips.
+    fn swap(&mut self, a: u128, b: u128, controls: u128) {
+        self.flip(b, a);
+        self.flip(a, b | controls);
+        self.flip(b, a);
     }
 
     /// Multiplies the amplitude of every `|b⟩` with all `mask` bits set by
@@ -387,7 +450,7 @@ impl SparseState {
         let old = std::mem::take(&mut self.values);
         let mut table = Table::default();
         let mut memo = vec![UNSET; 2 * old.len()];
-        for (&b, value) in self.entries.iter_mut() {
+        for (&b, value) in self.keys.iter().zip(&mut self.vals) {
             let s = slot(b);
             let result = &mut memo[s * old.len() + *value as usize];
             if *result == UNSET {
@@ -398,9 +461,11 @@ impl SparseState {
         self.values = table.into_values();
     }
 
-    /// Applies a single-qubit gate that mixes `|b⟩` (bit clear) with
-    /// `|b|mask⟩`: `f(v₀, v₁)` gives the pair's new amplitudes.  Each pair
-    /// is visited once and each distinct `(v₀, v₁)` is computed once.
+    /// Applies a single-qubit gate on the bit `mask` that mixes `|b⟩` (bit
+    /// clear) with `|b|mask⟩`: `f(v₀, v₁)` gives the pair's new amplitudes.
+    /// Each block's two runs are merge-joined on the bits below `mask`, so
+    /// each pair is visited once, and each distinct `(v₀, v₁)` is computed
+    /// once.
     fn superpose(
         &mut self,
         mask: u128,
@@ -417,42 +482,66 @@ impl SparseState {
         };
         let mut table = Table::default();
         let mut memo: FixedMap<u64, (u32, u32)> = FixedMap::default();
-        let mut next = FixedMap::with_capacity_and_hasher(self.entries.len(), Default::default());
-        for (&b, &value) in &self.entries {
-            let (low, v0, v1) = if b & mask == 0 {
-                let partner = self.entries.get(&(b | mask)).copied();
-                (b, value, partner.unwrap_or(ZERO))
-            } else if self.entries.contains_key(&(b & !mask)) {
-                // Visited from its partner.
-                continue;
-            } else {
-                (b & !mask, ZERO, value)
-            };
-            let key = (u64::from(v0) << 32) | u64::from(v1);
-            let (n0, n1) = *memo.entry(key).or_insert_with(|| {
-                let (a0, a1) = f(amp(v0), amp(v1));
-                (table.intern(a0), table.intern(a1))
-            });
-            if n0 != ZERO {
-                next.insert(low, n0);
+        let mut next = SparseState::empty(self.num_qubits, self.keys.len());
+        // The current block's outputs with the bit set, emitted after its
+        // outputs with the bit clear.
+        let mut set_run: Vec<(u128, u32)> = Vec::new();
+        let (keys, vals) = (&self.keys, &self.vals);
+        for_each_block(keys, mask, |clear, set| {
+            let (mut i, mut j) = (clear.start, set.start);
+            while i < clear.end || j < set.end {
+                // `keys[j] ^ mask` is the partner of `keys[j]`, bit clear.
+                let order = match (i < clear.end, j < set.end) {
+                    (true, true) => keys[i].cmp(&(keys[j] ^ mask)),
+                    (true, false) => Ordering::Less,
+                    (false, _) => Ordering::Greater,
+                };
+                let (low, v0, v1) = match order {
+                    Ordering::Less => (keys[i], vals[i], ZERO),
+                    Ordering::Greater => (keys[j] ^ mask, ZERO, vals[j]),
+                    Ordering::Equal => (keys[i], vals[i], vals[j]),
+                };
+                i += usize::from(order != Ordering::Greater);
+                j += usize::from(order != Ordering::Less);
+                let key = (u64::from(v0) << 32) | u64::from(v1);
+                let (n0, n1) = *memo.entry(key).or_insert_with(|| {
+                    let (a0, a1) = f(amp(v0), amp(v1));
+                    (table.intern(a0), table.intern(a1))
+                });
+                if n0 != ZERO {
+                    next.keys.push(low);
+                    next.vals.push(n0);
+                }
+                if n1 != ZERO {
+                    set_run.push((low | mask, n1));
+                }
             }
-            if n1 != ZERO {
-                next.insert(low | mask, n1);
+            for (b, value) in set_run.drain(..) {
+                next.keys.push(b);
+                next.vals.push(value);
             }
-        }
-        self.entries = next;
+        });
+        self.keys = next.keys;
+        self.vals = next.vals;
         self.values = table.into_values();
     }
 
-    /// Whether the table holds distinct non-zero values, each used by some
-    /// entry — the invariant that bounds the table by the support.
-    fn table_is_tight(&self) -> bool {
+    /// Whether the state is well formed: the basis indices are strictly
+    /// ascending, each has one value, and the table holds distinct non-zero
+    /// values, each used by some entry (which bounds the table by the
+    /// support).
+    fn invariants_hold(&self) -> bool {
         let mut used = vec![false; self.values.len()];
-        for &value in self.entries.values() {
-            used[value as usize] = true;
+        for &value in &self.vals {
+            match used.get_mut(value as usize) {
+                Some(u) => *u = true,
+                None => return false,
+            }
         }
         let mut table = Table::default();
-        used.into_iter().all(|u| u)
+        self.keys.len() == self.vals.len()
+            && self.keys.windows(2).all(|pair| pair[0] < pair[1])
+            && used.into_iter().all(|u| u)
             && self
                 .values
                 .iter()
@@ -627,12 +716,12 @@ impl SparseState {
 impl PartialEq for SparseState {
     fn eq(&self, other: &Self) -> bool {
         self.num_qubits == other.num_qubits
-            && self.entries.len() == other.entries.len()
-            && self.entries.iter().all(|(b, &value)| {
-                other.entries.get(b).is_some_and(|&theirs| {
-                    self.values[value as usize] == other.values[theirs as usize]
-                })
-            })
+            && self.keys == other.keys
+            && self
+                .vals
+                .iter()
+                .zip(&other.vals)
+                .all(|(&ours, &theirs)| self.values[ours as usize] == other.values[theirs as usize])
     }
 }
 
@@ -688,12 +777,27 @@ fn common_run<'g>(a: impl Iterator<Item = &'g Gate>, b: impl Iterator<Item = &'g
     a.zip(b).take_while(|(x, y)| x == y).count()
 }
 
-/// Exchanges the bits `a` and `b` (single-bit masks) of `x`.
-fn swap_bits(x: u128, a: u128, b: u128) -> u128 {
-    if (x & a != 0) == (x & b != 0) {
-        x
-    } else {
-        x ^ (a | b)
+/// Splits `keys` (strictly ascending) into blocks of equal bits above
+/// `bit` and calls `f(clear, set)` with each block's run of positions with
+/// `bit` clear and its run with `bit` set, either possibly empty.  Each run
+/// is ordered by the bits below `bit`.
+fn for_each_block(keys: &[u128], bit: u128, mut f: impl FnMut(Range<usize>, Range<usize>)) {
+    // Written without `bit << 1`, which overflows for bit 127.
+    let below = bit - 1;
+    let above = !(bit | below);
+    let mut start = 0;
+    while start < keys.len() {
+        let block = keys[start] & above;
+        let mut split = start;
+        while split < keys.len() && keys[split] & !below == block {
+            split += 1;
+        }
+        let mut end = split;
+        while end < keys.len() && keys[end] & above == block {
+            end += 1;
+        }
+        f(start..split, split..end);
+        start = end;
     }
 }
 

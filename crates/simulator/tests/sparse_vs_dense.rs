@@ -266,6 +266,90 @@ fn equality_ignores_the_order_tables_were_filled_in() {
     }
 }
 
+/// Every gate kind, and its inverse, on 3 qubits of a 128-qubit register,
+/// drawn from {0, 1, 63, 64, 126, 127} in every order (so controls sit both
+/// above and below the target, and qubit 0 is bit 127, the top bit).  The
+/// other 125 qubits hold one of three random patterns, each under its own
+/// random superposition of the 3 touched qubits, so a gate meets several
+/// blocks of entries; each pattern's output must be what `DenseState`
+/// computes on the 3 touched qubits alone.
+#[test]
+fn every_gate_kind_matches_dense_on_the_edges_of_a_128_qubit_register() {
+    const N: u32 = 128;
+    const EDGES: [u32; 6] = [0, 1, 63, 64, 126, 127];
+    let mut rng = StdRng::seed_from_u64(157);
+    let local_kinds = every_kind(&[0, 1, 2]);
+    for &a in &EDGES {
+        for &b in &EDGES {
+            for &c in &EDGES {
+                if a == b || b == c || a == c {
+                    continue;
+                }
+                let touched = [a, b, c];
+                // Local basis index `l` (qubit k of the local state is bit
+                // 2 − k) placed at the touched qubits of the register.
+                let place = |l: u128| {
+                    (0..3)
+                        .filter(|k| l >> (2 - k) & 1 == 1)
+                        .fold(0u128, |b, k| b | 1 << (N - 1 - touched[k]))
+                };
+                let touched_bits = place(0b111);
+                let mut patterns = Vec::new();
+                while patterns.len() < 3 {
+                    let pattern = rng.gen::<u128>() & !touched_bits;
+                    if !patterns.contains(&pattern) {
+                        patterns.push(pattern);
+                    }
+                }
+                let locals: Vec<_> = patterns
+                    .iter()
+                    .map(|_| superposed_input(3, &mut rng))
+                    .collect();
+                let wide: Vec<(u128, Algebraic)> = patterns
+                    .iter()
+                    .zip(&locals)
+                    .flat_map(|(&pattern, local)| {
+                        local
+                            .iter()
+                            .map(move |(l, amp)| (pattern | place(*l), amp.clone()))
+                    })
+                    .collect();
+                for (gate, local_gate) in every_kind(&touched).into_iter().zip(&local_kinds) {
+                    for inverse in [false, true] {
+                        let mut sparse = SparseState::from_amplitudes(N, wide.iter().cloned());
+                        let mut expected = Vec::new();
+                        for (&pattern, local) in patterns.iter().zip(&locals) {
+                            let mut dense = dense_of(3, local);
+                            if inverse {
+                                for g in local_gate.dagger() {
+                                    dense.apply_gate(&g);
+                                }
+                            } else {
+                                dense.apply_gate(local_gate);
+                            }
+                            for (l, amp) in dense.to_amplitude_map() {
+                                expected.push((pattern | place(l), amp));
+                            }
+                        }
+                        if inverse {
+                            sparse.apply_gate_inverse(&gate);
+                        } else {
+                            sparse.apply_gate(&gate);
+                        }
+                        // State equality compares the entries in order, so
+                        // it also catches a kernel that leaves them unsorted.
+                        assert_eq!(
+                            sparse,
+                            SparseState::from_amplitudes(N, expected),
+                            "{gate:?} (inverse: {inverse}) on 128 qubits"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 #[ignore = "~2000 random circuits: run in release (--include-ignored)"]
 fn long_differential_run_over_every_gate_kind() {
