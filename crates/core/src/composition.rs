@@ -93,10 +93,15 @@
 //!   memoised on the node pair, with [`intern::combine`] on the leaves
 //!   (adding or subtracting an all-zero subtree returns the other operand).
 //!
-//! One evaluator covers every gate, controls below the target included.
-//! The nodes the root reaches are emitted as an untagged automaton, one
-//! state and one transition per node, so the result is already reduced
-//! (debug builds assert it); the peak reports the nodes built.
+//! `Proj`, `Restrict` and `Scale` visit only nodes that exist when their
+//! walk starts, whose ids are dense, so they memoise in a vector indexed by
+//! node id; `Combine` keys its memo on the node pair.  One evaluator covers
+//! every gate, controls below the target included.  The nodes the root
+//! reaches are emitted as an untagged automaton, one state and one
+//! transition per node, so the result is already reduced: `reduce` would
+//! return it unchanged (debug builds assert it).  The peak reports the
+//! nodes built and sets [`FormulaPeak::reduced`], and the engine counts the
+//! reduction its policy asks for after such a gate without running it.
 //!
 //! # The basis path
 //!
@@ -194,6 +199,9 @@ pub struct FormulaPeak {
     pub states: usize,
     /// Largest transition count anywhere, including between swap passes.
     pub transitions: usize,
+    /// `true` if the gate's output is already reduced, so `reduce` would
+    /// return it unchanged: set by the one-state path only.
+    pub reduced: bool,
 }
 
 /// The state of one formula evaluation: the peak-size watermarks (so the
@@ -263,9 +271,10 @@ impl<'a> EvalCtx<'a> {
 /// With [`CompositionOptions::hybrid_fast_paths`] set, two inputs skip the
 /// ladder.  One that [`is_single_state_dag`] accepts runs the formula on a
 /// hash-consed DAG; the peak reports the DAG nodes built, and the result is
-/// already reduced.  Otherwise, one that [`is_basis_set`] accepts, under a
-/// formula that permutes basis states with every entry exactly 1, is
-/// rewritten by guess-and-verify; the peak reports the output's size.
+/// already reduced ([`FormulaPeak::reduced`]).  Otherwise, one that
+/// [`is_basis_set`] accepts, under a formula that permutes basis states
+/// with every entry exactly 1, is rewritten by guess-and-verify; the peak
+/// reports the output's size.
 pub fn apply_formula_in_place_interruptible(
     automaton: &mut TreeAutomaton,
     formula: &UpdateExpr,
@@ -282,6 +291,7 @@ pub fn apply_formula_in_place_interruptible(
             let peak = FormulaPeak {
                 states: result.state_count(),
                 transitions: result.transition_count(),
+                reduced: false,
             };
             if let Some(interrupt) = interrupt {
                 interrupt.check_sizes(peak.states, peak.transitions)?;
@@ -1457,6 +1467,11 @@ const LEAF: u32 = 1 << 31;
 const NO_TRANSITION: u32 = u32::MAX;
 const SEVERAL: u32 = u32::MAX - 1;
 
+/// An empty slot of the memo of [`Dag::rewrite_layer`] and [`Dag::scale`]:
+/// both walk only nodes that exist when they start, so each memoises in a
+/// vector with one slot per node id that exists then.
+const UNVISITED: u32 = u32::MAX;
+
 impl Dag {
     /// Imports `automaton` if [`is_single_state_dag`] holds for it: one
     /// scan assigns each state its one transition, then one walk from the
@@ -1586,9 +1601,8 @@ impl Dag {
             Dag::from_single_state(&result).is_some(),
             "the one-state path must emit one transition per state, layered"
         );
-        debug_assert_eq!(
-            result.reduce().state_count(),
-            result.state_count(),
+        debug_assert!(
+            result.reduce() == result,
             "the one-state path must emit a reduced automaton"
         );
         let built = self.nodes.len();
@@ -1597,6 +1611,7 @@ impl Dag {
             FormulaPeak {
                 states: built,
                 transitions: built,
+                reduced: true,
             },
         ))
     }
@@ -1647,7 +1662,7 @@ impl Dag {
             }
             UpdateExpr::Scale { factor, ref inner } => {
                 let inner = self.eval(inner, interrupt)?;
-                self.scale(inner, factor, &mut FixedMap::default())
+                self.scale(inner, factor, &mut vec![UNVISITED; self.nodes.len()])
             }
             UpdateExpr::Combine {
                 sign,
@@ -1664,14 +1679,15 @@ impl Dag {
     }
 
     /// Rebuilds the paths from `root` down to depth `qubit`, replacing
-    /// each branch `(left, right)` there by `at_qubit(left, right)`.
+    /// each branch `(left, right)` there by `at_qubit(left, right)`, which
+    /// must return nodes that exist already.
     fn rewrite_layer(
         &mut self,
         root: u32,
         qubit: u32,
         at_qubit: impl Fn(u32, u32) -> (u32, u32) + Copy,
     ) -> u32 {
-        let mut memo = FixedMap::default();
+        let mut memo = vec![UNVISITED; self.nodes.len()];
         self.rewrite_from(root, 0, qubit, at_qubit, &mut memo)
     }
 
@@ -1681,10 +1697,10 @@ impl Dag {
         depth: u32,
         qubit: u32,
         at_qubit: impl Fn(u32, u32) -> (u32, u32) + Copy,
-        memo: &mut FixedMap<u32, u32>,
+        memo: &mut [u32],
     ) -> u32 {
-        if let Some(&done) = memo.get(&node) {
-            return done;
+        if memo[node as usize] != UNVISITED {
+            return memo[node as usize];
         }
         let (left, right) = self.children(node);
         let (left, right) = if depth == qubit {
@@ -1696,14 +1712,14 @@ impl Dag {
             )
         };
         let rewritten = self.branch(left, right);
-        memo.insert(node, rewritten);
+        memo[node as usize] = rewritten;
         rewritten
     }
 
     /// Multiplies every leaf under `node` by `factor`.
-    fn scale(&mut self, node: u32, factor: ScaleFactor, memo: &mut FixedMap<u32, u32>) -> u32 {
-        if let Some(&done) = memo.get(&node) {
-            return done;
+    fn scale(&mut self, node: u32, factor: ScaleFactor, memo: &mut [u32]) -> u32 {
+        if memo[node as usize] != UNVISITED {
+            return memo[node as usize];
         }
         let scaled = match self.nodes[node as usize] {
             DagNode::Leaf(amp) => {
@@ -1716,7 +1732,7 @@ impl Dag {
                 self.branch(left, right)
             }
         };
-        memo.insert(node, scaled);
+        memo[node as usize] = scaled;
         scaled
     }
 

@@ -4,7 +4,7 @@ use autoq_circuit::schedule::interference_schedule;
 use autoq_circuit::{Circuit, Gate};
 use autoq_treeaut::TreeAutomaton;
 
-use crate::composition::CompositionOptions;
+use crate::composition::{CompositionOptions, FormulaPeak};
 use crate::formula::update_formula;
 use crate::interrupt::{Interrupt, Interrupted, StopReason};
 use crate::{composition, permutation, StateSet};
@@ -79,7 +79,9 @@ pub struct ApplyStats {
     /// *or* inside a composition gate, between the passes of its swap
     /// ladders included.
     pub peak_transitions: usize,
-    /// Number of reduction passes that actually ran.
+    /// Number of reductions the policy applied.  A gate the one-state path
+    /// left reduced counts without re-running `reduce` (see `composition`'s
+    /// *The one-state path*).
     pub reductions: usize,
     /// Number of user-level gates applied.
     pub gates_applied: usize,
@@ -240,9 +242,11 @@ impl Engine {
         interrupt: Option<&Interrupt>,
     ) -> Result<(), StopReason> {
         let mut used_composition = false;
+        let mut already_reduced = false;
         for primitive in gate.decompose() {
-            used_composition |=
-                self.apply_primitive_in_place(automaton, &primitive, stats, interrupt)?;
+            let peak = self.apply_primitive_in_place(automaton, &primitive, stats, interrupt)?;
+            used_composition |= peak.is_some();
+            already_reduced = peak.is_some_and(|peak| peak.reduced);
             stats.observe(automaton);
             if let Some(interrupt) = interrupt {
                 interrupt.check(stats)?;
@@ -259,7 +263,17 @@ impl Engine {
             }
         };
         if reduce {
-            *automaton = automaton.reduce();
+            // The one-state path emits its own reduction: running `reduce`
+            // on it would return it unchanged, so the pass is counted, not
+            // re-run.
+            if already_reduced {
+                debug_assert!(
+                    automaton.reduce() == *automaton,
+                    "the one-state path's output must be its own reduction"
+                );
+            } else {
+                *automaton = automaton.reduce();
+            }
             *baseline = automaton.transition_count();
             stats.reductions += 1;
         }
@@ -267,7 +281,8 @@ impl Engine {
     }
 
     /// Applies a primitive (already decomposed) gate to the working
-    /// automaton; returns `true` if the composition-based encoding was used.
+    /// automaton; returns the gate's [`FormulaPeak`] if the
+    /// composition-based encoding was used, `None` for the permutation one.
     /// Composition gates also report the peak automaton size reached
     /// *inside* the gate into `stats` — the tagged products and ladders
     /// outgrow the gate's output — and check the interrupt between ladder
@@ -278,14 +293,14 @@ impl Engine {
         gate: &Gate,
         stats: &mut ApplyStats,
         interrupt: Option<&Interrupt>,
-    ) -> Result<bool, StopReason> {
+    ) -> Result<Option<FormulaPeak>, StopReason> {
         let use_permutation = match self.kind {
             EngineKind::Hybrid => permutation::supports(gate),
             EngineKind::Composition => false,
         };
         if use_permutation {
             permutation::apply_in_place(automaton, gate);
-            Ok(false)
+            Ok(None)
         } else {
             let formula =
                 update_formula(gate).expect("primitive gates always have an update formula");
@@ -297,7 +312,7 @@ impl Engine {
             )?;
             stats.peak_states = stats.peak_states.max(in_gate_peak.states);
             stats.peak_transitions = stats.peak_transitions.max(in_gate_peak.transitions);
-            Ok(true)
+            Ok(Some(in_gate_peak))
         }
     }
 

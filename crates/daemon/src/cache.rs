@@ -13,9 +13,9 @@
 //! formats, both served through a [`VerdictStore`]:
 //!
 //! * the **snapshot** (magic `AQVC`) — the whole map in one blob, streamed
-//!   to the store entry by entry in key order.  A corrupt or truncated
-//!   snapshot is *rejected as a whole*: the daemon then starts with an
-//!   empty cache rather than trusting partial data.  Once a snapshot is
+//!   to the store entry by entry, shard by shard, each shard in key order.
+//!   A corrupt or truncated snapshot is *rejected as a whole*: the daemon
+//!   then starts with an empty cache rather than trusting partial data.  Once a snapshot is
 //!   saved, the cache drops the bodies it holds from memory and reads them
 //!   back from the snapshot on demand (see [`VerdictCache`]).
 //! * the **journal** (record tag `AQVJ` semantics) — an append-only
@@ -40,8 +40,9 @@ use crate::wire::{Decoder, Encoder, WireError};
 /// Snapshot magic: **A**uto**Q** **V**erdict **C**ache.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"AQVC";
 
-/// Snapshot format version.
-pub const SNAPSHOT_VERSION: u8 = 1;
+/// Snapshot format version.  Version 2 writes one section per cache
+/// shard, each a varint count and its entries sorted by key.
+pub const SNAPSHOT_VERSION: u8 = 2;
 
 /// Journal record framing: `[payload len: u32 LE][fnv1a32(payload): u32 LE]`
 /// followed by the payload (one snapshot-format entry).
@@ -405,9 +406,11 @@ impl VerdictCache {
     /// records each entry's stamp with where its body went (24 bytes per
     /// entry, not the body).
     ///
-    /// The keys are collected and sorted first, so equal caches snapshot
-    /// to identical bytes regardless of how entries landed in shards; each
-    /// entry is then copied out under its shard's lock (a stored body is
+    /// After the header come [`NUM_SHARDS`] sections, one per shard in
+    /// shard order: its entry count, then its entries sorted by key.  A
+    /// key's shard depends on the key alone, so equal caches snapshot to
+    /// identical bytes, and only one shard's keys are held at a time.
+    /// Each entry is copied out under its shard's lock (a stored body is
     /// read back after it) and written.  Only this method removes entries,
     /// so every collected key is still there when its turn comes (a
     /// concurrent overwrite just snapshots the newer verdict).  A stored
@@ -418,35 +421,41 @@ impl VerdictCache {
         out: &mut dyn Write,
         written: &mut Vec<(u64, BodyRange)>,
     ) -> io::Result<()> {
-        let mut keys: Vec<VerdictKey> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            keys.extend(lock(shard).keys().copied());
-        }
-        keys.sort_by_key(|k| (k.circuit, k.spec));
+        written.reserve_exact(self.len());
         let mut enc = Encoder::default();
         for &byte in SNAPSHOT_MAGIC {
             enc.put_u8(byte);
         }
         enc.put_u8(SNAPSHOT_VERSION);
-        enc.put_varint(keys.len() as u64);
         let header = enc.finish();
         out.write_all(&header)?;
         let mut offset = header.len();
-        for key in keys {
-            let (stamp, body) = self
-                .stamped_body(&key)
-                .ok_or_else(|| io::Error::other("verdict cache entry vanished"))?;
-            let Some(body) = body else {
-                self.forget(&key, stamp);
-                return Err(io::Error::other("a stored verdict body did not read back"));
-            };
+        let mut keys: Vec<VerdictKey> = Vec::new();
+        for shard in &self.shards {
+            keys.clear();
+            keys.extend(lock(shard).keys().copied());
+            keys.sort_unstable_by_key(|k| (k.circuit, k.spec));
             let mut enc = Encoder::default();
-            encode_key(&mut enc, &key);
-            let mut entry = enc.finish();
-            written.push((stamp, BodyRange::of(offset + entry.len(), &body)));
-            entry.extend_from_slice(&body);
-            out.write_all(&entry)?;
-            offset += entry.len();
+            enc.put_varint(keys.len() as u64);
+            let count = enc.finish();
+            out.write_all(&count)?;
+            offset += count.len();
+            for key in &keys {
+                let (stamp, body) = self
+                    .stamped_body(key)
+                    .ok_or_else(|| io::Error::other("verdict cache entry vanished"))?;
+                let Some(body) = body else {
+                    self.forget(key, stamp);
+                    return Err(io::Error::other("a stored verdict body did not read back"));
+                };
+                let mut enc = Encoder::default();
+                encode_key(&mut enc, key);
+                let mut entry = enc.finish();
+                written.push((stamp, BodyRange::of(offset + entry.len(), &body)));
+                entry.extend_from_slice(&body);
+                out.write_all(&entry)?;
+                offset += entry.len();
+            }
         }
         Ok(())
     }
@@ -596,15 +605,18 @@ fn for_each_snapshot_body(
             format!("unsupported cache snapshot version {version}"),
         ));
     }
-    let count = dec.get_varint()?;
-    if count > dec.remaining() as u64 {
-        return Err(WireError::malformed(5, "snapshot entry count too large"));
-    }
-    for _ in 0..count {
-        let key = decode_key(&mut dec)?;
-        let start = dec.position();
-        verdict_parts(&mut dec)?;
-        each(key, start..dec.position());
+    for _ in 0..NUM_SHARDS {
+        let at = dec.position();
+        let count = dec.get_varint()?;
+        if count > dec.remaining() as u64 {
+            return Err(WireError::malformed(at, "snapshot entry count too large"));
+        }
+        for _ in 0..count {
+            let key = decode_key(&mut dec)?;
+            let start = dec.position();
+            verdict_parts(&mut dec)?;
+            each(key, start..dec.position());
+        }
     }
     dec.expect_end()
 }
@@ -749,32 +761,38 @@ mod tests {
             );
         }
         // The snapshot format spelled out by hand (every length below 128
-        // is a one-byte varint): header, count, then per entry in key
-        // order both digests, the flags and the optional byte strings.
-        let mut tags: Vec<u8> = (0..40).collect();
-        tags.sort_by_key(|&tag| (key(tag).circuit, key(tag).spec));
-        let mut expected = b"AQVC".to_vec();
-        expected.extend_from_slice(&[SNAPSHOT_VERSION, 40]);
-        for tag in tags {
-            let k = key(tag);
-            for digest in [k.circuit.0, k.spec.0] {
-                expected.push(32);
-                expected.extend_from_slice(&digest);
-            }
-            let witness = tag % 2 == 0;
-            let certificate = tag % 5 == 0;
-            let flags = u8::from(tag % 3 == 0)
-                | u8::from(tag % 3 == 1) << 1
-                | u8::from(witness) << 2
-                | u8::from(certificate) << 3;
-            expected.push(flags);
-            if witness {
-                expected.push(tag);
-                expected.extend(std::iter::repeat(tag).take(usize::from(tag)));
-            }
-            if certificate {
-                expected.push(100);
-                expected.extend_from_slice(&[!tag; 100]);
+        // is a one-byte varint): header, then per shard its count and, per
+        // entry in key order, both digests, the flags and the optional
+        // byte strings.
+        let mut expected = b"AQVC\x02".to_vec();
+        let mut shards = vec![Vec::new(); NUM_SHARDS];
+        for tag in 0..40u8 {
+            shards[shard_index(&key(tag))].push(tag);
+        }
+        for mut tags in shards {
+            tags.sort_by_key(|&tag| (key(tag).circuit, key(tag).spec));
+            expected.push(tags.len() as u8);
+            for tag in tags {
+                let k = key(tag);
+                for digest in [k.circuit.0, k.spec.0] {
+                    expected.push(32);
+                    expected.extend_from_slice(&digest);
+                }
+                let witness = tag % 2 == 0;
+                let certificate = tag % 5 == 0;
+                let flags = u8::from(tag % 3 == 0)
+                    | u8::from(tag % 3 == 1) << 1
+                    | u8::from(witness) << 2
+                    | u8::from(certificate) << 3;
+                expected.push(flags);
+                if witness {
+                    expected.push(tag);
+                    expected.extend(std::iter::repeat(tag).take(usize::from(tag)));
+                }
+                if certificate {
+                    expected.push(100);
+                    expected.extend_from_slice(&[!tag; 100]);
+                }
             }
         }
         assert_eq!(cache.to_snapshot(), expected);

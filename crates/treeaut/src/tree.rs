@@ -318,9 +318,10 @@ impl Tree {
     /// Calls `f(basis, amplitude)` for every basis state with a non-zero
     /// amplitude, in ascending basis order.
     ///
-    /// One memoised walk over the DAG: each distinct node is read from the
-    /// arena once, and all-zero subtrees are pruned without being
-    /// traversed, so the cost is proportional to the support (times the
+    /// The DAG is first copied into a local vector, each distinct node read
+    /// from the arena once and every all-zero subtree folded into one
+    /// sentinel; the walk then follows local indices and skips the
+    /// sentinel, so the cost is proportional to the support (times the
     /// height), not to `2^n`.  The amplitude comes as its interned
     /// [`AmpId`], so callers resolve each distinct value once, not once per
     /// entry.
@@ -334,38 +335,59 @@ impl Tree {
     /// assert_eq!(seen, vec![(0b110, intern::one_id())]);
     /// ```
     pub fn for_each_nonzero(&self, mut f: impl FnMut(BasisIndex, AmpId)) {
-        /// Node id → (its arena node, whether its subtree is all zero).
-        type Memo = FixedMap<NodeId, (TreeNode, bool)>;
-        fn lookup(id: NodeId, memo: &mut Memo) -> (TreeNode, bool) {
-            if let Some(&cached) = memo.get(&id) {
-                return cached;
+        /// A node of the local copy: a non-zero leaf, or the local indices
+        /// of two children.
+        enum Local {
+            Leaf(AmpId),
+            Node(u32, u32),
+        }
+        /// The local index of every all-zero subtree.
+        const ZERO: u32 = u32::MAX;
+        fn import(id: NodeId, index: &mut FixedMap<NodeId, u32>, nodes: &mut Vec<Local>) -> u32 {
+            if let Some(&local) = index.get(&id) {
+                return local;
             }
-            let node = arena::read(id);
-            let zero = match node {
+            let node = match arena::read(id) {
                 // Canonical zero is unique, so the id comparison decides
                 // zero-ness without resolving the value.
-                TreeNode::Leaf(amp) => amp == intern::zero_id(),
-                TreeNode::Node { left, right, .. } => lookup(left, memo).1 && lookup(right, memo).1,
+                TreeNode::Leaf(amp) if amp == intern::zero_id() => None,
+                TreeNode::Leaf(amp) => Some(Local::Leaf(amp)),
+                TreeNode::Node { left, right, .. } => {
+                    let left = import(left, index, nodes);
+                    let right = import(right, index, nodes);
+                    (left != ZERO || right != ZERO).then_some(Local::Node(left, right))
+                }
             };
-            memo.insert(id, (node, zero));
-            (node, zero)
+            let local = node.map_or(ZERO, |node| {
+                nodes.push(node);
+                nodes.len() as u32 - 1
+            });
+            index.insert(id, local);
+            local
         }
-        fn collect(
-            id: NodeId,
+        fn walk(
+            local: u32,
             prefix: BasisIndex,
-            memo: &mut Memo,
+            nodes: &[Local],
             f: &mut impl FnMut(BasisIndex, AmpId),
         ) {
-            match lookup(id, memo) {
-                (_, true) => {}
-                (TreeNode::Leaf(amp), false) => f(prefix, amp),
-                (TreeNode::Node { left, right, .. }, false) => {
-                    collect(left, prefix << 1, memo, f);
-                    collect(right, (prefix << 1) | 1, memo, f);
+            match nodes[local as usize] {
+                Local::Leaf(amp) => f(prefix, amp),
+                Local::Node(left, right) => {
+                    if left != ZERO {
+                        walk(left, prefix << 1, nodes, f);
+                    }
+                    if right != ZERO {
+                        walk(right, (prefix << 1) | 1, nodes, f);
+                    }
                 }
             }
         }
-        collect(self.id, 0, &mut Memo::default(), &mut f);
+        let mut nodes = Vec::new();
+        let root = import(self.id, &mut FixedMap::default(), &mut nodes);
+        if root != ZERO {
+            walk(root, 0, &nodes, &mut f);
+        }
     }
 
     /// Converts the tree into an explicit map from basis states to non-zero
@@ -641,6 +663,44 @@ mod tests {
         let mut none = 0;
         Tree::from_fn(4, |_| Algebraic::zero()).for_each_nonzero(|_, _| none += 1);
         assert_eq!(none, 0);
+    }
+
+    #[test]
+    fn for_each_nonzero_matches_a_dense_enumeration_of_random_shared_trees() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let amps = [
+            Algebraic::one(),
+            Algebraic::one_over_sqrt2(),
+            -&Algebraic::one_over_sqrt2(),
+            Algebraic::i(),
+        ];
+        for _ in 0..200 {
+            let n = rng.gen_range(0..=8u32);
+            // A pool of subtrees per depth, built bottom up: the all-zero
+            // subtree of that depth first, then nodes whose children are
+            // drawn from the pool below, so subtrees repeat (shared in the
+            // DAG) and whole branches are zero.
+            let mut pool = vec![Tree::leaf(Algebraic::zero())];
+            pool.extend((0..3).map(|_| Tree::leaf(amps[rng.gen_range(0..amps.len())].clone())));
+            for var in (0..n).rev() {
+                let below = std::mem::take(&mut pool);
+                pool.push(Tree::node(var, below[0].clone(), below[0].clone()));
+                for _ in 0..4 {
+                    let left = below[rng.gen_range(0..below.len())].clone();
+                    let right = below[rng.gen_range(0..below.len())].clone();
+                    pool.push(Tree::node(var, left, right));
+                }
+            }
+            let tree = pool[rng.gen_range(0..pool.len())].clone();
+            let mut seen = Vec::new();
+            tree.for_each_nonzero(|basis, amp| seen.push((basis, intern::resolve(amp))));
+            let dense: Vec<_> = (0..basis::basis_count(n))
+                .map(|b| (b, tree.amplitude(b)))
+                .filter(|(_, amp)| !amp.is_zero())
+                .collect();
+            assert_eq!(seen, dense, "{tree:?}");
+        }
     }
 
     #[test]
