@@ -85,6 +85,16 @@ impl Hasher for FixedHasher {
         self.mix(n as u64);
         self.mix((n >> 64) as u64);
     }
+
+    // Slice length prefixes and enum discriminants arrive as `usize`/`isize`;
+    // folding them as one word keeps them off the byte-chunk `write`.
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.mix(n as u64);
+    }
 }
 
 #[cfg(test)]
@@ -107,5 +117,15 @@ mod tests {
         let buckets: HashSet<u64> = (0..64u64).map(|i| hash_of(i << 32) & 0xff).collect();
         assert!(buckets.len() > 32, "only {} of 64 buckets", buckets.len());
         assert_ne!(hash_of(1u128 << 100), hash_of(1u128 << 101));
+    }
+
+    #[test]
+    fn word_sized_integers_fold_as_one_u64() {
+        for n in [0usize, 1, 7, usize::MAX] {
+            assert_eq!(hash_of(n), hash_of(n as u64));
+        }
+        for n in [0isize, 3, -1, isize::MIN] {
+            assert_eq!(hash_of(n), hash_of(n as u64));
+        }
     }
 }

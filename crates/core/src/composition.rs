@@ -357,10 +357,9 @@ fn evaluate_term<'a>(
 /// identity".  Rewrites the symbols without copying the automaton.
 pub fn tag_in_place(automaton: &mut TreeAutomaton) {
     for (index, transition) in automaton.internal.iter_mut().enumerate() {
-        transition.symbol = transition
-            .symbol
-            .untagged()
-            .with_tag(Tag::Single(index as u64 + 1));
+        transition.symbol = transition.symbol.untagged().with_tag(Tag::Single(
+            u32::try_from(index + 1).expect("more internal transitions than u32 tags"),
+        ));
     }
 }
 
@@ -1246,7 +1245,7 @@ fn intern_state(
     state
 }
 
-fn single_tag(tag: Tag) -> u64 {
+fn single_tag(tag: Tag) -> u32 {
     match tag {
         Tag::Single(t) => t,
         Tag::None => 0,
@@ -2465,7 +2464,7 @@ mod tests {
 
     /// `root → x0#1(s1, s2)`, `s1 → x1#2(|1⟩, |0⟩)`, `s2 → x1#right_tag(|0⟩, |1⟩)`:
     /// one tree, one transition per state.
-    fn two_level_singleton(right_tag: u64) -> TreeAutomaton {
+    fn two_level_singleton(right_tag: u32) -> TreeAutomaton {
         let tagged = |var, tag| InternalSymbol::new(var).with_tag(Tag::Single(tag));
         let mut automaton = TreeAutomaton::new(2);
         let zero = automaton.leaf_state(&Algebraic::zero());

@@ -508,7 +508,12 @@ fn random_input(rng: &mut StdRng) -> TreeAutomaton {
     if rng.gen_bool(0.3) {
         for t in automaton.internal.iter_mut() {
             if rng.gen_bool(0.3) {
-                let tag = Tag::Pair(rng.gen_range(1..1 << 20), rng.gen_range(1..1 << 20));
+                // Drawn as `u64`, so the cases stay those drawn before tags
+                // became `u32`.
+                let tag = Tag::Pair(
+                    rng.gen_range(1..1u64 << 20) as u32,
+                    rng.gen_range(1..1u64 << 20) as u32,
+                );
                 t.symbol = t.symbol.with_tag(tag);
             }
         }

@@ -374,36 +374,86 @@ impl Engine {
         } = options;
         let gates = circuit.gates();
         let total = gates.len();
-        let mut automaton = set.automaton().clone();
-        let mut baseline = automaton.transition_count();
+        let mut run = self.start_run(set);
+        let mut applied = 0;
+        let schedule = interference_schedule(circuit);
+        self.apply_scheduled(
+            &mut run,
+            schedule.iter().map(|&index| &gates[index]),
+            interrupt,
+            || {
+                applied += 1;
+                if let Some(observer) = observer.as_deref_mut() {
+                    observer(applied, total);
+                }
+            },
+        )?;
+        Ok((set.with_automaton(run.automaton), run.stats))
+    }
+
+    /// Starts a run on `set`: its automaton, the reduction policy's growth
+    /// baseline, and statistics that have observed the input.
+    pub(crate) fn start_run(&self, set: &StateSet) -> RunState {
+        let automaton = set.automaton().clone();
         let mut stats = ApplyStats::default();
         stats.observe(&automaton);
-        for (applied, index) in interference_schedule(circuit).into_iter().enumerate() {
+        RunState {
+            baseline: automaton.transition_count(),
+            automaton,
+            stats,
+        }
+    }
+
+    /// Applies `gates`, already in schedule order, to a running state,
+    /// checking the interrupt before each gate and calling `after_gate`
+    /// after it.  On `Err` the run's automaton is partial and must be
+    /// discarded; the report carries the run's statistics so far.
+    pub(crate) fn apply_scheduled<'g>(
+        &self,
+        run: &mut RunState,
+        gates: impl IntoIterator<Item = &'g Gate>,
+        interrupt: Option<&Interrupt>,
+        mut after_gate: impl FnMut(),
+    ) -> Result<(), Interrupted> {
+        for gate in gates {
             let step = match interrupt {
-                Some(interrupt) => interrupt.check(&stats),
+                Some(interrupt) => interrupt.check(&run.stats),
                 None => Ok(()),
             }
             .and_then(|()| {
                 self.apply_gate_in_place(
-                    &mut automaton,
-                    &gates[index],
-                    &mut baseline,
-                    &mut stats,
+                    &mut run.automaton,
+                    gate,
+                    &mut run.baseline,
+                    &mut run.stats,
                     interrupt,
                 )
             });
             if let Err(reason) = step {
                 return Err(Interrupted {
                     reason,
-                    partial_stats: stats,
+                    partial_stats: run.stats,
                 });
             }
-            if let Some(observer) = observer.as_deref_mut() {
-                observer(applied + 1, total);
-            }
+            after_gate();
         }
-        Ok((set.with_automaton(automaton), stats))
+        Ok(())
     }
+}
+
+/// A run in progress between [`Engine::start_run`] and its last
+/// [`Engine::apply_scheduled`]: cloning it forks the run, which is how
+/// [`check_circuit_equivalence_with`](crate::check_circuit_equivalence_with)
+/// applies two circuits' common gate prefix once.
+#[derive(Clone)]
+pub(crate) struct RunState {
+    /// The working automaton.
+    pub(crate) automaton: TreeAutomaton,
+    /// The transition count at the last reduction (the growth baseline of
+    /// [`ReductionPolicy::Adaptive`]).
+    baseline: usize,
+    /// The statistics of every gate applied so far.
+    pub(crate) stats: ApplyStats,
 }
 
 #[cfg(test)]

@@ -146,6 +146,13 @@ impl BugHunter {
     /// as the two output sets differ, or when the whole basis-state space
     /// has been covered without finding a difference.
     ///
+    /// Each iteration is one [`check_circuit_equivalence_with`], which
+    /// applies the two circuits' common scheduled gate prefix once (for an
+    /// injected bug, every gate scheduled before it) and runs only the
+    /// remaining gates twice.  The report, its statistics included, is
+    /// what two full runs per iteration would give, and so is
+    /// [`BugHunter::hunt_interruptible`]'s interrupt contract.
+    ///
     /// # Panics
     ///
     /// Panics if the circuits have different widths.

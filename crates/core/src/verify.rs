@@ -8,7 +8,8 @@
 //! `docs/CERTIFICATES.md`).
 
 use autoq_circuit::digest::{sha256, Digest};
-use autoq_circuit::Circuit;
+use autoq_circuit::schedule::interference_schedule;
+use autoq_circuit::{Circuit, Gate};
 use autoq_treeaut::format::certificates_to_binary;
 use autoq_treeaut::{
     equivalence, inclusion, inclusion_with_certificate, CertifiedInclusionResult,
@@ -399,6 +400,22 @@ pub fn check_circuit_equivalence(
 /// everything applied so far (including a completed first circuit when the
 /// second one trips).  The equivalence decision itself is not interrupted.
 /// With `None` the runs do no per-gate checks at all.
+///
+/// The two circuits' [`interference_schedule`]s usually start with the
+/// same gates (a one-gate mutant agrees with its original up to the
+/// injected gate), and a run is deterministic, so the longest common
+/// prefix of the two schedules is applied once and the run forks there:
+/// each circuit's remaining gates run from its own copy of the prefix's
+/// automaton, reduction baseline and statistics.  Everything this returns
+/// is still what two full [`Engine::run`]s would give — the same result
+/// and witness, and statistics that count the prefix once per circuit —
+/// and so is an interrupt's stop reason and its partial statistics: the
+/// prefix's checks are the first circuit's, and the second circuit's
+/// checks there would see the same statistics.
+///
+/// # Panics
+///
+/// Panics if either circuit is wider than the input set.
 pub fn check_circuit_equivalence_with(
     engine: &Engine,
     inputs: &StateSet,
@@ -406,18 +423,37 @@ pub fn check_circuit_equivalence_with(
     c2: &Circuit,
     interrupt: Option<&Interrupt>,
 ) -> Result<(EquivalenceResult, ApplyStats), Interrupted> {
-    let run = |circuit| {
-        let options = RunOptions {
-            interrupt,
-            observer: None,
-        };
-        engine.run(inputs, circuit, options)
+    for circuit in [c1, c2] {
+        assert!(
+            circuit.num_qubits() <= inputs.num_qubits(),
+            "circuit has more qubits than the state set"
+        );
+    }
+    let scheduled = |circuit: &Circuit| -> Vec<Gate> {
+        let gates = circuit.gates();
+        interference_schedule(circuit)
+            .into_iter()
+            .map(|index| gates[index])
+            .collect()
     };
-    let (out1, stats1) = run(c1)?;
-    let (out2, stats2) = run(c2).map_err(|interrupted| interrupted.merge_stats(&stats1))?;
+    let (gates1, gates2) = (scheduled(c1), scheduled(c2));
+    let shared = gates1
+        .iter()
+        .zip(&gates2)
+        .take_while(|(g1, g2)| g1 == g2)
+        .count();
+    // The prefix runs on the second circuit's state, and the first
+    // circuit's run forks from it, so only one clone is made.
+    let mut run2 = engine.start_run(inputs);
+    engine.apply_scheduled(&mut run2, &gates1[..shared], interrupt, || {})?;
+    let mut run1 = run2.clone();
+    engine.apply_scheduled(&mut run1, &gates1[shared..], interrupt, || {})?;
+    engine
+        .apply_scheduled(&mut run2, &gates2[shared..], interrupt, || {})
+        .map_err(|interrupted| interrupted.merge_stats(&run1.stats))?;
     Ok((
-        equivalence(out1.automaton(), out2.automaton()),
-        stats1.merge(&stats2),
+        equivalence(&run1.automaton, &run2.automaton),
+        run1.stats.merge(&run2.stats),
     ))
 }
 

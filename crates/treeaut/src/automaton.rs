@@ -586,6 +586,13 @@ mod tests {
         Tree::basis_state(n, b)
     }
 
+    /// Transitions are the reduction hot path's working set: a `Tag` with
+    /// `u32` payloads keeps each one at 28 bytes.
+    #[test]
+    fn internal_transitions_are_28_bytes() {
+        assert_eq!(std::mem::size_of::<InternalTransition>(), 28);
+    }
+
     #[test]
     fn singleton_automaton_accepts_only_its_tree() {
         let tree = basis(3, 0b101);

@@ -448,6 +448,12 @@ impl<'a> Cursor<'a> {
         Err(self.error("varint longer than 10 bytes"))
     }
 
+    /// A varint tag payload; tags are `u32`, so a wider one is rejected.
+    fn get_tag(&mut self) -> Result<u32, BinaryFormatError> {
+        let tag = self.get_varint()?;
+        u32::try_from(tag).map_err(|_| self.error(format!("tag {tag} exceeds u32")))
+    }
+
     /// A varint that is also claimed to *count* items each at least
     /// `min_item_bytes` long — rejected early when the remaining buffer
     /// cannot possibly hold that many, so hostile headers cannot trigger
@@ -551,12 +557,12 @@ pub fn to_binary(automaton: &TreeAutomaton) -> Vec<u8> {
             Tag::None => buf.push(0),
             Tag::Single(i) => {
                 buf.push(1);
-                put_varint(&mut buf, i);
+                put_varint(&mut buf, u64::from(i));
             }
             Tag::Pair(i, j) => {
                 buf.push(2);
-                put_varint(&mut buf, i);
-                put_varint(&mut buf, j);
+                put_varint(&mut buf, u64::from(i));
+                put_varint(&mut buf, u64::from(j));
             }
         }
         put_varint(&mut buf, u64::from(t.left.raw()));
@@ -625,8 +631,8 @@ pub fn from_binary(bytes: &[u8]) -> Result<TreeAutomaton, BinaryFormatError> {
         }
         let tag = match cursor.get_u8()? {
             0 => Tag::None,
-            1 => Tag::Single(cursor.get_varint()?),
-            2 => Tag::Pair(cursor.get_varint()?, cursor.get_varint()?),
+            1 => Tag::Single(cursor.get_tag()?),
+            2 => Tag::Pair(cursor.get_tag()?, cursor.get_tag()?),
             other => return Err(cursor.error(format!("invalid tag kind {other}"))),
         };
         let left = state(&mut cursor)?;
@@ -1011,7 +1017,7 @@ mod tests {
     fn tagged_automata_round_trip() {
         let mut automaton = TreeAutomaton::from_tree(&Tree::basis_state(2, 1));
         for (i, t) in automaton.internal.iter_mut().enumerate() {
-            t.symbol = t.symbol.with_tag(Tag::Single(i as u64 + 1));
+            t.symbol = t.symbol.with_tag(Tag::Single(i as u32 + 1));
         }
         let text = to_text(&automaton);
         let parsed = from_text(&text).unwrap();

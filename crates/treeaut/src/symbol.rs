@@ -17,21 +17,25 @@ use std::fmt;
 /// assert_eq!(Tag::Single(3).to_string(), "#3");
 /// assert_eq!(Tag::Pair(3, 5).to_string(), "#3,5");
 /// ```
+///
 /// Tag values are *transition indices* (the tagging procedure numbers the
-/// internal transitions `1..=|Δ|`), never basis-state indices, so they stay
-/// `u64` even though basis indices are `u128` ([`crate::BasisIndex`]):
-/// transition counts are bounded by memory, and keeping the tag narrow keeps
-/// every [`crate::InternalTransition`] small on the reduction hot path.
+/// internal transitions `1..=|Δ|`), never basis-state indices, so they are
+/// `u32`, like state ids, even though basis indices are `u128`
+/// ([`crate::BasisIndex`]).  `u32::MAX` transitions of 28 bytes each are
+/// over 100 GiB, so tagging never runs out of numbers in practice (it
+/// panics if it does), and the narrow tag is what keeps every
+/// [`crate::InternalTransition`] at 28 bytes on the reduction hot path (a
+/// `u64` pair made it 48).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum Tag {
     /// Untagged symbol (the normal state outside gate application).
     #[default]
     None,
     /// A unique number assigned by the tagging procedure (Algorithm 3).
-    Single(u64),
+    Single(u32),
     /// A pair of tags remembered by the forward variable-order swap
     /// (Algorithm 7) so the backward swap (Algorithm 8) can undo it.
-    Pair(u64, u64),
+    Pair(u32, u32),
 }
 
 impl fmt::Display for Tag {

@@ -92,6 +92,34 @@ fn automaton_binary_round_trip_is_exact() {
     }
 }
 
+/// Tags are `u32`: the widest one round-trips, and a tag varint one past
+/// it is rejected with a typed error, not truncated.
+#[test]
+fn tags_above_u32_are_rejected() {
+    let mut automaton = TreeAutomaton::new(1);
+    let leaf = automaton.leaf_state(&Algebraic::one());
+    let root = automaton.add_state();
+    let symbol = InternalSymbol::new(0).with_tag(Tag::Pair(1, u32::MAX));
+    automaton.add_internal(root, symbol, leaf, leaf);
+    automaton.add_root(root);
+    let mut bytes = to_binary(&automaton);
+    assert_eq!(from_binary(&bytes).unwrap(), automaton);
+
+    // u32::MAX and u32::MAX + 1 both take five varint bytes, so swapping
+    // one for the other keeps every other field in place.
+    let widest = [0xff, 0xff, 0xff, 0xff, 0x0f];
+    let position = bytes
+        .windows(widest.len())
+        .position(|window| window == widest)
+        .expect("the tag's varint is in the encoding");
+    bytes[position..position + widest.len()].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+    let error = from_binary(&bytes).expect_err("a tag above u32::MAX must be rejected");
+    assert!(
+        error.message.contains("exceeds u32"),
+        "unexpected error: {error}"
+    );
+}
+
 #[test]
 fn binary_and_text_codecs_agree() {
     let automaton = tagged_fixture();

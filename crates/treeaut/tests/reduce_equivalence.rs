@@ -115,7 +115,7 @@ fn layered_automaton(seed: u64) -> TreeAutomaton {
             let q = automaton.add_state();
             for _ in 0..rng.gen_range(1..=3) {
                 let tag = match rng.gen_range(0..4) {
-                    0 => Tag::Single(rng.gen_range(1..=2u64)),
+                    0 => Tag::Single(rng.gen_range(1..=2u64) as u32),
                     _ => Tag::None,
                 };
                 let left = *below.choose(&mut rng).unwrap();
