@@ -12,16 +12,16 @@
 //! on `(op, AmpId, AmpId)` and usually never re-does the big-integer
 //! arithmetic at all.
 //!
-//! The table reuses the shard/lock discipline of the tree-node arena in
-//! `autoq-treeaut` (`docs/CONCURRENCY.md`): [`NUM_SHARDS`] shards, each
-//! behind its own mutex, selected by hashing the interning key; an id
+//! The table is sharded (`docs/CONCURRENCY.md` §5): [`NUM_SHARDS`] shards,
+//! each behind its own mutex, selected by hashing the interning key; an id
 //! carries its shard in the high [`SHARD_BITS`] bits so resolution goes
-//! straight to the owning shard.  Unlike tree nodes, interned amplitudes are
-//! **permanent** — there is no epoch reclamation.  The set of distinct
-//! amplitudes a verification run produces is tiny (hundreds, even on the
-//! paper's scale rows) and each entry is a few dozen bytes now that small
-//! big-integers are stored inline, so reclaiming them would buy nothing and
-//! would cost every holder of an [`AmpId`] a liveness protocol.
+//! straight to the owning shard.  Unlike tree nodes, which are freed when
+//! their last tree is dropped, interned amplitudes are **permanent**.  The
+//! set of distinct amplitudes a verification run produces is tiny
+//! (hundreds, even on the paper's scale rows) and each entry is a few dozen
+//! bytes now that small big-integers are stored inline, so freeing them
+//! would buy nothing and would cost every holder of an [`AmpId`] a
+//! liveness protocol.
 //!
 //! # Examples
 //!
@@ -139,7 +139,7 @@ fn state() -> &'static TableState {
 /// Locks one shard.  Every table path holds at most one shard lock at a time
 /// and never blocks while holding it, so lock order cannot deadlock.  The
 /// table is structurally consistent at every release, so a poisoned lock is
-/// deliberately ignored (same policy as the tree-node arena).
+/// deliberately ignored.
 fn lock_shard(index: usize) -> MutexGuard<'static, Shard> {
     state().shards[index]
         .lock()

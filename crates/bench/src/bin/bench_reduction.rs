@@ -313,10 +313,10 @@ fn main() {
     // Portfolio hunt scaling: the same 8-job portfolio (self-equivalent
     // hunts with a pinned iteration bound, so every worker does the full,
     // deterministic amount of work — no early-exit variance) on 1/2/4/8
-    // `HuntPool` workers.  On a multi-core machine the sharded arena lets
-    // these scale; on a 1-core CI runner the four entries are expected to
-    // be flat (plus scheduling overhead), which is itself the baseline
-    // worth recording.
+    // `HuntPool` workers.  Hunts share no tree storage, so on a multi-core
+    // machine these can scale; on a 1-core CI runner the four entries are
+    // expected to be flat (plus scheduling overhead), which is itself the
+    // baseline worth recording.
     let portfolio_circuit = increment_circuit(6);
     let hunt_jobs: Vec<HuntJob> = (0..8)
         .map(|i| HuntJob {

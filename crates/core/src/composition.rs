@@ -196,6 +196,9 @@ pub struct FormulaPeak {
     /// them), the DAG nodes the one-state path built, or the basis path's
     /// output.  The swap ladder reports no state count: its allocation
     /// count includes the ids its passes orphan, which the next trim drops.
+    /// [`Interrupt::with_max_states`](crate::Interrupt::with_max_states)
+    /// still checks the ladder's allocation count between passes, so a
+    /// state budget can trip on a count this field never reports.
     pub states: usize,
     /// Largest transition count anywhere, including between swap passes.
     pub transitions: usize,

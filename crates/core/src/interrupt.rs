@@ -217,6 +217,16 @@ impl Interrupt {
     }
 
     /// Returns a copy capping the peak automaton state count.
+    ///
+    /// Inside a composition gate the swap ladder checks this cap against
+    /// its allocated state count, which includes the ids its passes orphan,
+    /// while [`ApplyStats::peak_states`](crate::ApplyStats::peak_states)
+    /// does not report the ladder's states (see
+    /// [`FormulaPeak::states`](crate::composition::FormulaPeak::states)).
+    /// So a run can stop under a cap at or above the `peak_states` its
+    /// unlimited run reports: a Hybrid run reporting peak 23 stops under
+    /// `with_max_states(23)` with `observed: 27`
+    /// (`tests/interrupt.rs`).
     pub fn with_max_states(self, max_states: u64) -> Self {
         Interrupt {
             max_states: Some(max_states),

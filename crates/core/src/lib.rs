@@ -19,10 +19,9 @@
 //!   [`Tree`](autoq_treeaut::Tree)s, so extraction and simulator
 //!   confirmation ([`HuntReport::confirm_with_simulator`]) work at the
 //!   paper's 35-qubit Table 3 scale.  Hunts compose into a parallel
-//!   portfolio ([`HuntPool`]): worker threads drain a job queue over the
-//!   sharded tree arena, the first simulator-confirmed witness cancels the
-//!   rest ([`CancelFlag`]), and completed campaigns can reclaim their
-//!   arena nodes (see `docs/CONCURRENCY.md`).
+//!   portfolio ([`HuntPool`]): worker threads drain a job queue, and the
+//!   first simulator-confirmed witness cancels the rest ([`CancelFlag`];
+//!   see `docs/CONCURRENCY.md`).
 //!
 //! # Entry points
 //!

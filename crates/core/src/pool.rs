@@ -2,9 +2,8 @@
 //! queue of hunt jobs, and the first simulator-confirmed witness wins.
 //!
 //! The paper's Table 3 experiments hunt for bugs one mutated circuit at a
-//! time.  With the sharded hash-cons arena (`autoq_treeaut::arena`) the tree
-//! substrate no longer serialises concurrent interning on a single lock, so
-//! independent hunts can genuinely run in parallel: [`HuntPool`] spawns `W`
+//! time.  Trees own their nodes, so independent hunts share no tree
+//! storage and can genuinely run in parallel: [`HuntPool`] spawns `W`
 //! workers over a shared job queue, each worker runs
 //! [`BugHunter::hunt_interruptible`] on its claimed job under an
 //! [`Interrupt`] sharing one [`CancelFlag`], and as soon as one worker's
@@ -17,14 +16,9 @@
 //! lowest-indexed such report is kept as a fallback answer in case no
 //! confirmed winner appears.
 //!
-//! **Arena reclamation** is opt-in ([`HuntPool::with_reclaim`]): when
-//! enabled, the pool captures the arena generation before hunting, pins the
-//! epoch while workers run, and afterwards sweeps every tree node the hunts
-//! interned except those of the returned witness.  This is what keeps a
-//! 1000-hunt soak at a flat arena profile.  It is off by default because
-//! reclamation is process-wide: only enable it when no *other* thread is
-//! concurrently building trees it expects to keep (see
-//! `docs/CONCURRENCY.md`).
+//! Every tree a hunt builds is freed when the hunt drops it; only the
+//! returned witness outlives the run, and it goes when the outcome does.
+//! This is what keeps a 1000-hunt soak at a flat node count.
 //!
 //! # Examples
 //!
@@ -55,7 +49,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use autoq_circuit::Circuit;
-use autoq_treeaut::arena;
 use rand::SeedableRng;
 
 use crate::{ApplyStats, BugHunter, CancelFlag, Engine, HuntReport, Interrupt, StopReason};
@@ -104,10 +97,6 @@ pub struct PortfolioOutcome {
     pub hunts_cancelled: usize,
     /// Gate-application statistics merged across every worker.
     pub stats: ApplyStats,
-    /// What the post-run arena sweep reclaimed, when
-    /// [`HuntPool::with_reclaim`] was enabled and no foreign epoch pin
-    /// blocked it.
-    pub reclaim: Option<arena::ReclaimStats>,
     /// Why the run stopped early, when it did: the first budget/deadline
     /// exhaustion any worker observed (which cancels the rest of the
     /// portfolio), or [`StopReason::Cancelled`] when the caller's exterior
@@ -117,12 +106,11 @@ pub struct PortfolioOutcome {
 }
 
 /// A fixed-width pool of portfolio hunt workers.  See the module docs for
-/// the winner and reclamation policies.
+/// the winner policy.
 #[derive(Clone, Debug)]
 pub struct HuntPool {
     hunter: BugHunter,
     threads: usize,
-    reclaim: bool,
 }
 
 impl HuntPool {
@@ -134,7 +122,6 @@ impl HuntPool {
         HuntPool {
             hunter: BugHunter::new(engine),
             threads: 1,
-            reclaim: false,
         }
     }
 
@@ -149,15 +136,6 @@ impl HuntPool {
     /// workers busy until the queue drains or a winner cancels the pool.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables the post-run arena sweep: tree nodes interned during the run
-    /// are reclaimed, keeping only the returned witness.  **Process-wide**
-    /// — enable only when no concurrent thread outside this pool is building
-    /// trees it intends to keep (see `docs/CONCURRENCY.md`).
-    pub fn with_reclaim(mut self, reclaim: bool) -> Self {
-        self.reclaim = reclaim;
         self
     }
 
@@ -176,31 +154,6 @@ impl HuntPool {
     /// [`PortfolioOutcome::stopped`] — the pool degrades to "best answer
     /// within budget" instead of hanging on a blowing-up mutant.
     pub fn run_with_interrupt(&self, jobs: &[HuntJob], exterior: &Interrupt) -> PortfolioOutcome {
-        let floor = arena::generation();
-        let (mut outcome, winner, fallback) = {
-            // The pin keeps a concurrent reclaimer (another pool with
-            // reclamation enabled) from sweeping this run's fresh nodes.
-            let _pin = arena::pin();
-            self.run_pinned(jobs, exterior)
-        };
-        outcome.win = winner.or(fallback);
-        if self.reclaim {
-            let keep: Vec<arena::NodeId> = outcome
-                .win
-                .iter()
-                .filter_map(|w| w.report.witness.as_ref())
-                .map(|t| t.id())
-                .collect();
-            outcome.reclaim = arena::try_reclaim(floor, &keep).ok();
-        }
-        outcome
-    }
-
-    fn run_pinned(
-        &self,
-        jobs: &[HuntJob],
-        exterior: &Interrupt,
-    ) -> (PortfolioOutcome, Option<PortfolioWin>, Option<PortfolioWin>) {
         let cancel = CancelFlag::new();
         // Workers hunt under the exterior limits but the pool's own flag, so
         // a confirmed winner cancels siblings without touching the caller's
@@ -308,7 +261,6 @@ impl HuntPool {
             hunts_completed: 0,
             hunts_cancelled: 0,
             stats: ApplyStats::default(),
-            reclaim: None,
             stopped: None,
         };
         for (completed, cancelled, stats) in results {
@@ -319,7 +271,8 @@ impl HuntPool {
         outcome.stopped = stopped.into_inner().unwrap_or_else(|p| p.into_inner());
         let winner = winner.into_inner().unwrap_or_else(|p| p.into_inner());
         let fallback = fallback.into_inner().unwrap_or_else(|p| p.into_inner());
-        (outcome, winner, fallback)
+        outcome.win = winner.or(fallback);
+        outcome
     }
 }
 

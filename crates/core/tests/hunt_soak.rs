@@ -1,21 +1,17 @@
-//! The 1000-hunt arena soak: a long portfolio campaign must not grow the
-//! process-wide tree arena without bound, and releasing the campaign's epoch
+//! The 1000-hunt soak: a long portfolio campaign must not grow the number
+//! of live tree nodes without bound, and dropping the campaign's outcomes
 //! must return `arena::live_node_count` **exactly** to its pre-campaign
-//! baseline — the failure mode being guarded against is the old grow-only
-//! `Mutex<Arena>`, where every extracted witness stayed interned forever.
+//! baseline — the failure mode being guarded against is a tree node that
+//! outlives every handle to it, which compounds across real campaigns.
 //!
 //! The campaign varies the hunt seed every round, so rounds extract
-//! *distinct* witness trees (hash-consing alone would hide growth if every
-//! round produced the identical witness).  Each round's [`HuntPool`] sweep
-//! reclaims that round's scratch while keeping its winner; the final
-//! [`arena::try_reclaim`] against the campaign-wide floor then releases the
-//! accumulated winners too.
+//! *distinct* witness trees.  Every round's outcome is kept, so the live
+//! count may grow by the kept witnesses and nothing else; dropping the
+//! outcomes then releases them too.
 //!
-//! This lives in its own integration-test binary **on purpose**: arena
-//! reclamation is process-wide, and sharing a binary with concurrently
-//! running tests would either sweep their fresh trees mid-use or let their
-//! epoch pins block our reclaim.  Do not add unrelated tests here; see
-//! `docs/CONCURRENCY.md` §"Reclamation protocol".
+//! This lives in its own integration-test binary **on purpose**: the live
+//! count is process-wide, so a test building trees concurrently in the same
+//! binary would move it.  Do not add unrelated tests here.
 //!
 //! Exact-arithmetic heavy — run in release, as CI does:
 //! `cargo test --release -p autoq-core --test hunt_soak -- --include-ignored`
@@ -42,30 +38,23 @@ fn thousand_hunt_soak_keeps_the_arena_flat() {
             })
             .collect()
     };
-    let pool = HuntPool::new(Engine::hybrid())
-        .with_threads(4)
-        .with_reclaim(true);
-
-    // Campaign-wide epoch floor: everything interned after this point must
-    // be reclaimable once the campaign's results are dropped.
-    let floor = arena::generation();
+    let pool = HuntPool::new(Engine::hybrid()).with_threads(4);
     let baseline = arena::live_node_count();
 
     let mut hunts = 0usize;
     let mut kept_nodes = 0usize;
     let mut peak_live = baseline;
+    let mut outcomes = Vec::new();
     for round in 0..250u64 {
         let outcome = pool.run(&make_jobs(round));
         hunts += outcome.hunts_completed + outcome.hunts_cancelled;
         let win = outcome.win.as_ref().expect("injected X gate is observable");
         assert!(win.report.bug_found, "round {round}");
-        let reclaim = outcome
-            .reclaim
-            .expect("reclaim must not be blocked — this binary owns the arena");
-        kept_nodes += reclaim.kept;
+        kept_nodes += win.report.witness.as_ref().map_or(0, |w| w.node_count());
+        outcomes.push(outcome);
         peak_live = peak_live.max(arena::live_node_count());
         // Per-round growth is bounded by the kept winner witness (everything
-        // else the round interned was swept on the spot).
+        // else the round built was freed when its hunt dropped it).
         assert!(
             arena::live_node_count() <= baseline + kept_nodes,
             "round {round}: live nodes exceed baseline + kept witnesses"
@@ -81,14 +70,13 @@ fn thousand_hunt_soak_keeps_the_arena_flat() {
         "seed-varied rounds must keep distinct witnesses"
     );
 
-    // Drop every handle from the campaign and release its epoch: the arena
-    // returns exactly to the pre-campaign baseline.  Any slack here is a
-    // leak that compounds across real campaigns.
-    let stats = arena::try_reclaim(floor, &[]).expect("no pins are active");
-    assert!(stats.swept > 0, "the release must sweep the kept witnesses");
+    // Drop every outcome of the campaign: the count returns exactly to the
+    // pre-campaign baseline.  Any slack here is a leak that compounds
+    // across real campaigns.
+    drop(outcomes);
     assert_eq!(
         arena::live_node_count(),
         baseline,
-        "arena did not return to baseline (peak {peak_live}, pre-release {live_before_release})"
+        "live nodes did not return to baseline (peak {peak_live}, pre-release {live_before_release})"
     );
 }

@@ -118,6 +118,51 @@ fn state_budget_stops_a_superposing_run_within_one_gate() {
     );
 }
 
+/// The state budget sees the swap ladder's allocated states, orphaned ids
+/// included, which `peak_states` does not report: a cap equal to the
+/// reported peak still stops this run.  The gap is documented on
+/// `Interrupt::with_max_states` and `FormulaPeak::states`.
+#[test]
+fn state_budget_counts_ladder_states_that_peak_states_does_not_report() {
+    let circuit = Circuit::from_gates(
+        3,
+        vec![
+            Gate::Cnot {
+                control: 0,
+                target: 1,
+            },
+            Gate::X(2),
+            Gate::H(2),
+            Gate::H(0),
+            Gate::Cnot {
+                control: 2,
+                target: 1,
+            },
+            Gate::H(1),
+        ],
+    )
+    .expect("valid gates");
+    let input = StateSet::basis_pattern(3, 0, &[0]);
+    let engine = Engine::hybrid();
+    let (_, stats) = engine.apply_circuit_with_stats(&input, &circuit);
+    assert_eq!(stats.peak_states, 23);
+    let err = engine
+        .run(
+            &input,
+            &circuit,
+            governed(&Interrupt::new().with_max_states(23)),
+        )
+        .expect_err("the ladder's orphaned ids exceed the reported peak");
+    assert_eq!(
+        err.reason,
+        StopReason::Exhausted {
+            resource: Resource::States,
+            limit: 23,
+            observed: 27,
+        }
+    );
+}
+
 #[test]
 fn transition_budget_stops_the_run_with_a_typed_reason() {
     let circuit = superposing_circuit(10, 60, 11);

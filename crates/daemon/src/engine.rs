@@ -283,7 +283,6 @@ pub struct MockEngine {
     holds: bool,
     reachable_but_forbidden: bool,
     witness: Option<Tree>,
-    certificate: Option<Vec<u8>>,
     soundness_failure: Option<String>,
     calls: AtomicUsize,
     observed_cancel: AtomicBool,
@@ -297,7 +296,6 @@ impl MockEngine {
             holds: true,
             reachable_but_forbidden: false,
             witness: None,
-            certificate: None,
             soundness_failure: None,
             calls: AtomicUsize::new(0),
             observed_cancel: AtomicBool::new(false),
@@ -311,7 +309,6 @@ impl MockEngine {
             holds: false,
             reachable_but_forbidden: true,
             witness: Some(witness),
-            certificate: None,
             soundness_failure: None,
             calls: AtomicUsize::new(0),
             observed_cancel: AtomicBool::new(false),
@@ -321,13 +318,6 @@ impl MockEngine {
     /// Overrides the timing behaviour.
     pub fn with_behavior(mut self, behavior: MockBehavior) -> Self {
         self.behavior = behavior;
-        self
-    }
-
-    /// Attaches scripted certificate bytes, returned whenever a job asks
-    /// for a certificate.
-    pub fn with_certificate(mut self, certificate: Vec<u8>) -> Self {
-        self.certificate = Some(certificate);
         self
     }
 
@@ -402,11 +392,7 @@ impl VerifyEngine for MockEngine {
             holds: self.holds,
             reachable_but_forbidden: self.reachable_but_forbidden,
             witness: self.witness.clone(),
-            certificate: if inputs.want_certificate {
-                self.certificate.clone()
-            } else {
-                None
-            },
+            certificate: None,
         })
     }
 }

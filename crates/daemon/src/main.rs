@@ -12,9 +12,9 @@
 //! periodically and at shutdown, so a restarted — or crashed — daemon
 //! re-serves known verdicts without re-running the engine.  The ceilings
 //! clamp every job's deadline/peak-state budget, including jobs that
-//! request none, and a job that trips one answers `Exhausted`.  The binary owns its process, so it sweeps the tree nodes
-//! of every finished job ([`DaemonConfig::reclaim_arena`]) and its memory
-//! stays flat however many violations it serves.
+//! request none, and a job that trips one answers `Exhausted`.  Every
+//! job's trees are freed when the job is done, so the daemon's memory stays
+//! flat however many violations it serves.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -33,10 +33,7 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7411".to_string();
-    let mut config = DaemonConfig {
-        reclaim_arena: true,
-        ..DaemonConfig::default()
-    };
+    let mut config = DaemonConfig::default();
     let mut store: Option<Arc<dyn VerdictStore>> = None;
 
     let mut args = std::env::args().skip(1);

@@ -48,15 +48,9 @@
 //! back from it instead of keeping them in memory (see
 //! [`VerdictCache`]).
 //!
-//! # Tree-arena reclamation
-//!
-//! With [`DaemonConfig::reclaim_arena`] on, the daemon keeps the
-//! process-wide tree arena flat: it captures the arena generation once
-//! recovery is done, pins the arena for each job's engine run and witness
-//! serialisation, and afterwards sweeps every tree node interned since
-//! that floor (the cache holds witnesses as bytes, so nothing is kept).  A
-//! sweep blocked by another worker's pin is skipped; that worker's own
-//! sweep collects the same nodes later.
+//! A job's trees (its specs and its witness) are freed when the job is
+//! done: the cache holds witnesses as bytes, so no tree outlives the job
+//! that built it.
 //!
 //! Shutdown — via [`DaemonHandle::shutdown`] or a client
 //! [`Request::Shutdown`] — drains nothing: queued jobs are dropped, running
@@ -76,7 +70,6 @@ use std::time::{Duration, Instant};
 use autoq_circuit::digest::circuit_digest;
 use autoq_circuit::qasm::parse_qasm;
 use autoq_core::{CancelFlag, Interrupt, StopReason};
-use autoq_treeaut::arena;
 use autoq_treeaut::format::tree_to_binary;
 
 use crate::cache::{journal_record, spec_digest, CachedVerdict, VerdictCache, VerdictKey};
@@ -109,11 +102,6 @@ pub struct DaemonConfig {
     pub max_states_ceiling: Option<u64>,
     /// Journaled verdicts between full cache snapshots.
     pub snapshot_every: u64,
-    /// Sweep the tree nodes each job interned once it is done (see the
-    /// module docs).  Reclamation is process-wide, so it is off by
-    /// default: only a daemon that owns its process may turn it on, never
-    /// one sharing the process with other tree users (docs/CONCURRENCY.md).
-    pub reclaim_arena: bool,
 }
 
 impl Default for DaemonConfig {
@@ -126,7 +114,6 @@ impl Default for DaemonConfig {
             deadline_ceiling: None,
             max_states_ceiling: None,
             snapshot_every: 256,
-            reclaim_arena: false,
         }
     }
 }
@@ -198,9 +185,6 @@ struct Shared {
     engine: Arc<dyn VerifyEngine>,
     store: Option<Arc<dyn VerdictStore>>,
     cache: VerdictCache,
-    /// Arena generation captured after recovery: the floor of every
-    /// post-job sweep when [`DaemonConfig::reclaim_arena`] is on.
-    arena_floor: u64,
     persist_state: Mutex<PersistState>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_signal: Condvar,
@@ -334,11 +318,6 @@ impl DaemonHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Whether shutdown has been triggered.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
     /// Waits for every daemon thread to exit (call after
     /// [`shutdown`](Self::shutdown)).
     pub fn join(mut self) {
@@ -420,7 +399,6 @@ pub fn serve(
         engine,
         store,
         cache,
-        arena_floor: arena::generation(),
         persist_state: Mutex::new(PersistState {
             journaled_since_snapshot: 0,
         }),
@@ -829,12 +807,9 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     // daemon one answer, not one worker.  `AssertUnwindSafe` is sound here
     // because everything the closure can leave half-updated is either
     // job-local (discarded below) or behind poison-recovering locks.
-    let pin = shared.config.reclaim_arena.then(arena::pin);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         shared.engine.verify(&inputs, &interrupt, &mut progress)
     }));
-    // Serialise the witness while the pin still protects its nodes; after
-    // the sweep below no tree from this run may be touched again.
     let result = result.map(|outcome| {
         outcome.map(|verdict| CachedVerdict {
             holds: verdict.holds,
@@ -846,10 +821,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             certificate: verdict.certificate,
         })
     });
-    if let Some(pin) = pin {
-        drop(pin);
-        let _ = arena::try_reclaim(shared.arena_floor, &[]);
-    }
 
     match result {
         Err(payload) => {

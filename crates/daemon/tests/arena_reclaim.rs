@@ -1,10 +1,10 @@
-//! With [`DaemonConfig::reclaim_arena`] on, violated jobs that ship a
-//! witness leave the process-wide tree arena where it was after the first
-//! one: each job's trees are swept once its witness is serialised.
+//! Violated jobs that ship a witness leave the number of live tree nodes
+//! where it was after the first one: each job's trees are freed once its
+//! witness is serialised.
 //!
-//! This file is its own integration-test binary on purpose: reclamation is
-//! process-wide (see docs/CONCURRENCY.md), so no unrelated test may build
-//! trees in this process while the daemon sweeps.  Do not add tests here.
+//! This file is its own integration-test binary on purpose: the live count
+//! is process-wide, so no unrelated test may build trees in this process
+//! while the daemon runs.  Do not add tests here.
 
 use std::sync::Arc;
 
@@ -18,11 +18,13 @@ use autoq_treeaut::arena;
 
 #[test]
 fn violated_jobs_leave_the_arena_flat() {
-    let config = DaemonConfig {
-        reclaim_arena: true,
-        ..DaemonConfig::default()
-    };
-    let daemon = serve("127.0.0.1:0", config, Arc::new(RealEngine::default()), None).unwrap();
+    let daemon = serve(
+        "127.0.0.1:0",
+        DaemonConfig::default(),
+        Arc::new(RealEngine::default()),
+        None,
+    )
+    .unwrap();
     let mut client = Client::connect(daemon.addr()).unwrap();
 
     let mut after_first = None;
@@ -54,7 +56,8 @@ fn violated_jobs_leave_the_arena_flat() {
         };
         assert!(!cached && !verdict.holds, "job {job}");
         assert!(verdict.witness.is_some(), "job {job} lost its witness");
-        // The worker sweeps before it answers, so the count is settled.
+        // The worker frees the job's trees before it answers, so the count
+        // is settled.
         let live = arena::live_node_count();
         match after_first {
             None => after_first = Some(live),

@@ -91,7 +91,7 @@ fn check_against_direct(
             // choice can differ between runs, so check semantically: it is
             // exactly the direct witness, or at least on the violating side
             // of the right set.
-            if decoded.id() != witness.id() {
+            if decoded != *witness {
                 if *reachable_but_forbidden {
                     assert!(!post_set.automaton().accepts(&decoded));
                 } else {
@@ -345,10 +345,10 @@ fn restart_re_serves_persisted_verdicts_without_the_engine() {
     assert_eq!(revived, first);
     assert_eq!(engine2.calls(), 0, "restart hit must never run the engine");
 
-    // The persisted witness decodes to the original tree (same arena id —
-    // hash-consing reconstructs the DAG).
+    // The persisted witness decodes to the original tree, sharing and all.
     let decoded = tree_from_binary(revived.witness.as_ref().unwrap()).unwrap();
-    assert_eq!(decoded.id(), witness.id());
+    assert_eq!(decoded, witness);
+    assert_eq!(decoded.node_count(), witness.node_count());
 
     daemon2.shutdown();
     daemon2.join();

@@ -7,9 +7,8 @@ use std::rc::Rc;
 use autoq_amplitude::hash::{FixedMap, FixedSet};
 use autoq_amplitude::{intern, Algebraic, AmpId};
 
-use crate::arena::{self, TreeNode};
 use crate::index::TransitionIndex;
-use crate::tree::NodeId;
+use crate::tree::{Shape, TreeBuilder};
 use crate::{InternalSymbol, StateId, Tag, Tree};
 
 /// An internal transition `parent → symbol(left, right)`.
@@ -207,37 +206,41 @@ impl TreeAutomaton {
     /// Panics if some tree has a different height than `num_vars`.
     pub fn from_trees(num_vars: u32, trees: &[Tree]) -> Self {
         let mut automaton = TreeAutomaton::new(num_vars);
-        // Shared across all insertions: `memo` keys on the arena-wide
-        // hash-consed node ids (so equal subtrees of *different* trees reuse
-        // the same state) and `interned` keeps transition insertion O(1)
-        // instead of a per-node rescan of `internal`.
-        let mut memo: HashMap<NodeId, StateId> = HashMap::new();
+        // Shared across all insertions: `memo` keys on node addresses (so a
+        // shared subtree is inserted once), and `interned` gives equal
+        // subtrees of *different* trees the same state and keeps transition
+        // insertion O(1) instead of a per-node rescan of `internal`.
+        let mut memo: FixedMap<usize, StateId> = FixedMap::default();
         let mut interned: HashMap<(InternalSymbol, StateId, StateId), StateId> = HashMap::new();
         for tree in trees {
             assert_eq!(tree.num_qubits(), num_vars, "tree height mismatch");
-            let root = automaton.insert_node(tree.id(), &mut memo, &mut interned);
+            let root = automaton.insert_node(tree, &mut memo, &mut interned);
             automaton.add_root(root);
         }
         automaton
     }
 
-    /// Inserts the transitions generating the node `id` and returns the state
-    /// that generates it.  The walk is memoised on the tree's hash-consed
-    /// [`NodeId`]s, so the automaton gains one state per *distinct* subtree
-    /// — linear in the DAG size, even when the unfolded tree is exponential
-    /// (e.g. re-inserting a 35-qubit witness during hunt confirmation).
+    /// Inserts the transitions generating `tree` and returns the state that
+    /// generates it.  The walk is memoised on node addresses, so the
+    /// automaton gains one state per *distinct* subtree — linear in the DAG
+    /// size, even when the unfolded tree is exponential (e.g. re-inserting a
+    /// 35-qubit witness during hunt confirmation).
     fn insert_node(
         &mut self,
-        id: NodeId,
-        memo: &mut HashMap<NodeId, StateId>,
+        tree: &Tree,
+        memo: &mut FixedMap<usize, StateId>,
         interned: &mut HashMap<(InternalSymbol, StateId, StateId), StateId>,
     ) -> StateId {
-        if let Some(&state) = memo.get(&id) {
+        if let Some(&state) = memo.get(&tree.addr()) {
             return state;
         }
-        let state = match arena::read(id) {
-            TreeNode::Leaf(amp) => self.leaf_state_id(amp),
-            TreeNode::Node { var, left, right } => {
+        let state = match *tree.shape() {
+            Shape::Leaf(amp) => self.leaf_state_id(amp),
+            Shape::Node {
+                var,
+                ref left,
+                ref right,
+            } => {
                 let left_state = self.insert_node(left, memo, interned);
                 let right_state = self.insert_node(right, memo, interned);
                 // Share states for structurally equal internal transitions
@@ -253,7 +256,7 @@ impl TreeAutomaton {
                 }
             }
         };
-        memo.insert(id, state);
+        memo.insert(tree.addr(), state);
         state
     }
 
@@ -266,9 +269,9 @@ impl TreeAutomaton {
 
     /// Computes the set of states that can generate `tree` (bottom-up run).
     ///
-    /// Memoised on the tree's hash-consed [`NodeId`]s: each distinct subtree
-    /// is run once, so membership tests on DAG-shared witnesses cost
-    /// O(|DAG| · |Δ|) rather than O(2ⁿ · |Δ|).
+    /// Memoised on node addresses: each distinct subtree is run once, so
+    /// membership tests on DAG-shared witnesses cost O(|DAG| · |Δ|) rather
+    /// than O(2ⁿ · |Δ|).
     pub fn run_states(&self, tree: &Tree) -> HashSet<StateId> {
         // Group the transitions by variable / leaf value once, so each
         // distinct tree node only scans the transitions of its own layer.
@@ -282,8 +285,8 @@ impl TreeAutomaton {
         for t in &self.leaves {
             leaves_by_value.entry(t.amp).or_default().push(t.parent);
         }
-        let mut memo: HashMap<NodeId, Rc<HashSet<StateId>>> = HashMap::new();
-        let states = self.run_node(tree.id(), &by_var, &leaves_by_value, &mut memo);
+        let mut memo: FixedMap<usize, Rc<HashSet<StateId>>> = FixedMap::default();
+        let states = self.run_node(tree, &by_var, &leaves_by_value, &mut memo);
         // The memo still holds the root's other Rc clone; release it so the
         // unwrap below moves the set out instead of deep-cloning it.
         drop(memo);
@@ -292,20 +295,24 @@ impl TreeAutomaton {
 
     fn run_node(
         &self,
-        id: NodeId,
+        tree: &Tree,
         by_var: &[Vec<u32>],
         leaves_by_value: &HashMap<AmpId, Vec<StateId>>,
-        memo: &mut HashMap<NodeId, Rc<HashSet<StateId>>>,
+        memo: &mut FixedMap<usize, Rc<HashSet<StateId>>>,
     ) -> Rc<HashSet<StateId>> {
-        if let Some(states) = memo.get(&id) {
+        if let Some(states) = memo.get(&tree.addr()) {
             return Rc::clone(states);
         }
-        let states: HashSet<StateId> = match arena::read(id) {
-            TreeNode::Leaf(amp) => leaves_by_value
+        let states: HashSet<StateId> = match *tree.shape() {
+            Shape::Leaf(amp) => leaves_by_value
                 .get(&amp)
                 .map(|states| states.iter().copied().collect())
                 .unwrap_or_default(),
-            TreeNode::Node { var, left, right } => {
+            Shape::Node {
+                var,
+                ref left,
+                ref right,
+            } => {
                 let left_states = self.run_node(left, by_var, leaves_by_value, memo);
                 let right_states = self.run_node(right, by_var, leaves_by_value, memo);
                 by_var
@@ -324,7 +331,7 @@ impl TreeAutomaton {
             }
         };
         let states = Rc::new(states);
-        memo.insert(id, Rc::clone(&states));
+        memo.insert(tree.addr(), Rc::clone(&states));
         states
     }
 
@@ -337,10 +344,13 @@ impl TreeAutomaton {
         let index = TransitionIndex::build(self);
         let mut memo: HashMap<StateId, Vec<Tree>> = HashMap::new();
         let mut visiting: HashSet<StateId> = HashSet::new();
+        let mut builder = TreeBuilder::default();
         let mut result = Vec::new();
         let mut seen: HashSet<Tree> = HashSet::new();
         for &root in &self.roots {
-            for tree in self.language_of(root, limit, &index, &mut memo, &mut visiting) {
+            let language =
+                self.language_of(root, limit, &index, &mut memo, &mut visiting, &mut builder);
+            for tree in language {
                 if result.len() >= limit {
                     return result;
                 }
@@ -359,6 +369,7 @@ impl TreeAutomaton {
         index: &TransitionIndex,
         memo: &mut HashMap<StateId, Vec<Tree>>,
         visiting: &mut HashSet<StateId>,
+        builder: &mut TreeBuilder,
     ) -> Vec<Tree> {
         if let Some(cached) = memo.get(&state) {
             return cached.clone();
@@ -368,7 +379,7 @@ impl TreeAutomaton {
         }
         let mut trees = Vec::new();
         for &position in index.leaves_of(state) {
-            trees.push(Tree::interned_leaf(self.leaves[position as usize].amp));
+            trees.push(builder.leaf(self.leaves[position as usize].amp));
         }
         let transitions: Vec<InternalTransition> = index
             .internal_of(state)
@@ -376,14 +387,14 @@ impl TreeAutomaton {
             .map(|&position| self.internal[position as usize].clone())
             .collect();
         for t in transitions {
-            let left_trees = self.language_of(t.left, limit, index, memo, visiting);
-            let right_trees = self.language_of(t.right, limit, index, memo, visiting);
+            let left_trees = self.language_of(t.left, limit, index, memo, visiting, builder);
+            let right_trees = self.language_of(t.right, limit, index, memo, visiting, builder);
             'outer: for l in &left_trees {
                 for r in &right_trees {
                     if trees.len() >= limit {
                         break 'outer;
                     }
-                    trees.push(Tree::node(t.symbol.var, l.clone(), r.clone()));
+                    trees.push(builder.node(t.symbol.var, l, r));
                 }
             }
         }

@@ -1,33 +1,13 @@
-//! A Timbuk/VATA-style textual exchange format for tree automata.
+//! Compact binary codecs for automata, witness trees and inclusion
+//! certificates.
 //!
-//! The AutoQ tool exchanges automata with VATA in a textual format; this
-//! module provides the equivalent for AutoQ-rs so that pre/post-conditions
-//! can be stored in files, diffed, and loaded back.  The format is
-//! line-oriented:
-//!
-//! ```text
-//! Ops            # ignored header, optional
-//! Automaton A
-//! Vars 2
-//! States q0 q1 q2
-//! Final States q2
-//! Transitions
-//! [0,0,0,0,0] -> q0
-//! [1,0,0,0,0] -> q1
-//! x1(q0, q1) -> q2
-//! ```
-//!
-//! Internal symbols are written `x<var>` (optionally `x<var>#tag`), leaf
-//! symbols are the 5-tuple `(a,b,c,d,k)` of the algebraic amplitude.
-//!
-//! Alongside the text format the module provides a **compact binary codec**
-//! for automata ([`to_binary`]/[`from_binary`]) and for witness trees
-//! serialised *as DAGs* ([`tree_to_binary`]/[`tree_from_binary`]): shared
-//! subtrees are emitted once and referenced by index, so a 70-qubit basis
-//! witness costs a few hundred bytes instead of 2⁷¹ positions.  The binary
-//! forms are what the verification daemon persists in its verdict cache and
-//! streams over the wire; decoding never panics on malformed input — every
-//! error is reported as a [`BinaryFormatError`] with a byte offset.
+//! Automata ([`to_binary`]/[`from_binary`]) and witness trees serialised
+//! *as DAGs* ([`tree_to_binary`]/[`tree_from_binary`]): shared subtrees are
+//! emitted once and referenced by index, so a 70-qubit basis witness costs
+//! a few hundred bytes instead of 2⁷¹ positions.  The binary forms are what
+//! the verification daemon persists in its verdict cache and streams over
+//! the wire; decoding never panics on malformed input — every error is
+//! reported as a [`BinaryFormatError`] with a byte offset.
 //!
 //! Since codec version 2 both binary forms carry a per-message **amplitude
 //! table**: each distinct leaf amplitude is encoded once (in first-use
@@ -36,268 +16,13 @@
 //! amplitudes pays for each bigint tuple exactly once.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::str::FromStr;
 
 use autoq_amplitude::{intern, resolve, Algebraic, AmpId};
 use autoq_bigint::{BigInt, Sign};
 
 use crate::certificate::{CertSet, InclusionCertificate, LeafJustification, StepJustification};
+use crate::tree::TreeBuilder;
 use crate::{InternalSymbol, StateId, Tag, Tree, TreeAutomaton};
-
-/// Error produced when parsing the textual automaton format.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FormatError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl std::fmt::Display for FormatError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "automaton format error on line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for FormatError {}
-
-/// Serialises an automaton in the exchange format.
-///
-/// ```
-/// use autoq_treeaut::{format, Tree, TreeAutomaton};
-/// let automaton = TreeAutomaton::from_tree(&Tree::basis_state(2, 0b10));
-/// let text = format::to_text(&automaton);
-/// let parsed = format::from_text(&text).unwrap();
-/// assert!(autoq_treeaut::equivalence(&automaton, &parsed).holds());
-/// ```
-pub fn to_text(automaton: &TreeAutomaton) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Automaton A");
-    let _ = writeln!(out, "Vars {}", automaton.num_vars);
-    let _ = write!(out, "States");
-    for s in 0..automaton.num_states {
-        let _ = write!(out, " q{s}");
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "Final States");
-    for root in &automaton.roots {
-        let _ = write!(out, " q{}", root.raw());
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "Transitions");
-    for t in &automaton.leaves {
-        let value = resolve(t.amp);
-        let (a, b, c, d, k) = value.components();
-        let _ = writeln!(out, "[{a},{b},{c},{d},{k}] -> q{}", t.parent.raw());
-    }
-    for t in &automaton.internal {
-        let tag = match t.symbol.tag {
-            Tag::None => String::new(),
-            Tag::Single(i) => format!("#{i}"),
-            Tag::Pair(i, j) => format!("#{i},{j}"),
-        };
-        let _ = writeln!(
-            out,
-            "x{}{}(q{}, q{}) -> q{}",
-            t.symbol.var,
-            tag,
-            t.left.raw(),
-            t.right.raw(),
-            t.parent.raw()
-        );
-    }
-    out
-}
-
-/// Parses an automaton from the exchange format.
-///
-/// # Errors
-///
-/// Returns a [`FormatError`] describing the first offending line.
-pub fn from_text(text: &str) -> Result<TreeAutomaton, FormatError> {
-    let mut num_vars: Option<u32> = None;
-    let mut num_states: u32 = 0;
-    let mut roots: Vec<u32> = Vec::new();
-    let mut leaf_lines: Vec<(usize, String)> = Vec::new();
-    let mut internal_lines: Vec<(usize, String)> = Vec::new();
-    let mut in_transitions = false;
-
-    for (index, raw_line) in text.lines().enumerate() {
-        let line_no = index + 1;
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with("Ops") || line.starts_with("Automaton") {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("Vars") {
-            num_vars = Some(rest.trim().parse().map_err(|_| FormatError {
-                line: line_no,
-                message: "malformed Vars line".to_string(),
-            })?);
-        } else if let Some(rest) = line.strip_prefix("Final States") {
-            for token in rest.split_whitespace() {
-                roots.push(parse_state(token, line_no)?);
-            }
-        } else if let Some(rest) = line.strip_prefix("States") {
-            num_states = rest.split_whitespace().count() as u32;
-        } else if line == "Transitions" {
-            in_transitions = true;
-        } else if in_transitions {
-            if line.starts_with('[') {
-                leaf_lines.push((line_no, line.to_string()));
-            } else {
-                internal_lines.push((line_no, line.to_string()));
-            }
-        } else {
-            return Err(FormatError {
-                line: line_no,
-                message: format!("unexpected line {line:?}"),
-            });
-        }
-    }
-
-    let num_vars = num_vars.ok_or(FormatError {
-        line: 0,
-        message: "missing Vars declaration".to_string(),
-    })?;
-    let mut automaton = TreeAutomaton::new(num_vars);
-    automaton.add_states(num_states);
-    for root in roots {
-        automaton.add_root(StateId::new(root));
-    }
-    for (line_no, line) in leaf_lines {
-        let arrow = line.find("->").ok_or(FormatError {
-            line: line_no,
-            message: "leaf transition missing ->".to_string(),
-        })?;
-        let value = parse_amplitude(line[..arrow].trim(), line_no)?;
-        let parent = parse_state(line[arrow + 2..].trim(), line_no)?;
-        automaton.add_leaf(StateId::new(parent), value);
-    }
-    for (line_no, line) in internal_lines {
-        let arrow = line.find("->").ok_or(FormatError {
-            line: line_no,
-            message: "transition missing ->".to_string(),
-        })?;
-        let parent = parse_state(line[arrow + 2..].trim(), line_no)?;
-        let lhs = line[..arrow].trim();
-        let open = lhs.find('(').ok_or(FormatError {
-            line: line_no,
-            message: "internal transition missing children".to_string(),
-        })?;
-        let close = lhs.rfind(')').ok_or(FormatError {
-            line: line_no,
-            message: "internal transition missing children".to_string(),
-        })?;
-        let symbol = parse_symbol(lhs[..open].trim(), line_no)?;
-        let children: Vec<&str> = lhs[open + 1..close].split(',').map(str::trim).collect();
-        if children.len() != 2 {
-            return Err(FormatError {
-                line: line_no,
-                message: "internal transitions must have exactly two children".to_string(),
-            });
-        }
-        let left = parse_state(children[0], line_no)?;
-        let right = parse_state(children[1], line_no)?;
-        automaton.add_internal(
-            parent_state(parent),
-            symbol,
-            StateId::new(left),
-            StateId::new(right),
-        );
-    }
-    automaton
-        .validate()
-        .map_err(|message| FormatError { line: 0, message })?;
-    Ok(automaton)
-}
-
-fn parent_state(raw: u32) -> StateId {
-    StateId::new(raw)
-}
-
-fn parse_state(token: &str, line: usize) -> Result<u32, FormatError> {
-    token
-        .trim()
-        .strip_prefix('q')
-        .and_then(|rest| rest.parse().ok())
-        .ok_or(FormatError {
-            line,
-            message: format!("malformed state {token:?}"),
-        })
-}
-
-fn parse_symbol(token: &str, line: usize) -> Result<crate::InternalSymbol, FormatError> {
-    let rest = token.strip_prefix('x').ok_or(FormatError {
-        line,
-        message: format!("malformed symbol {token:?}"),
-    })?;
-    let (var_text, tag) = match rest.split_once('#') {
-        None => (rest, Tag::None),
-        Some((var_text, tag_text)) => {
-            let tag = match tag_text.split_once(',') {
-                None => Tag::Single(tag_text.parse().map_err(|_| FormatError {
-                    line,
-                    message: format!("malformed tag {tag_text:?}"),
-                })?),
-                Some((i, j)) => Tag::Pair(
-                    i.parse().map_err(|_| FormatError {
-                        line,
-                        message: format!("malformed tag {i:?}"),
-                    })?,
-                    j.parse().map_err(|_| FormatError {
-                        line,
-                        message: format!("malformed tag {j:?}"),
-                    })?,
-                ),
-            };
-            (var_text, tag)
-        }
-    };
-    let var: u32 = var_text.parse().map_err(|_| FormatError {
-        line,
-        message: format!("malformed variable {var_text:?}"),
-    })?;
-    Ok(crate::InternalSymbol::new(var).with_tag(tag))
-}
-
-fn parse_amplitude(token: &str, line: usize) -> Result<Algebraic, FormatError> {
-    let inner = token
-        .strip_prefix('[')
-        .and_then(|t| t.strip_suffix(']'))
-        .ok_or(FormatError {
-            line,
-            message: format!("malformed amplitude {token:?}"),
-        })?;
-    let parts: Vec<&str> = inner.split(',').map(str::trim).collect();
-    if parts.len() != 5 {
-        return Err(FormatError {
-            line,
-            message: "amplitudes are 5-tuples (a,b,c,d,k)".to_string(),
-        });
-    }
-    let parse_int = |text: &str| -> Result<BigInt, FormatError> {
-        BigInt::from_str(text).map_err(|_| FormatError {
-            line,
-            message: format!("malformed integer {text:?}"),
-        })
-    };
-    let k: u64 = parts[4].parse().map_err(|_| FormatError {
-        line,
-        message: format!("malformed exponent {:?}", parts[4]),
-    })?;
-    Ok(Algebraic::new(
-        parse_int(parts[0])?,
-        parse_int(parts[1])?,
-        parse_int(parts[2])?,
-        parse_int(parts[3])?,
-        k,
-    ))
-}
 
 /// Error produced when decoding the binary automaton/tree codec.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -652,10 +377,12 @@ pub fn from_binary(bytes: &[u8]) -> Result<TreeAutomaton, BinaryFormatError> {
     Ok(automaton)
 }
 
-/// Serialises a tree **as a DAG**: each distinct subtree is emitted once, in
-/// children-first order, and referenced by index afterwards.  This is the
-/// compact witness encoding streamed and persisted by the verification
-/// daemon — a shared 70-qubit basis witness encodes in O(qubits) bytes.
+/// Serialises a tree **as a DAG**: each node is emitted once, in
+/// children-first order, and referenced by index afterwards (a tree built
+/// by a hash-consing constructor has one node per distinct subtree).  This
+/// is the compact witness encoding streamed and persisted by the
+/// verification daemon — a shared 70-qubit basis witness encodes in
+/// O(qubits) bytes.
 ///
 /// ```
 /// use autoq_treeaut::{format, Tree};
@@ -663,17 +390,18 @@ pub fn from_binary(bytes: &[u8]) -> Result<TreeAutomaton, BinaryFormatError> {
 /// let bytes = format::tree_to_binary(&witness);
 /// assert!(bytes.len() < 2_000);
 /// let decoded = format::tree_from_binary(&bytes).unwrap();
-/// assert_eq!(decoded, witness); // hash-consing: same arena id
+/// assert_eq!(decoded, witness);
+/// assert_eq!(decoded.node_count(), witness.node_count());
 /// ```
 pub fn tree_to_binary(tree: &Tree) -> Vec<u8> {
     let mut buf = Vec::with_capacity(32 + 8 * tree.node_count());
     buf.extend_from_slice(&TREE_MAGIC);
     buf.push(BINARY_VERSION);
     put_varint(&mut buf, u64::from(tree.num_qubits()));
-    // Children-first (postorder) emission over the DAG: `indices` maps an
-    // arena node id to its position in the emitted node list.
+    // Children-first (postorder) emission over the DAG: `indices` maps a
+    // node's address to its position in the emitted node list.
     let mut nodes: Vec<u8> = Vec::new();
-    let mut indices: HashMap<crate::NodeId, u64> = HashMap::new();
+    let mut indices: HashMap<usize, u64> = HashMap::new();
     let mut emitted: u64 = 0;
     let mut amp_table: Vec<AmpId> = Vec::new();
     let mut amp_index: HashMap<AmpId, u64> = HashMap::new();
@@ -686,7 +414,7 @@ pub fn tree_to_binary(tree: &Tree) -> Vec<u8> {
     while let Some(step) = stack.pop() {
         match step {
             Walk::Visit(t) => {
-                if indices.contains_key(&t.id()) {
+                if indices.contains_key(&t.addr()) {
                     continue;
                 }
                 if let Some((_, left, right)) = t.as_node() {
@@ -698,7 +426,7 @@ pub fn tree_to_binary(tree: &Tree) -> Vec<u8> {
                 }
             }
             Walk::Emit(t) => {
-                if indices.contains_key(&t.id()) {
+                if indices.contains_key(&t.addr()) {
                     continue;
                 }
                 match t.as_node() {
@@ -714,11 +442,11 @@ pub fn tree_to_binary(tree: &Tree) -> Vec<u8> {
                     Some((var, left, right)) => {
                         nodes.push(1);
                         put_varint(&mut nodes, u64::from(var));
-                        put_varint(&mut nodes, indices[&left.id()]);
-                        put_varint(&mut nodes, indices[&right.id()]);
+                        put_varint(&mut nodes, indices[&left.addr()]);
+                        put_varint(&mut nodes, indices[&right.addr()]);
                     }
                 }
-                indices.insert(t.id(), emitted);
+                indices.insert(t.addr(), emitted);
                 emitted += 1;
             }
         }
@@ -732,10 +460,11 @@ pub fn tree_to_binary(tree: &Tree) -> Vec<u8> {
     buf
 }
 
-/// Parses a tree from the binary DAG format of [`tree_to_binary`].  Sharing
-/// is reconstructed by the arena's hash-consing, so decoding an encoding of
-/// tree `t` in the same process yields a tree with the *same arena id* as
-/// `t`.
+/// Parses a tree from the binary DAG format of [`tree_to_binary`].  The
+/// decoder hash-conses the nodes it builds, so structurally equal subtrees
+/// of the decoded tree are one shared node: decoding the encoding of a tree
+/// `t` yields a tree equal to `t`, with `t`'s node count whenever `t` itself
+/// has one node per distinct subtree.
 ///
 /// # Errors
 ///
@@ -759,6 +488,7 @@ pub fn tree_from_binary(bytes: &[u8]) -> Result<Tree, BinaryFormatError> {
     if node_count == 0 {
         return Err(cursor.error("a tree encoding needs at least one node"));
     }
+    let mut builder = TreeBuilder::default();
     let mut trees: Vec<Tree> = Vec::with_capacity(node_count);
     // `top[i]` is the variable of node `i`, or `num_qubits` for leaves —
     // checking children are exactly one layer below guarantees the decoded
@@ -771,7 +501,7 @@ pub fn tree_from_binary(bytes: &[u8]) -> Result<Tree, BinaryFormatError> {
                 let amp = *amp_ids
                     .get(index)
                     .ok_or_else(|| cursor.error(format!("amplitude index {index} out of table")))?;
-                trees.push(Tree::interned_leaf(amp));
+                trees.push(builder.leaf(amp));
                 top.push(num_qubits);
             }
             1 => {
@@ -804,7 +534,8 @@ pub fn tree_from_binary(bytes: &[u8]) -> Result<Tree, BinaryFormatError> {
                 };
                 let left = child(&mut cursor)?;
                 let right = child(&mut cursor)?;
-                trees.push(Tree::node(var, trees[left].clone(), trees[right].clone()));
+                let node = builder.node(var, &trees[left], &trees[right]);
+                trees.push(node);
                 top.push(var);
             }
             other => return Err(cursor.error(format!("invalid node kind {other}"))),
@@ -992,7 +723,10 @@ pub fn certificates_from_binary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{equivalence, Tree};
+
+    fn round_trip(automaton: &TreeAutomaton) -> TreeAutomaton {
+        from_binary(&to_binary(automaton)).unwrap()
+    }
 
     #[test]
     fn round_trip_preserves_the_language() {
@@ -1007,10 +741,7 @@ mod tests {
             Tree::basis_state(3, 5),
         ];
         let automaton = TreeAutomaton::from_trees(3, &trees);
-        let text = to_text(&automaton);
-        let parsed = from_text(&text).unwrap();
-        assert!(equivalence(&automaton, &parsed).holds());
-        assert_eq!(parsed.state_count(), automaton.state_count());
+        assert_eq!(round_trip(&automaton), automaton);
     }
 
     #[test]
@@ -1019,22 +750,9 @@ mod tests {
         for (i, t) in automaton.internal.iter_mut().enumerate() {
             t.symbol = t.symbol.with_tag(Tag::Single(i as u32 + 1));
         }
-        let text = to_text(&automaton);
-        let parsed = from_text(&text).unwrap();
-        assert_eq!(parsed.internal.len(), automaton.internal.len());
+        let parsed = round_trip(&automaton);
         assert!(parsed.is_tagged());
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        assert!(from_text("").is_err());
-        let err =
-            from_text("Vars 1\nStates q0\nFinal States q0\nTransitions\nbroken\n").unwrap_err();
-        assert_eq!(err.line, 5);
-        let err =
-            from_text("Vars 1\nStates q0 q1\nFinal States q1\nTransitions\n[1,0,0,0] -> q0\n")
-                .unwrap_err();
-        assert!(err.message.contains("5-tuples"));
+        assert_eq!(parsed, automaton);
     }
 
     #[test]
@@ -1045,8 +763,7 @@ mod tests {
         let zero = automaton.leaf_state(&Algebraic::zero());
         let root = automaton.add_state();
         automaton.add_root(root);
-        automaton.add_internal(root, crate::InternalSymbol::new(0), zero, leaf);
-        let parsed = from_text(&to_text(&automaton)).unwrap();
-        assert!(equivalence(&automaton, &parsed).holds());
+        automaton.add_internal(root, InternalSymbol::new(0), zero, leaf);
+        assert_eq!(round_trip(&automaton), automaton);
     }
 }

@@ -14,6 +14,7 @@ use std::rc::Rc;
 use autoq_amplitude::AmpId;
 
 use crate::certificate::{build_certificate, CertificateBuildError, InclusionCertificate};
+use crate::tree::TreeBuilder;
 use crate::{StateId, TransitionIndex, Tree, TreeAutomaton};
 
 /// Result of a language inclusion test `L(A) ⊆ L(B)`.
@@ -68,36 +69,40 @@ enum Witness {
 }
 
 impl Witness {
-    /// Converts the `Rc`-shared search witness into a hash-consed [`Tree`].
+    /// Converts the `Rc`-shared search witness into a [`Tree`].
     ///
-    /// The conversion is memoised on the `Rc` pointers, so each distinct
-    /// witness node is interned exactly once and the result is emitted as a
-    /// DAG: linear in the size of the search structure (itself bounded by
-    /// the antichain work), never in the `2^(n+1)` unfolded tree.  This is
-    /// what makes counterexample extraction possible at the paper's 35-qubit
-    /// Table 3 scale, where the unfolded witness would need `2^36` nodes.
+    /// The conversion is memoised on the `Rc` pointers and hash-conses the
+    /// nodes it builds, so each distinct witness subtree becomes one shared
+    /// node and the result is emitted as a DAG: linear in the size of the
+    /// search structure (itself bounded by the antichain work), never in
+    /// the `2^(n+1)` unfolded tree.  This is what makes counterexample
+    /// extraction possible at the paper's 35-qubit Table 3 scale, where the
+    /// unfolded witness would need `2^36` nodes.
     fn to_tree(&self) -> Tree {
-        fn convert(witness: &Witness, memo: &mut HashMap<*const Witness, Tree>) -> Tree {
+        fn convert(
+            witness: &Witness,
+            memo: &mut HashMap<*const Witness, Tree>,
+            builder: &mut TreeBuilder,
+        ) -> Tree {
             match witness {
-                Witness::Leaf(amp) => Tree::interned_leaf(*amp),
+                Witness::Leaf(amp) => builder.leaf(*amp),
                 Witness::Node(var, left, right) => {
-                    let subtree =
-                        |child: &Rc<Witness>, memo: &mut HashMap<*const Witness, Tree>| {
-                            let key = Rc::as_ptr(child);
-                            if let Some(tree) = memo.get(&key) {
-                                return tree.clone();
-                            }
-                            let tree = convert(child, memo);
-                            memo.insert(key, tree.clone());
-                            tree
-                        };
-                    let left = subtree(left, memo);
-                    let right = subtree(right, memo);
-                    Tree::node(*var, left, right)
+                    let mut subtree = |child: &Rc<Witness>| {
+                        let key = Rc::as_ptr(child);
+                        if let Some(tree) = memo.get(&key) {
+                            return tree.clone();
+                        }
+                        let tree = convert(child, memo, builder);
+                        memo.insert(key, tree.clone());
+                        tree
+                    };
+                    let left = subtree(left);
+                    let right = subtree(right);
+                    builder.node(*var, &left, &right)
                 }
             }
         }
-        convert(self, &mut HashMap::new())
+        convert(self, &mut HashMap::new(), &mut TreeBuilder::default())
     }
 }
 

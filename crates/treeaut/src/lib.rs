@@ -11,11 +11,11 @@
 //! construction) and constant leaf symbols (exact algebraic amplitudes),
 //! transitions `Δ`, and root states `R`.
 //!
-//! Individual trees ([`Tree`]) are stored as **hash-consed DAGs** with
-//! maximal subtree sharing, so inclusion counterexamples — the framework's
-//! bug witnesses — stay linear in the automaton size instead of exploding
-//! to `2^(n+1)` nodes, unlocking the paper's 35-qubit Table 3 hunts (see
-//! `docs/ARCHITECTURE.md` §2).
+//! Individual trees ([`Tree`]) are stored as **DAGs that own their
+//! nodes**, built with maximal subtree sharing, so inclusion
+//! counterexamples — the framework's bug witnesses — stay linear in the
+//! automaton size instead of exploding to `2^(n+1)` nodes, unlocking the
+//! paper's 35-qubit Table 3 hunts (see `docs/ARCHITECTURE.md` §2).
 //!
 //! The per-gate hot path — `trim`, `reduce`, `inclusion`, `enumerate` —
 //! reads adjacency through a CSR [`TransitionIndex`] that each operation
@@ -71,4 +71,4 @@ pub use inclusion::{
 pub use index::TransitionIndex;
 pub use state::StateId;
 pub use symbol::{InternalSymbol, Tag};
-pub use tree::{NodeId, Tree};
+pub use tree::Tree;

@@ -1,5 +1,5 @@
-//! Full binary trees encoding individual quantum states, stored as
-//! hash-consed DAGs with maximal subtree sharing.
+//! Full binary trees encoding individual quantum states, stored as DAGs
+//! with shared subtrees.
 //!
 //! A full binary tree of height `n` encodes a function `{0,1}ⁿ → amplitudes`
 //! (Section 3 of the AutoQ paper): following the left child of the layer-`t`
@@ -9,41 +9,71 @@
 //!
 //! # Representation
 //!
-//! A [`Tree`] is a [`NodeId`] handle into the process-wide **sharded**
-//! hash-consing arena of [`crate::arena`].  Nodes are *hash-consed*:
-//! interning a leaf or an internal node with the same (value) or
-//! (variable, left, right) as an existing node returns the existing
-//! [`NodeId`], so structurally equal subtrees are physically shared and
-//! structural equality is a single id comparison.  This turns the
-//! `2^(n+1)`-node explicit binary tree of an `n`-qubit basis state into a
-//! DAG of `2n + 1` shared nodes, which is what lets witness extraction (see
-//! [`crate::inclusion`]) scale to the paper's 35-qubit Table 3 bug hunts
-//! instead of capping out near 24 qubits.
+//! A [`Tree`] owns its root node through an [`Arc`]; a node is a leaf
+//! carrying an interned amplitude id ([`AmpId`]) or a `(var, left, right)`
+//! triple of child trees, plus a structural hash computed once when the
+//! node is built.  Cloning is one reference-count increment, hashing reads
+//! the stored hash, and a node is freed when the last tree holding it is
+//! dropped: there is no process-wide table to lock or to sweep.
 //!
-//! The arena is sharded across independent locks (so concurrent hunt
-//! workers intern in parallel instead of serialising on one mutex) and
-//! supports epoch-based reclamation (so a completed hunt can release its
-//! nodes); `Tree` is `Send + Sync` and handles remain valid across threads.
-//! See [`crate::arena`] and `docs/CONCURRENCY.md` for the concurrency model
-//! and the invariants reclamation callers must uphold.
+//! The constructors that build many nodes at once — [`Tree::from_fn`],
+//! [`Tree::basis_state`], inclusion witnesses, the binary tree codec and
+//! [`crate::TreeAutomaton::enumerate`] — hash-cons locally for the length
+//! of one construction, so structurally equal subtrees of the tree they
+//! build are one shared node.  This turns the `2^(n+1)`-node explicit
+//! binary tree of an `n`-qubit basis state into a DAG of `2n + 1` nodes,
+//! which is what lets witness extraction (see [`crate::inclusion`]) scale
+//! to the paper's 35- and 70-qubit Table 3 bug hunts.  [`Tree::node`] is
+//! O(1) and shares nothing on its own.
+//!
+//! Equality is structural: trees built separately compare equal when they
+//! denote the same term (see [`Tree`]'s `PartialEq`).  Walks over one tree
+//! ([`Tree::node_count`], [`Tree::support_size`], automaton membership, the
+//! codec, …) are memoised on node addresses, so they run in DAG size.
+//! `Tree` is `Send + Sync`; `docs/CONCURRENCY.md` §1 has the concurrency
+//! model.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use autoq_amplitude::hash::FixedMap;
+use autoq_amplitude::hash::{FixedHasher, FixedMap, FixedSet};
 use autoq_amplitude::{intern, Algebraic, AmpId};
 
-use crate::arena::{self, TreeNode};
 use crate::basis::{self, BasisIndex};
 
-pub use crate::arena::NodeId;
+/// Number of tree nodes alive in the process (read through
+/// [`crate::arena::live_node_count`]).
+pub(crate) static LIVE_NODES: AtomicUsize = AtomicUsize::new(0);
 
-/// A ground term over the binary/leaf alphabet, held as a handle into the
-/// process-wide hash-consing arena (see the crate docs for the
-/// representation).
+/// What a node holds besides its hash.
+pub(crate) enum Shape {
+    /// A leaf carrying the id of its amplitude in the process-wide table.
+    Leaf(AmpId),
+    /// An internal node for qubit variable `var` (0-based, root = 0).
+    Node { var: u32, left: Tree, right: Tree },
+}
+
+struct Node {
+    hash: u64,
+    shape: Shape,
+}
+
+impl Drop for Node {
+    fn drop(&mut self) {
+        LIVE_NODES.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A ground term over the binary/leaf alphabet, held as a shared DAG node
+/// (see the module docs for the representation).
 ///
-/// Equality, hashing and cloning are O(1) id operations; structurally equal
-/// trees — however they were built — compare equal and share storage.
+/// Cloning and hashing are O(1).  Equality is structural: it is `true` at
+/// once for the same node and `false` at once for different hashes; trees
+/// that are distinct nodes with equal hashes are compared by a walk
+/// memoised on node pairs, linear in their DAG sizes.
 ///
 /// # Examples
 ///
@@ -60,44 +90,83 @@ pub use crate::arena::NodeId;
 /// assert_eq!(bell.amplitude(0b11), Algebraic::one_over_sqrt2());
 /// assert_eq!(bell.amplitude(0b01), Algebraic::zero());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Tree {
-    id: NodeId,
+#[derive(Clone)]
+pub struct Tree(Arc<Node>);
+
+/// Hash-conses the nodes of one construction: equal leaves and equal
+/// `(var, left, right)` triples come back as the same node.  Children must
+/// come from the same builder, so their addresses identify their structure.
+#[derive(Default)]
+pub(crate) struct TreeBuilder {
+    leaves: FixedMap<AmpId, Tree>,
+    nodes: FixedMap<(u32, usize, usize), Tree>,
+}
+
+impl TreeBuilder {
+    /// The builder's leaf for `amp`.
+    pub(crate) fn leaf(&mut self, amp: AmpId) -> Tree {
+        self.leaves
+            .entry(amp)
+            .or_insert_with(|| Tree::interned_leaf(amp))
+            .clone()
+    }
+
+    /// The builder's node for `(var, left, right)`.
+    pub(crate) fn node(&mut self, var: u32, left: &Tree, right: &Tree) -> Tree {
+        self.nodes
+            .entry((var, left.addr(), right.addr()))
+            .or_insert_with(|| Tree::node(var, left.clone(), right.clone()))
+            .clone()
+    }
 }
 
 impl Tree {
+    fn new(shape: Shape) -> Tree {
+        let mut hasher = FixedHasher::default();
+        match &shape {
+            Shape::Leaf(amp) => amp.hash(&mut hasher),
+            Shape::Node { var, left, right } => {
+                (var, left.0.hash, right.0.hash).hash(&mut hasher);
+            }
+        }
+        LIVE_NODES.fetch_add(1, Ordering::Relaxed);
+        Tree(Arc::new(Node {
+            hash: hasher.finish(),
+            shape,
+        }))
+    }
+
+    /// The address of the root node: the key of every memoised walk, valid
+    /// for as long as the tree is alive.
+    pub(crate) fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
+    }
+
+    /// The root node's leaf amplitude or children.
+    pub(crate) fn shape(&self) -> &Shape {
+        &self.0.shape
+    }
+
     /// A leaf carrying the amplitude `value`.
     pub fn leaf(value: Algebraic) -> Tree {
-        Tree {
-            id: arena::intern_leaf(&value),
-        }
+        Tree::interned_leaf(intern::intern(&value))
     }
 
-    /// A leaf carrying an already-interned amplitude id — the
-    /// allocation-free constructor used on hot paths that already hold an
-    /// [`AmpId`] (witness extraction, codecs, automaton enumeration).
+    /// A leaf carrying an already-interned amplitude id, for callers that
+    /// already hold an [`AmpId`].
     pub fn interned_leaf(amp: AmpId) -> Tree {
-        Tree {
-            id: arena::intern_leaf_id(amp),
-        }
+        Tree::new(Shape::Leaf(amp))
     }
 
-    /// An internal node for qubit variable `var` with the given subtrees.
+    /// An internal node for qubit variable `var` with the given subtrees,
+    /// in O(1): the new node shares the children it is given and nothing
+    /// else.
     ///
     /// No well-formedness is enforced (see [`Tree::is_well_formed`]): the
     /// constructor accepts arbitrary variable labels and subtree heights, as
     /// tests for malformed terms require.
     pub fn node(var: u32, left: Tree, right: Tree) -> Tree {
-        Tree {
-            id: arena::intern_node(var, left.id, right.id),
-        }
-    }
-
-    /// The canonical arena handle of this tree.  Structurally equal trees
-    /// have equal handles; the handle of a shared subtree is the same no
-    /// matter which parent it is reached from.
-    pub fn id(&self) -> NodeId {
-        self.id
+        Tree::new(Shape::Node { var, left, right })
     }
 
     /// The leaf amplitude, if this tree is a single leaf.
@@ -107,20 +176,18 @@ impl Tree {
 
     /// The interned amplitude id, if this tree is a single leaf.
     pub fn as_leaf_id(&self) -> Option<AmpId> {
-        match arena::read(self.id) {
-            TreeNode::Leaf(amp) => Some(amp),
-            TreeNode::Node { .. } => None,
+        match self.shape() {
+            Shape::Leaf(amp) => Some(*amp),
+            Shape::Node { .. } => None,
         }
     }
 
     /// The `(var, left, right)` decomposition, if this tree is an internal
     /// node.
     pub fn as_node(&self) -> Option<(u32, Tree, Tree)> {
-        match arena::read(self.id) {
-            TreeNode::Leaf(_) => None,
-            TreeNode::Node { var, left, right } => {
-                Some((var, Tree { id: left }, Tree { id: right }))
-            }
+        match self.shape() {
+            Shape::Leaf(_) => None,
+            Shape::Node { var, left, right } => Some((*var, left.clone(), right.clone())),
         }
     }
 
@@ -143,19 +210,17 @@ impl Tree {
     pub fn from_fn(num_qubits: u32, f: impl Fn(BasisIndex) -> Algebraic) -> Tree {
         let count = usize::try_from(basis::basis_count(num_qubits))
             .expect("2^num_qubits leaf evaluations exceed addressable memory");
-        // Each intern call locks only its own shard and returns before the
-        // next, so `f` may itself use the `Tree` API and concurrent threads
-        // are never stalled for the whole construction.
-        let mut layer: Vec<NodeId> = (0..count)
-            .map(|b| arena::intern_leaf(&f(b as BasisIndex)))
+        let mut builder = TreeBuilder::default();
+        let mut layer: Vec<Tree> = (0..count)
+            .map(|b| builder.leaf(intern::intern(&f(b as BasisIndex))))
             .collect();
         for var in (0..num_qubits).rev() {
             layer = layer
                 .chunks(2)
-                .map(|pair| arena::intern_node(var, pair[0], pair[1]))
+                .map(|pair| builder.node(var, &pair[0], &pair[1]))
                 .collect();
         }
-        Tree { id: layer[0] }
+        layer.pop().expect("at least one leaf")
     }
 
     /// Builds the tree of a single computational basis state `|basis⟩`
@@ -186,35 +251,32 @@ impl Tree {
             basis::MAX_QUBITS
         );
         basis::assert_in_range(num_qubits, basis);
-        let mut zero = arena::intern_leaf(&Algebraic::zero());
-        let mut path = arena::intern_leaf(&Algebraic::one());
+        let mut builder = TreeBuilder::default();
+        let mut zero = builder.leaf(intern::zero_id());
+        let mut path = builder.leaf(intern::one_id());
         for var in (0..num_qubits).rev() {
             let bit = (basis >> (num_qubits - 1 - var)) & 1;
             path = if bit == 0 {
-                arena::intern_node(var, path, zero)
+                builder.node(var, &path, &zero)
             } else {
-                arena::intern_node(var, zero, path)
+                builder.node(var, &zero, &path)
             };
             if var > 0 {
-                zero = arena::intern_node(var, zero, zero);
+                zero = builder.node(var, &zero, &zero);
             }
         }
-        Tree { id: path }
+        path
     }
 
     /// Number of qubits (the height of the tree).
     pub fn num_qubits(&self) -> u32 {
-        let mut id = self.id;
+        let mut tree = self;
         let mut height = 0;
-        loop {
-            match arena::read(id) {
-                TreeNode::Leaf(_) => return height,
-                TreeNode::Node { left, .. } => {
-                    height += 1;
-                    id = left;
-                }
-            }
+        while let Shape::Node { left, .. } = tree.shape() {
+            height += 1;
+            tree = left;
         }
+        height
     }
 
     /// Number of *distinct* DAG nodes reachable from the root — the actual
@@ -222,13 +284,13 @@ impl Tree {
     /// has `2^(n+1) − 1` positions; for shared trees this count is far
     /// smaller (e.g. `2n + 1` for basis states).
     pub fn node_count(&self) -> usize {
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut stack = vec![self.id];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
+        let mut seen: FixedSet<usize> = FixedSet::default();
+        let mut stack = vec![self];
+        while let Some(tree) = stack.pop() {
+            if !seen.insert(tree.addr()) {
                 continue;
             }
-            if let TreeNode::Node { left, right, .. } = arena::read(id) {
+            if let Shape::Node { left, right, .. } = tree.shape() {
                 stack.push(left);
                 stack.push(right);
             }
@@ -240,20 +302,20 @@ impl Tree {
     /// nodes are all labelled with variable `t`.
     pub fn is_well_formed(&self) -> bool {
         let height = self.num_qubits();
-        let mut seen: HashSet<(NodeId, u32)> = HashSet::new();
-        let mut stack = vec![(self.id, 0u32)];
-        while let Some((id, depth)) = stack.pop() {
-            if !seen.insert((id, depth)) {
+        let mut seen: FixedSet<(usize, u32)> = FixedSet::default();
+        let mut stack = vec![(self, 0u32)];
+        while let Some((tree, depth)) = stack.pop() {
+            if !seen.insert((tree.addr(), depth)) {
                 continue;
             }
-            match arena::read(id) {
-                TreeNode::Leaf(_) => {
+            match tree.shape() {
+                Shape::Leaf(_) => {
                     if depth != height {
                         return false;
                     }
                 }
-                TreeNode::Node { var, left, right } => {
-                    if var != depth || depth >= height {
+                Shape::Node { var, left, right } => {
+                    if *var != depth || depth >= height {
                         return false;
                     }
                     stack.push((left, depth + 1));
@@ -273,23 +335,22 @@ impl Tree {
     pub fn amplitude(&self, basis: BasisIndex) -> Algebraic {
         let n = self.num_qubits();
         basis::assert_in_range(n, basis);
-        let mut id = self.id;
+        let mut tree = self;
         for level in (0..n).rev() {
-            let bit = (basis >> level) & 1;
-            id = match arena::read(id) {
-                TreeNode::Node { left, right, .. } => {
-                    if bit == 0 {
+            tree = match tree.shape() {
+                Shape::Node { left, right, .. } => {
+                    if (basis >> level) & 1 == 0 {
                         left
                     } else {
                         right
                     }
                 }
-                TreeNode::Leaf(_) => unreachable!("tree shallower than expected"),
+                Shape::Leaf(_) => unreachable!("tree shallower than expected"),
             };
         }
-        match arena::read(id) {
-            TreeNode::Leaf(amp) => intern::resolve(amp),
-            TreeNode::Node { .. } => panic!("tree deeper than expected"),
+        match tree.shape() {
+            Shape::Leaf(amp) => intern::resolve(*amp),
+            Shape::Node { .. } => panic!("tree deeper than expected"),
         }
     }
 
@@ -299,32 +360,31 @@ impl Tree {
     /// safe way to decide whether materialising [`Tree::to_amplitude_map`]
     /// is affordable for a wide witness.
     pub fn support_size(&self) -> u128 {
-        fn count(id: NodeId, memo: &mut FixedMap<NodeId, u128>) -> u128 {
-            if let Some(&cached) = memo.get(&id) {
+        fn count(tree: &Tree, memo: &mut FixedMap<usize, u128>) -> u128 {
+            if let Some(&cached) = memo.get(&tree.addr()) {
                 return cached;
             }
-            let result = match arena::read(id) {
+            let result = match tree.shape() {
                 // Canonical zero is unique, so the id comparison decides
                 // zero-ness without resolving the value.
-                TreeNode::Leaf(amp) => u128::from(amp != intern::zero_id()),
-                TreeNode::Node { left, right, .. } => count(left, memo) + count(right, memo),
+                Shape::Leaf(amp) => u128::from(*amp != intern::zero_id()),
+                Shape::Node { left, right, .. } => count(left, memo) + count(right, memo),
             };
-            memo.insert(id, result);
+            memo.insert(tree.addr(), result);
             result
         }
-        count(self.id, &mut FixedMap::default())
+        count(self, &mut FixedMap::default())
     }
 
     /// Calls `f(basis, amplitude)` for every basis state with a non-zero
     /// amplitude, in ascending basis order.
     ///
-    /// The DAG is first copied into a local vector, each distinct node read
-    /// from the arena once and every all-zero subtree folded into one
-    /// sentinel; the walk then follows local indices and skips the
-    /// sentinel, so the cost is proportional to the support (times the
-    /// height), not to `2^n`.  The amplitude comes as its interned
-    /// [`AmpId`], so callers resolve each distinct value once, not once per
-    /// entry.
+    /// The DAG is first copied into a local vector, each distinct node
+    /// visited once and every all-zero subtree folded into one sentinel;
+    /// the walk then follows local indices and skips the sentinel, so the
+    /// cost is proportional to the support (times the height), not to
+    /// `2^n`.  The amplitude comes as its interned [`AmpId`], so callers
+    /// resolve each distinct value once, not once per entry.
     ///
     /// ```
     /// # use autoq_treeaut::Tree;
@@ -343,16 +403,16 @@ impl Tree {
         }
         /// The local index of every all-zero subtree.
         const ZERO: u32 = u32::MAX;
-        fn import(id: NodeId, index: &mut FixedMap<NodeId, u32>, nodes: &mut Vec<Local>) -> u32 {
-            if let Some(&local) = index.get(&id) {
+        fn import(tree: &Tree, index: &mut FixedMap<usize, u32>, nodes: &mut Vec<Local>) -> u32 {
+            if let Some(&local) = index.get(&tree.addr()) {
                 return local;
             }
-            let node = match arena::read(id) {
+            let node = match tree.shape() {
                 // Canonical zero is unique, so the id comparison decides
                 // zero-ness without resolving the value.
-                TreeNode::Leaf(amp) if amp == intern::zero_id() => None,
-                TreeNode::Leaf(amp) => Some(Local::Leaf(amp)),
-                TreeNode::Node { left, right, .. } => {
+                Shape::Leaf(amp) if *amp == intern::zero_id() => None,
+                Shape::Leaf(amp) => Some(Local::Leaf(*amp)),
+                Shape::Node { left, right, .. } => {
                     let left = import(left, index, nodes);
                     let right = import(right, index, nodes);
                     (left != ZERO || right != ZERO).then_some(Local::Node(left, right))
@@ -362,7 +422,7 @@ impl Tree {
                 nodes.push(node);
                 nodes.len() as u32 - 1
             });
-            index.insert(id, local);
+            index.insert(tree.addr(), local);
             local
         }
         fn walk(
@@ -384,7 +444,7 @@ impl Tree {
             }
         }
         let mut nodes = Vec::new();
-        let root = import(self.id, &mut FixedMap::default(), &mut nodes);
+        let root = import(self, &mut FixedMap::default(), &mut nodes);
         if root != ZERO {
             walk(root, 0, &nodes, &mut f);
         }
@@ -443,16 +503,63 @@ impl Tree {
     }
 }
 
+impl PartialEq for Tree {
+    /// Structural equality: the same node and different hashes decide at
+    /// once; otherwise the two DAGs are walked together, each pair of
+    /// nodes compared once.
+    fn eq(&self, other: &Tree) -> bool {
+        fn equal(a: &Tree, b: &Tree, proven: &mut FixedSet<(usize, usize)>) -> bool {
+            if Arc::ptr_eq(&a.0, &b.0) {
+                return true;
+            }
+            if a.0.hash != b.0.hash {
+                return false;
+            }
+            // A pair already entered is equal, or the walk that entered it
+            // is about to return `false` for the whole comparison.
+            if !proven.insert((a.addr(), b.addr())) {
+                return true;
+            }
+            match (a.shape(), b.shape()) {
+                (Shape::Leaf(x), Shape::Leaf(y)) => x == y,
+                (
+                    Shape::Node { var, left, right },
+                    Shape::Node {
+                        var: other_var,
+                        left: other_left,
+                        right: other_right,
+                    },
+                ) => {
+                    var == other_var
+                        && equal(left, other_left, proven)
+                        && equal(right, other_right, proven)
+                }
+                _ => false,
+            }
+        }
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.hash == other.0.hash && equal(self, other, &mut FixedSet::default()))
+    }
+}
+
+impl Eq for Tree {}
+
+impl Hash for Tree {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
 impl fmt::Debug for Tree {
     /// Term-like rendering (`x0(0, 1)`) for small trees; wide trees — whose
     /// unfolded term is exponentially larger than their DAG — are summarised
     /// by height, node count and support instead.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         const MAX_TERM_HEIGHT: u32 = 8;
-        fn term(id: NodeId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match arena::read(id) {
-                TreeNode::Leaf(amp) => write!(f, "{}", intern::resolve(amp)),
-                TreeNode::Node { var, left, right } => {
+        fn term(tree: &Tree, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match tree.shape() {
+                Shape::Leaf(amp) => write!(f, "{}", intern::resolve(*amp)),
+                Shape::Node { var, left, right } => {
                     write!(f, "x{var}(")?;
                     term(left, f)?;
                     write!(f, ", ")?;
@@ -470,7 +577,7 @@ impl fmt::Debug for Tree {
                 self.support_size()
             )
         } else {
-            term(self.id, f)
+            term(self, f)
         }
     }
 }
@@ -532,28 +639,26 @@ mod tests {
     }
 
     #[test]
-    fn structurally_equal_trees_share_their_node_id() {
-        let a = Tree::from_fn(3, |b| {
-            if b % 2 == 0 {
-                Algebraic::one_over_sqrt2()
-            } else {
-                Algebraic::zero()
-            }
-        });
-        let b = Tree::from_fn(3, |b| {
-            if b % 2 == 0 {
-                Algebraic::one_over_sqrt2()
-            } else {
-                Algebraic::zero()
-            }
-        });
-        assert_eq!(a.id(), b.id());
-        // Subtrees are shared too: both children of the root of a basis-0
-        // sibling pattern repeat the same subtree object.
+    fn separate_constructions_are_equal_and_one_construction_shares() {
+        let build = || {
+            Tree::from_fn(3, |b| {
+                if b % 2 == 0 {
+                    Algebraic::one_over_sqrt2()
+                } else {
+                    Algebraic::zero()
+                }
+            })
+        };
+        let (a, b) = (build(), build());
+        assert_ne!(a.addr(), b.addr());
+        assert_eq!(a, b);
+        assert_ne!(a, Tree::basis_state(3, 0));
+        // Inside one construction equal subtrees are one node: both
+        // children of the root of a constant tree.
         let (_, left, right) = Tree::from_fn(2, |_| Algebraic::one())
             .as_node()
             .expect("internal node");
-        assert_eq!(left.id(), right.id());
+        assert_eq!(left.addr(), right.addr());
     }
 
     #[test]
@@ -665,34 +770,39 @@ mod tests {
         assert_eq!(none, 0);
     }
 
-    #[test]
-    fn for_each_nonzero_matches_a_dense_enumeration_of_random_shared_trees() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    /// A random well-formed tree of height `n` built with [`Tree::node`]
+    /// from a pool of subtrees per depth, built bottom up: the all-zero
+    /// subtree of that depth first, then nodes whose children are drawn
+    /// from the pool below, so subtrees repeat (shared in the DAG), equal
+    /// subtrees may also be distinct nodes, and whole branches are zero.
+    fn random_shared_tree(rng: &mut impl rand::Rng, n: u32) -> Tree {
         let amps = [
             Algebraic::one(),
             Algebraic::one_over_sqrt2(),
             -&Algebraic::one_over_sqrt2(),
             Algebraic::i(),
         ];
+        let mut pool = vec![Tree::leaf(Algebraic::zero())];
+        pool.extend((0..3).map(|_| Tree::leaf(amps[rng.gen_range(0..amps.len())].clone())));
+        for var in (0..n).rev() {
+            let below = std::mem::take(&mut pool);
+            pool.push(Tree::node(var, below[0].clone(), below[0].clone()));
+            for _ in 0..4 {
+                let left = below[rng.gen_range(0..below.len())].clone();
+                let right = below[rng.gen_range(0..below.len())].clone();
+                pool.push(Tree::node(var, left, right));
+            }
+        }
+        pool[rng.gen_range(0..pool.len())].clone()
+    }
+
+    #[test]
+    fn for_each_nonzero_matches_a_dense_enumeration_of_random_shared_trees() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         for _ in 0..200 {
             let n = rng.gen_range(0..=8u32);
-            // A pool of subtrees per depth, built bottom up: the all-zero
-            // subtree of that depth first, then nodes whose children are
-            // drawn from the pool below, so subtrees repeat (shared in the
-            // DAG) and whole branches are zero.
-            let mut pool = vec![Tree::leaf(Algebraic::zero())];
-            pool.extend((0..3).map(|_| Tree::leaf(amps[rng.gen_range(0..amps.len())].clone())));
-            for var in (0..n).rev() {
-                let below = std::mem::take(&mut pool);
-                pool.push(Tree::node(var, below[0].clone(), below[0].clone()));
-                for _ in 0..4 {
-                    let left = below[rng.gen_range(0..below.len())].clone();
-                    let right = below[rng.gen_range(0..below.len())].clone();
-                    pool.push(Tree::node(var, left, right));
-                }
-            }
-            let tree = pool[rng.gen_range(0..pool.len())].clone();
+            let tree = random_shared_tree(&mut rng, n);
             let mut seen = Vec::new();
             tree.for_each_nonzero(|basis, amp| seen.push((basis, intern::resolve(amp))));
             let dense: Vec<_> = (0..basis::basis_count(n))
@@ -700,6 +810,40 @@ mod tests {
                 .filter(|(_, amp)| !amp.is_zero())
                 .collect();
             assert_eq!(seen, dense, "{tree:?}");
+        }
+    }
+
+    #[test]
+    fn equality_and_hash_agree_with_the_amplitude_map_across_constructors() {
+        use rand::{Rng, SeedableRng};
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        for _ in 0..300 {
+            // Small heights, so independent draws are often equal.
+            let n = rng.gen_range(0..=3u32);
+            let tree = random_shared_tree(&mut rng, n);
+            let map = tree.to_amplitude_map();
+            let rebuilt = [
+                Tree::from_fn(n, |b| tree.amplitude(b)),
+                crate::format::tree_from_binary(&crate::format::tree_to_binary(&tree)).unwrap(),
+                crate::TreeAutomaton::from_tree(&tree)
+                    .enumerate(2)
+                    .remove(0),
+            ];
+            for other in rebuilt {
+                assert_eq!(other, tree, "{tree:?}");
+                assert_eq!(hasher.hash_one(&other), hasher.hash_one(&tree));
+            }
+            let other = random_shared_tree(&mut rng, n);
+            assert_eq!(
+                other == tree,
+                other.to_amplitude_map() == map,
+                "{tree:?} vs {other:?}"
+            );
+            if other == tree {
+                assert_eq!(hasher.hash_one(&other), hasher.hash_one(&tree));
+            }
         }
     }
 

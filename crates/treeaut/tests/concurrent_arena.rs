@@ -1,15 +1,15 @@
-//! Concurrency invariants of the sharded hash-consing arena
-//! (`docs/CONCURRENCY.md`):
+//! Trees built concurrently (`docs/CONCURRENCY.md` §1):
 //!
-//! * interning the same structure from many threads at once yields the
-//!   *identical* `NodeId` on every thread (hash-consing survives races),
-//! * concurrent interning of *distinct* structures keeps them distinct,
-//! * an `EpochPin` held by any thread blocks reclamation.
+//! * many threads building the same structure at once get trees that are
+//!   structurally equal, hash alike and have the same node count,
+//! * concurrent construction of *distinct* structures keeps them distinct.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::Barrier;
 
 use autoq_amplitude::Algebraic;
-use autoq_treeaut::{arena, Tree};
+use autoq_treeaut::Tree;
 use proptest::prelude::*;
 
 const THREADS: usize = 8;
@@ -33,81 +33,70 @@ fn build_tree(qubits: u32, basis: u128, phase: u8) -> Tree {
 }
 
 /// Races all `THREADS` threads through a barrier into the same construction
-/// and returns each thread's resulting root id.
-fn race(build: impl Fn() -> Tree + Sync) -> Vec<arena::NodeId> {
+/// and returns each thread's tree.
+fn race(build: impl Fn() -> Tree + Sync) -> Vec<Tree> {
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 scope.spawn(|| {
                     barrier.wait();
-                    build().id()
+                    build()
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("interning thread panicked"))
+            .map(|h| h.join().expect("building thread panicked"))
             .collect()
     })
 }
 
+/// Every tree equals `expected`, hashes like it and has its node count.
+fn all_equal(trees: &[Tree], expected: &Tree) -> bool {
+    let hasher = RandomState::new();
+    trees.iter().all(|tree| {
+        tree == expected
+            && hasher.hash_one(tree) == hasher.hash_one(expected)
+            && tree.node_count() == expected.node_count()
+    })
+}
+
 #[test]
-fn eight_threads_interning_one_structure_agree_on_the_id() {
-    let ids = race(|| build_tree(10, 0b1011001, 1));
-    assert!(
-        ids.windows(2).all(|w| w[0] == w[1]),
-        "ids diverged: {ids:?}"
-    );
-    // And the id is the one a later sequential construction gets, too.
-    assert_eq!(ids[0], build_tree(10, 0b1011001, 1).id());
+fn eight_threads_building_one_structure_build_equal_trees() {
+    let trees = race(|| build_tree(10, 0b1011001, 1));
+    // Equal to each other and to a later sequential construction.
+    assert!(all_equal(&trees, &trees[0]), "trees diverged: {trees:?}");
+    assert!(all_equal(&trees, &build_tree(10, 0b1011001, 1)));
 }
 
 #[test]
 fn concurrent_distinct_structures_stay_distinct() {
-    // Every thread builds its own basis state; the ids must be pairwise
-    // different and each must match a sequential re-construction.
-    let ids: Vec<(u128, arena::NodeId)> = std::thread::scope(|scope| {
+    // Every thread builds its own basis state; the trees must be pairwise
+    // different and each must equal a sequential re-construction.
+    let trees: Vec<(u128, Tree)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS as u128)
-            .map(|basis| scope.spawn(move || (basis, Tree::basis_state(8, basis).id())))
+            .map(|basis| scope.spawn(move || (basis, Tree::basis_state(8, basis))))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("interning thread panicked"))
+            .map(|h| h.join().expect("building thread panicked"))
             .collect()
     });
-    for (i, (basis, id)) in ids.iter().enumerate() {
-        assert_eq!(*id, Tree::basis_state(8, *basis).id());
-        for (other_basis, other_id) in &ids[i + 1..] {
-            assert_ne!(id, other_id, "|{basis}⟩ and |{other_basis}⟩ collided");
+    for (i, (basis, tree)) in trees.iter().enumerate() {
+        assert_eq!(*tree, Tree::basis_state(8, *basis));
+        for (other_basis, other) in &trees[i + 1..] {
+            assert_ne!(tree, other, "|{basis}⟩ and |{other_basis}⟩ collided");
         }
     }
-}
-
-#[test]
-fn a_pin_on_another_thread_blocks_reclamation() {
-    let floor = arena::generation();
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let _pin = arena::pin();
-            ready_tx.send(()).expect("main thread alive");
-            release_rx.recv().expect("main thread alive");
-        });
-        ready_rx.recv().expect("pinning thread alive");
-        let blocked = arena::try_reclaim(floor, &[]).expect_err("pin must block reclaim");
-        assert!(blocked.active_pins >= 1);
-        release_tx.send(()).expect("pinning thread alive");
-    });
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Hash-consing is race-free: for an arbitrary (qubits, basis, phase)
-    /// triple, 8 threads interning the structure concurrently all observe
-    /// the same canonical `NodeId`.
+    /// Construction is race-free: for an arbitrary (qubits, basis, phase)
+    /// triple, 8 threads building the structure concurrently all get equal
+    /// trees.
     #[test]
     fn concurrent_interning_is_deterministic(
         qubits in 1u32..9,
@@ -115,8 +104,7 @@ proptest! {
         phase in 0u8..3,
     ) {
         let basis = basis_seed & ((1u128 << qubits) - 1);
-        let ids = race(|| build_tree(qubits, basis, phase));
-        prop_assert!(ids.windows(2).all(|w| w[0] == w[1]), "ids diverged: {ids:?}");
-        prop_assert_eq!(ids[0], build_tree(qubits, basis, phase).id());
+        let trees = race(|| build_tree(qubits, basis, phase));
+        prop_assert!(all_equal(&trees, &build_tree(qubits, basis, phase)), "trees diverged: {trees:?}");
     }
 }

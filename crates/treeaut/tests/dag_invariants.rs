@@ -1,6 +1,7 @@
 //! Invariants of the hash-consed DAG tree representation:
 //!
-//! * structurally equal subtrees are interned to the same `NodeId`,
+//! * trees are equal exactly when they are structurally equal, however
+//!   they were built, and one construction shares equal subtrees,
 //! * basis states have linear (not exponential) node counts,
 //! * `Tree::from_fn` → `amplitude` round-trips against the defining
 //!   function (property-based, matching the old boxed-tree semantics),
@@ -12,8 +13,9 @@ use autoq_treeaut::{inclusion, InclusionResult, Tree, TreeAutomaton};
 use proptest::prelude::*;
 
 #[test]
-fn hash_consing_dedups_across_independent_constructions() {
-    // The same GHZ-like state built three different ways interns to one id.
+fn independent_constructions_compare_equal() {
+    // The same GHZ-like state built three different ways: equal trees with
+    // equal node counts.
     let a = Tree::from_fn(3, |b| match b {
         0 | 7 => Algebraic::one_over_sqrt2(),
         _ => Algebraic::zero(),
@@ -26,19 +28,23 @@ fn hash_consing_dedups_across_independent_constructions() {
         }
     });
     let c = Tree::node(0, a.as_node().unwrap().1, a.as_node().unwrap().2);
-    assert_eq!(a.id(), b.id());
-    assert_eq!(a.id(), c.id());
+    assert_eq!(a, b);
     assert_eq!(a, c);
+    assert_eq!(a.node_count(), b.node_count());
+    assert_eq!(a.node_count(), c.node_count());
+    assert_ne!(a, Tree::basis_state(3, 0));
 }
 
 #[test]
 fn equal_subtrees_share_node_ids_inside_one_tree() {
-    // |0000⟩: every all-zero fringe at one layer is one shared node, so both
-    // grandchildren of the right child are the same node.
+    // |0000⟩: every all-zero fringe at one layer is one shared node, so the
+    // right child (all zero, three layers) has one node per layer plus its
+    // leaf, and its two children are equal.
     let tree = Tree::basis_state(4, 0);
     let (_, _, right) = tree.as_node().unwrap();
+    assert_eq!(right.node_count(), 4);
     let (_, rl, rr) = right.as_node().unwrap();
-    assert_eq!(rl.id(), rr.id());
+    assert_eq!(rl, rr);
 }
 
 #[test]
@@ -114,14 +120,15 @@ proptest! {
         }
     }
 
-    /// Two trees built from the same function intern to the same node, and
-    /// automaton membership agrees with structural equality.
+    /// Two constructors of the same basis state build equal trees with the
+    /// same node count, and automaton membership agrees with equality.
     #[test]
-    fn structural_equality_is_id_equality(n in 1u32..5, basis in any::<u64>()) {
+    fn constructors_of_one_state_build_equal_trees(n in 1u32..5, basis in any::<u64>()) {
         let basis = u128::from(basis) % (1u128 << n);
         let direct = Tree::basis_state(n, basis);
         let explicit = Tree::from_fn(n, |b| if b == basis { Algebraic::one() } else { Algebraic::zero() });
-        prop_assert_eq!(direct.id(), explicit.id());
+        prop_assert_eq!(&direct, &explicit);
+        prop_assert_eq!(direct.node_count(), explicit.node_count());
         let automaton = TreeAutomaton::from_tree(&direct);
         prop_assert!(automaton.accepts(&explicit));
     }

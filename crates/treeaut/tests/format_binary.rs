@@ -1,9 +1,9 @@
 //! The binary automaton/tree codec of [`autoq_treeaut::format`]:
 //!
 //! * `from_binary(to_binary(A)) == A` exactly (states, roots, transition
-//!   order, tags), cross-validated against the text codec,
-//! * `tree_from_binary(tree_to_binary(t)) == t` *including the arena id* —
-//!   hash-consing reconstructs DAG sharing on decode,
+//!   order, tags),
+//! * `tree_from_binary(tree_to_binary(t)) == t` with `t`'s node count —
+//!   the decoder reconstructs DAG sharing,
 //! * a 70-qubit witness fixture stays linear in both codec directions,
 //! * hostile input (truncation at every offset, bit flips, garbage) is
 //!   rejected with an error, never a panic,
@@ -11,9 +11,7 @@
 //!   functions.
 
 use autoq_amplitude::Algebraic;
-use autoq_treeaut::format::{
-    from_binary, from_text, to_binary, to_text, tree_from_binary, tree_to_binary,
-};
+use autoq_treeaut::format::{from_binary, to_binary, tree_from_binary, tree_to_binary};
 use autoq_treeaut::{InternalSymbol, Tag, Tree, TreeAutomaton};
 use proptest::prelude::*;
 
@@ -121,16 +119,7 @@ fn tags_above_u32_are_rejected() {
 }
 
 #[test]
-fn binary_and_text_codecs_agree() {
-    let automaton = tagged_fixture();
-    let via_binary = from_binary(&to_binary(&automaton)).unwrap();
-    let via_text = from_text(&to_text(&automaton)).unwrap();
-    assert_eq!(via_binary, via_text);
-    assert_eq!(to_text(&via_binary), to_text(&automaton));
-}
-
-#[test]
-fn tree_binary_round_trip_restores_the_same_arena_node() {
+fn tree_binary_round_trip_restores_an_equal_tree() {
     let trees = [
         Tree::leaf(Algebraic::zero()),
         Tree::basis_state(1, 1),
@@ -143,10 +132,9 @@ fn tree_binary_round_trip_restores_the_same_arena_node() {
     for tree in trees {
         let bytes = tree_to_binary(&tree);
         let decoded = tree_from_binary(&bytes).unwrap();
-        // Hash-consing makes decode land on the *same* arena node, so the
-        // ids agree — structural equality for free, sharing reconstructed.
-        assert_eq!(decoded.id(), tree.id());
+        // Structurally equal, with the sharing reconstructed.
         assert_eq!(decoded, tree);
+        assert_eq!(decoded.node_count(), tree.node_count());
     }
 }
 
@@ -165,7 +153,8 @@ fn seventy_qubit_witness_stays_linear_through_the_codec() {
         bytes.len()
     );
     let decoded = tree_from_binary(&bytes).unwrap();
-    assert_eq!(decoded.id(), tree.id());
+    assert_eq!(decoded, tree);
+    assert_eq!(decoded.node_count(), 141);
     assert_eq!(decoded.num_qubits(), 70);
 }
 
@@ -255,17 +244,16 @@ fn multi_limb_amplitudes_round_trip_both_codecs() {
     });
     let bytes = tree_to_binary(&tree);
     let decoded = tree_from_binary(&bytes).unwrap();
-    assert_eq!(decoded.id(), tree.id());
+    assert_eq!(decoded, tree);
     assert_eq!(decoded.to_amplitude_map(), tree.to_amplitude_map());
 
     // Automaton codec (AQBA): exact structural round-trip of the automaton
-    // built from the same tree, plus text-codec agreement.
+    // built from the same tree.
     let automaton = TreeAutomaton::from_tree(&tree);
     let bytes = to_binary(&automaton);
     let decoded = from_binary(&bytes).unwrap();
     assert_eq!(decoded, automaton);
     assert_eq!(to_binary(&decoded), bytes);
-    assert_eq!(from_text(&to_text(&automaton)).unwrap(), automaton);
 }
 
 /// The amplitude table makes repeated wide amplitudes nearly free: a
@@ -317,7 +305,6 @@ fn cyclic_automata_are_rejected() {
     automaton.add_root(q);
     let error = from_binary(&to_binary(&automaton)).unwrap_err();
     assert!(error.to_string().contains("cycle"), "{error}");
-    assert!(from_text(&to_text(&automaton)).is_err());
 }
 
 #[test]
@@ -353,7 +340,7 @@ proptest! {
         prop_assert!(decoded.accepts(&tree));
     }
 
-    /// Random DAG-shared trees round-trip onto the same arena node.
+    /// Random DAG-shared trees round-trip to equal trees of the same size.
     #[test]
     fn random_trees_round_trip(n in 0u32..7, seed in any::<u64>()) {
         let tree = Tree::from_fn(n, |basis| {
@@ -363,7 +350,8 @@ proptest! {
             if h % 3 == 0 { Algebraic::one() } else { Algebraic::zero() }
         });
         let decoded = tree_from_binary(&tree_to_binary(&tree)).unwrap();
-        prop_assert_eq!(decoded.id(), tree.id());
+        prop_assert_eq!(decoded.node_count(), tree.node_count());
+        prop_assert_eq!(decoded, tree);
     }
 
     /// Arbitrary byte soup never panics the decoders.
