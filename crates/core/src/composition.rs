@@ -28,8 +28,10 @@
 //!   layer's own positions (`LayerIndex`): grouped by parent, and within
 //!   each group sorted by symbol for the backward pass, whose matching
 //!   pairs are found by binary search rather than a quadratic child scan.
-//!   No table is sized by the state count, since about half the ids a
-//!   ladder allocates end up with no transition;
+//!   A parent finds its group through a vector indexed by its id, so that
+//!   one table grows to the largest parent id the ladder indexes (about
+//!   half the ids a ladder allocates end up with no transition and waste
+//!   a slot); each pass resets only the slots the previous pass set;
 //! * there is no per-pass [`TreeAutomaton::dedup_transitions`]: the two
 //!   rebuilt layers are deduped as they are emitted through a fixed-hasher
 //!   set on a packed key, and leaves are never touched, skipping the
@@ -73,6 +75,13 @@
 //! none, since the fast paths below take all its composition gates.  The
 //! gate's peak counts each product as built, dead pairs included.
 //!
+//! A pair finds its product state through a vector indexed by the right
+//! operand's state, which holds that state's first left partner
+//! (`PairTable`); only a later partner is hashed.  In perfbench's verify
+//! workload 95% of the right states a product meets pair with exactly one
+//! left state.  A pair state leaves the worklist once, so its one leaf is
+//! pushed without a scan of the leaves so far.
+//!
 //! # The one-state path
 //!
 //! Tagging and the ladder exist to keep the trees of a *set* apart: a
@@ -95,13 +104,17 @@
 //!
 //! `Proj`, `Restrict` and `Scale` visit only nodes that exist when their
 //! walk starts, whose ids are dense, so they memoise in a vector indexed by
-//! node id; `Combine` keys its memo on the node pair.  One evaluator covers
-//! every gate, controls below the target included.  The nodes the root
-//! reaches are emitted as an untagged automaton, one state and one
-//! transition per node, so the result is already reduced: `reduce` would
-//! return it unchanged (debug builds assert it).  The peak reports the
-//! nodes built and sets [`FormulaPeak::reduced`], and the engine counts the
-//! reduction its policy asks for after such a gate without running it.
+//! node id.  `Combine` memoises on the node pair, and the DAG hash-conses
+//! a branch on its two children, each through a vector indexed by the
+//! pair's first node that holds its first partner (`PairTable`); only a
+//! later partner is hashed, and leaves are hashed by amplitude.  One
+//! evaluator covers every gate, controls below the target included.  The
+//! nodes the root reaches are emitted as an untagged automaton, one state
+//! and one transition per node, so the result is already reduced: `reduce`
+//! would return it unchanged (debug builds assert it).  The peak reports
+//! the nodes built and sets [`FormulaPeak::reduced`], and the engine
+//! counts the reduction its policy asks for after such a gate without
+//! running it.
 //!
 //! # The basis path
 //!
@@ -748,9 +761,8 @@ impl LadderState {
 
 /// The buffers one projection's fused swap ladder reuses across its
 /// passes.  They live as long as the ladder (one forward or one backward
-/// half of a projection) and are sized by the active layers, never by the
-/// state count: about half the ids a ladder allocates end up with no
-/// transition.
+/// half of a projection) and are sized by the active layers, except the
+/// index's by-parent table, which is indexed by state id.
 #[derive(Default)]
 struct Ladder {
     /// The by-parent lookup of the pass's child layer.
@@ -973,12 +985,18 @@ fn assemble_layer(
 
 /// The by-parent lookup of one active layer: the layer's positions grouped
 /// by parent state in CSR layout.  The groups are found by bucketing the
-/// layer's own positions, so the tables are sized by the layer, never by
-/// the automaton's state count.
+/// layer's own positions, so every table but `group_of` is sized by the
+/// layer; `group_of` is indexed by parent id, so it grows to the largest
+/// parent the ladder has indexed and is reset through `parents`, never
+/// cleared whole.
 #[derive(Default)]
 struct LayerIndex {
-    /// Each parent's group, numbered in order of first appearance.
-    group_of: FixedMap<u32, u32>,
+    /// `group_of[parent]`: each parent's group, numbered in order of first
+    /// appearance, or `NO_GROUP` if the parent has no transition in the
+    /// layer.
+    group_of: Vec<u32>,
+    /// `parents[g]`: the parent of group `g`.
+    parents: Vec<u32>,
     /// `starts[g] .. starts[g + 1]` delimits group `g` in `order`.
     starts: Vec<u32>,
     /// Positions grouped by parent, ascending within each group.
@@ -990,15 +1008,31 @@ struct LayerIndex {
     group_at: Vec<u32>,
 }
 
+/// The `group_of` entry of a parent with no group.
+const NO_GROUP: u32 = u32::MAX;
+
 impl LayerIndex {
     fn build(&mut self, layer: &[InternalTransition], by_symbol: bool) {
-        self.group_of.clear();
+        for &parent in &self.parents {
+            self.group_of[parent as usize] = NO_GROUP;
+        }
+        debug_assert!(
+            self.group_of.iter().all(|&group| group == NO_GROUP),
+            "the previous build's groups are all reset"
+        );
+        self.parents.clear();
         self.starts.clear();
         self.group_at.clear();
         for t in layer {
-            let next = self.starts.len() as u32;
-            let group = *self.group_of.entry(t.parent.raw()).or_insert(next);
-            if group == next {
+            let parent = t.parent.index();
+            if parent >= self.group_of.len() {
+                self.group_of.resize(parent + 1, NO_GROUP);
+            }
+            let mut group = self.group_of[parent];
+            if group == NO_GROUP {
+                group = self.starts.len() as u32;
+                self.group_of[parent] = group;
+                self.parents.push(t.parent.raw());
                 self.starts.push(0);
             }
             self.starts[group as usize] += 1;
@@ -1035,8 +1069,11 @@ impl LayerIndex {
     }
 
     fn group(&self, state: StateId) -> Option<Range<usize>> {
-        let &group = self.group_of.get(&state.raw())?;
-        Some(self.starts[group as usize] as usize..self.starts[group as usize + 1] as usize)
+        let group = *self.group_of.get(state.index())? as usize;
+        if group == NO_GROUP as usize {
+            return None;
+        }
+        Some(self.starts[group] as usize..self.starts[group + 1] as usize)
     }
 
     /// The positions of `state`'s transitions in layer order, or `None` if
@@ -1286,17 +1323,18 @@ fn pair_product(
     let index2 = TransitionIndex::by_parent(a2);
     let leaf_op = leaf_op(sign);
     let mut result = TreeAutomaton::new(a1.num_vars);
-    let mut pair_state: FixedMap<(StateId, StateId), StateId> = FixedMap::default();
+    // Keyed by the `a2` state: nearly every one meets a single `a1` state.
+    let mut pair_state = PairTable::with_len(a2.num_states as usize);
     let mut worklist: Vec<(StateId, StateId, StateId)> = Vec::new();
     let mut get_state = |result: &mut TreeAutomaton,
                          worklist: &mut Vec<(StateId, StateId, StateId)>,
                          q1: StateId,
                          q2: StateId| {
-        *pair_state.entry((q1, q2)).or_insert_with(|| {
+        StateId::new(pair_state.get_or_insert_with(q2.raw(), q1.raw(), || {
             let state = result.add_state();
             worklist.push((q1, q2, state));
-            state
-        })
+            state.raw()
+        }))
     };
 
     for &r1 in &a1.roots {
@@ -1323,18 +1361,93 @@ fn pair_product(
             }
         }
         // Leaf combination — pure id arithmetic: the sum/difference of two
-        // interned amplitudes is memoised process-wide.
+        // interned amplitudes is memoised process-wide.  Every pair state
+        // leaves the worklist once, so it gets at most this one leaf and
+        // the push skips `add_leaf_id`'s scan of the leaves so far.
         let leaf1 = index1.leaves_of(q1).first();
         let leaf2 = index2.leaves_of(q2).first();
         if let (Some(&leaf1), Some(&leaf2)) = (leaf1, leaf2) {
             let v1 = a1.leaves[leaf1 as usize].amp;
             let v2 = a2.leaves[leaf2 as usize].amp;
-            result.add_leaf_id(parent, intern::combine(leaf_op, v1, v2));
+            result.leaves.push(LeafTransition {
+                parent,
+                amp: intern::combine(leaf_op, v1, v2),
+            });
             emitted = true;
         }
         dead |= !emitted;
     }
+    debug_assert!(
+        {
+            let mut has_leaf = vec![false; result.num_states as usize];
+            result
+                .leaves
+                .iter()
+                .all(|t| !std::mem::replace(&mut has_leaf[t.parent.index()], true))
+        },
+        "every pair state gets at most one leaf"
+    );
     (result, dead)
+}
+
+/// A map from id pairs `(key, partner)` to ids, for keys that nearly
+/// always meet one partner: each key's first partner and its value sit in
+/// a vector slot indexed by the key, and only a key's later partners go to
+/// a hash map.  The product keys it by the `a2` state, the one-state DAG
+/// by a branch's left child and by `Combine`'s left operand.
+struct PairTable {
+    /// `first[key]`: the key's first partner and its value, or
+    /// `(NO_PARTNER, _)`.  Grows on demand.
+    first: Vec<(u32, u32)>,
+    /// Every pair whose key's slot holds another partner.
+    overflow: FixedMap<(u32, u32), u32>,
+}
+
+/// The partner of an empty [`PairTable`] slot: every id it stores is below
+/// `u32::MAX`.
+const NO_PARTNER: u32 = u32::MAX;
+
+impl PairTable {
+    /// A table whose slots cover the keys below `len` up front.
+    fn with_len(len: usize) -> Self {
+        PairTable {
+            first: vec![(NO_PARTNER, 0); len],
+            overflow: FixedMap::default(),
+        }
+    }
+
+    fn get(&self, key: u32, partner: u32) -> Option<u32> {
+        match self.first.get(key as usize) {
+            Some(&(first, value)) if first == partner => Some(value),
+            Some(&(NO_PARTNER, _)) | None => None,
+            Some(_) => self.overflow.get(&(key, partner)).copied(),
+        }
+    }
+
+    /// Adds a pair the table does not hold yet.
+    fn insert(&mut self, key: u32, partner: u32, value: u32) {
+        debug_assert!(partner != NO_PARTNER);
+        if key as usize >= self.first.len() {
+            self.first.resize(key as usize + 1, (NO_PARTNER, 0));
+        }
+        let slot = &mut self.first[key as usize];
+        if slot.0 == NO_PARTNER {
+            *slot = (partner, value);
+        } else {
+            debug_assert!(slot.0 != partner, "a pair sits in its key's slot");
+            let previous = self.overflow.insert((key, partner), value);
+            debug_assert!(previous.is_none(), "a pair is inserted twice");
+        }
+    }
+
+    fn get_or_insert_with(&mut self, key: u32, partner: u32, make: impl FnOnce() -> u32) -> u32 {
+        if let Some(value) = self.get(key, partner) {
+            return value;
+        }
+        let value = make();
+        self.insert(key, partner, value);
+        value
+    }
 }
 
 /// The binary operation (Algorithm 9) as the paper states it: every
@@ -1439,24 +1552,16 @@ enum DagNode {
     Branch(u32, u32),
 }
 
-impl DagNode {
-    /// The hash-consing key: node ids stay below `2^31`, so a branch key
-    /// never sets the leaf bit.
-    fn key(self) -> u64 {
-        match self {
-            DagNode::Leaf(amp) => 1 << 63 | u64::from(amp.raw()),
-            DagNode::Branch(left, right) => u64::from(left) << 32 | u64::from(right),
-        }
-    }
-}
-
 /// A locally hash-consed DAG holding one quantum state and every term a
 /// gate's formula derives from it: the one-state path of
 /// [`apply_formula_in_place_interruptible`] (see the module docs).
 struct Dag {
     num_vars: u32,
     nodes: Vec<DagNode>,
-    ids: FixedMap<u64, u32>,
+    /// The hash-consing tables: branches keyed by their left child, with
+    /// the right one as its partner, and leaves by amplitude.
+    branches: PairTable,
+    leaves: FixedMap<AmpId, u32>,
     /// `zeros[d]`: the all-zero subtree at depth `d`, once built.
     zeros: Vec<Option<u32>>,
     /// The input state's root.
@@ -1513,7 +1618,8 @@ impl Dag {
         let mut dag = Dag {
             num_vars: automaton.num_vars,
             nodes: Vec::new(),
-            ids: FixedMap::default(),
+            branches: PairTable::with_len(0),
+            leaves: FixedMap::default(),
             zeros: vec![None; automaton.num_vars as usize + 1],
             source: 0,
         };
@@ -1557,7 +1663,10 @@ impl Dag {
 
     fn intern(&mut self, node: DagNode) -> u32 {
         let next = self.nodes.len() as u32;
-        let id = *self.ids.entry(node.key()).or_insert(next);
+        let id = match node {
+            DagNode::Leaf(amp) => *self.leaves.entry(amp).or_insert(next),
+            DagNode::Branch(left, right) => self.branches.get_or_insert_with(left, right, || next),
+        };
         if id == next {
             self.nodes.push(node);
         }
@@ -1673,7 +1782,10 @@ impl Dag {
             } => {
                 let a = self.eval(lhs, interrupt)?;
                 let b = self.eval(rhs, interrupt)?;
-                let combined = self.combine(a, b, 0, leaf_op(sign), &mut FixedMap::default());
+                // Every node the walk visits exists now, so the memo's
+                // slots cover them up front.
+                let mut memo = PairTable::with_len(self.nodes.len());
+                let combined = self.combine(a, b, 0, leaf_op(sign), &mut memo);
                 self.checkpoint(interrupt)?;
                 combined
             }
@@ -1746,7 +1858,7 @@ impl Dag {
         b: u32,
         depth: u32,
         op: intern::LeafOp,
-        memo: &mut FixedMap<u64, u32>,
+        memo: &mut PairTable,
     ) -> u32 {
         let zero = self.zeros[depth as usize];
         if zero == Some(b) {
@@ -1755,8 +1867,7 @@ impl Dag {
         if zero == Some(a) && op == intern::LeafOp::Add {
             return b;
         }
-        let key = u64::from(a) << 32 | u64::from(b);
-        if let Some(&done) = memo.get(&key) {
+        if let Some(done) = memo.get(a, b) {
             return done;
         }
         let combined = match (self.nodes[a as usize], self.nodes[b as usize]) {
@@ -1770,7 +1881,7 @@ impl Dag {
             }
             _ => unreachable!("both operands sit at the same depth"),
         };
-        memo.insert(key, combined);
+        memo.insert(a, b, combined);
         combined
     }
 
@@ -2547,6 +2658,95 @@ mod tests {
         );
         assert_eq!(peak.states, untrimmed.state_count());
         assert!(peak.states > result.state_count());
+    }
+
+    /// A layer of `(parent, tag, left)` transitions on `x_1`.
+    fn layer(transitions: &[(u32, u32, u32)]) -> Vec<InternalTransition> {
+        transitions
+            .iter()
+            .map(|&(parent, tag, left)| InternalTransition {
+                parent: StateId::new(parent),
+                symbol: InternalSymbol::new(1).with_tag(Tag::Single(tag)),
+                left: StateId::new(left),
+                right: StateId::new(0),
+            })
+            .collect()
+    }
+
+    /// A ladder's index is rebuilt for every pass and resets only the
+    /// parents its last build set: after a build over parents 2, 5 and 9,
+    /// one over 2 (again), 3, 7 and 12 must group exactly as a fresh index
+    /// does, with 5 and 9 left without a group.
+    #[test]
+    fn a_reused_layer_index_groups_as_a_fresh_one() {
+        let first = layer(&[(5, 1, 1), (2, 2, 2), (5, 1, 3), (9, 3, 4), (2, 1, 5)]);
+        let second = layer(&[
+            (2, 2, 6),
+            (7, 1, 7),
+            (12, 3, 8),
+            (2, 1, 9),
+            (3, 2, 1),
+            (2, 2, 2),
+        ]);
+        for by_symbol in [false, true] {
+            let mut reused = LayerIndex::default();
+            reused.build(&first, by_symbol);
+            reused.build(&second, by_symbol);
+            let mut fresh = LayerIndex::default();
+            fresh.build(&second, by_symbol);
+            for state in (0..14).map(StateId::new) {
+                assert_eq!(reused.of(state), fresh.of(state), "{state:?}");
+                if by_symbol {
+                    for tag in 1..4 {
+                        let symbol = InternalSymbol::new(1).with_tag(Tag::Single(tag));
+                        assert_eq!(
+                            reused.matching(&second, state, symbol),
+                            fresh.matching(&second, state, symbol)
+                        );
+                    }
+                }
+            }
+            assert_eq!(reused.of(StateId::new(2)), Some(&[0, 3, 5][..]));
+            assert_eq!(reused.of(StateId::new(5)), None);
+            assert_eq!(reused.of(StateId::new(9)), None);
+        }
+    }
+
+    /// On `[1, 2, 1, i]` the DAG's branch table and H(1)'s `Combine` memo
+    /// both overflow (see `singleton_equivalence`, which checks the output
+    /// against the ladder and the simulator), and `T_{x̄_1}` builds the
+    /// overflowing branch `(1, 1)` twice: hash-consing must still leave
+    /// every node distinct.
+    #[test]
+    fn the_dag_hash_conses_through_the_overflow() {
+        let one = Algebraic::one();
+        let amplitudes = [one.clone(), Algebraic::from_int(2), one, Algebraic::i()];
+        let input = TreeAutomaton::from_tree(&Tree::from_fn(2, |b| amplitudes[b as usize].clone()));
+        let mut dag = Dag::from_single_state(&input).expect("one state");
+        let (output, peak) = dag
+            .apply(&update_formula(&Gate::H(1)).unwrap(), None)
+            .expect("no interrupt");
+        assert!(!dag.branches.overflow.is_empty());
+        let distinct: std::collections::HashSet<_> = dag
+            .nodes
+            .iter()
+            .map(|node| match *node {
+                DagNode::Leaf(amp) => (Some(amp), 0, 0),
+                DagNode::Branch(left, right) => (None, left, right),
+            })
+            .collect();
+        assert_eq!(distinct.len(), dag.nodes.len(), "no node is built twice");
+        assert_eq!(peak.states, dag.nodes.len());
+        let sqrt2 = Algebraic::one_over_sqrt2();
+        let expected: std::collections::BTreeMap<u128, Algebraic> = [
+            (0, &sqrt2 * &Algebraic::from_int(3)),
+            (1, &sqrt2 * &Algebraic::from_int(-1)),
+            (2, &sqrt2 * &(&Algebraic::one() + &Algebraic::i())),
+            (3, &sqrt2 * &(&Algebraic::one() - &Algebraic::i())),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(state_of(&output), vec![expected]);
     }
 
     #[test]

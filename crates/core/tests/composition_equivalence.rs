@@ -30,7 +30,7 @@ use autoq_core::composition::{
     self, binary_op, binary_op_reference, evaluate_with, multiply_in_place, project_reference,
     project_with, restrict_in_place, tag_in_place, CompositionOptions,
 };
-use autoq_core::formula::{update_formula, UpdateExpr};
+use autoq_core::formula::{update_formula, CombineSign, UpdateExpr};
 use autoq_core::CompositionOptions as ReexportedOptions;
 use autoq_core::{Engine, StateSet};
 use autoq_treeaut::{basis, equivalence, Tag, Tree, TreeAutomaton};
@@ -314,6 +314,37 @@ proptest! {
                 transition.symbol.tag
             );
         }
+    }
+}
+
+/// The product keeps each `a2` state's first `a1` partner in a slot and
+/// sends later partners to a map.  Here `a2` shares one state below both
+/// children of its root and one leaf state below both children of that,
+/// while `a1` has distinct states there: the pairs `(A, C)`, `(B, C)`,
+/// `(s, u)` and `(t, u)` each meet an `a2` state a second time, and `B`'s
+/// children look up both a slot pair and an overflow pair.
+#[test]
+fn a_state_meeting_two_partners_gives_the_trimmed_reference_product() {
+    let x = |var| autoq_treeaut::InternalSymbol::new(var);
+    let mut a1 = TreeAutomaton::new(2);
+    let s = a1.leaf_state(&Algebraic::one());
+    let t = a1.leaf_state(&Algebraic::from_int(2));
+    let [a, b, root] = [a1.add_state(), a1.add_state(), a1.add_state()];
+    a1.add_internal(a, x(1), s, t);
+    a1.add_internal(b, x(1), t, s);
+    a1.add_internal(root, x(0), a, b);
+    a1.add_root(root);
+    let mut a2 = TreeAutomaton::new(2);
+    let u = a2.leaf_state(&Algebraic::i());
+    let [c, root] = [a2.add_state(), a2.add_state()];
+    a2.add_internal(c, x(1), u, u);
+    a2.add_internal(root, x(0), c, c);
+    a2.add_root(root);
+    for sign in [CombineSign::Plus, CombineSign::Minus] {
+        let product = binary_op(&a1, &a2, sign);
+        assert_eq!(product, binary_op_reference(&a1, &a2, sign).trim());
+        assert_eq!(product.state_count(), 5, "one state per distinct pair");
+        assert_eq!(product.leaves.len(), 2);
     }
 }
 

@@ -284,6 +284,25 @@ fn the_one_state_path_matches_at_ten_qubits() {
     }
 }
 
+/// The DAG hash-conses a branch in a slot of its left child, and
+/// `Combine`'s memo keeps a pair in a slot of its left operand; each sends
+/// a second partner to a map.  In `[1, 2, 1, i]` the leaf 1 is the left
+/// child of two branches with different right children, and H(1)'s first
+/// `Combine` meets the node `(1, 1)` of `T_{x̄_1}` with the two different
+/// nodes `(2, 0)` and `(i, 0)` of `B̄_{x_1}·T_{x_1}`, and the leaf 1 with
+/// the leaves 2 and i.
+#[test]
+fn shared_left_children_and_repeated_combine_operands_match() {
+    let one = Algebraic::one();
+    let amplitudes = [one.clone(), Algebraic::from_int(2), one, Algebraic::i()];
+    let input = state_automaton(2, &amplitudes);
+    for gate in [Gate::H(1), Gate::H(0), Gate::RxPi2(1), Gate::RyPi2(1)] {
+        let output = check_against_the_ladder(&input, &gate, &format!("{gate:?}"));
+        let circuit = Circuit::from_gates(2, [gate]).expect("gate fits");
+        assert_eq!(only_state(&output), dense_map(2, &amplitudes, &circuit));
+    }
+}
+
 /// The 5,000-case run (release builds: `cargo test --release -p autoq-core
 /// --test singleton_equivalence -- --include-ignored`).
 #[test]
